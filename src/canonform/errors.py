@@ -91,3 +91,7 @@ class NonLinearElementaryDivisor(Error, ArithmeticError):
 
 class NotMonic(Error, ValueError):
     pass
+
+
+class CertificateFailed(Error, ArithmeticError):
+    """A replayed certificate (P A Q = D, S^-1 A S = B, ...) did not hold."""

@@ -1,6 +1,10 @@
 """Elementary row/column operations with accumulated unimodular
 transforms; Hermite (row echelon) forms, canonical normalization,
 exact linear solving, and unit-matrix decomposition.
+
+All row operations run through two in-place kernels: `_apply_rows` (one
+`ElemOp`) and `_apply_2x2_rows` (one det-1 block on two rows).  A column
+operation is a row operation on the transposed working list.
 """
 from __future__ import annotations
 
@@ -66,17 +70,26 @@ def row_scale(i: int, unit: Elem) -> ElemOp:
     return ElemOp("scale", "row", i, coeff=unit)
 
 
-def _apply_rows(rows: list[list[Elem]], op: ElemOp):
-    """Apply a row op in place to a list-of-lists working matrix."""
-    if op.kind == "swap":
-        rows[op.i - 1], rows[op.j - 1] = rows[op.j - 1], rows[op.i - 1]
-    elif op.kind == "addmul":
-        src = rows[op.j - 1]
-        tgt = rows[op.i - 1]
-        c = op.coeff
-        rows[op.i - 1] = [t + c * s for t, s in zip(tgt, src)]
-    else:
-        rows[op.i - 1] = [op.coeff * v for v in rows[op.i - 1]]
+def _apply_rows(op: ElemOp, *mats: list[list[Elem]]):
+    """Apply one row op in place to each list-of-rows working matrix."""
+    i, j, c = op.i - 1, op.j - 1, op.coeff
+    for rows in mats:
+        if op.kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op.kind == "addmul":
+            rows[i] = [t + c * s for t, s in zip(rows[i], rows[j])]
+        else:
+            rows[i] = [c * v for v in rows[i]]
+
+
+def _apply_2x2_rows(s, t, m11, m12, m21, m22, *mats: list[list[Elem]]):
+    """rows[s], rows[t] <- (m11*rows[s] + m12*rows[t],
+                            m21*rows[s] + m22*rows[t]) in each working
+    matrix; a det-1 block, so a product of type I/II operations."""
+    for rows in mats:
+        rs, rt = rows[s - 1], rows[t - 1]
+        rows[s - 1] = [m11 * a + m12 * b for a, b in zip(rs, rt)]
+        rows[t - 1] = [m21 * a + m22 * b for a, b in zip(rs, rt)]
 
 
 def apply_op(a: Matrix, op: ElemOp) -> Matrix:
@@ -89,10 +102,11 @@ def apply_op(a: Matrix, op: ElemOp) -> Matrix:
         raise NotAUnit(f"scale coefficient {op.coeff} is not a unit")
     if op.axis == "row":
         rows = a.rows()
-        _apply_rows(rows, op)
+        _apply_rows(op, rows)
         return Matrix.from_rows(a.ring, rows)
-    flipped = ElemOp(op.kind, "row", op.i, op.j, op.coeff)
-    return apply_op(a.transpose(), flipped).transpose()
+    cols = [list(a.col(j)) for j in range(1, a.n + 1)]
+    _apply_rows(op, cols)
+    return Matrix.from_rows(a.ring, list(zip(*cols)))
 
 
 def op_matrix(op: ElemOp, size: int, ring: Ring) -> Matrix:
@@ -101,13 +115,19 @@ def op_matrix(op: ElemOp, size: int, ring: Ring) -> Matrix:
     return apply_op(Matrix.identity(ring, size), op)
 
 
-def _apply_2x2_rows(rows, s, t, m11, m12, m21, m22):
-    """rows[s], rows[t] <- (m11*rows[s] + m12*rows[t],
-                            m21*rows[s] + m22*rows[t]); a det-1 block, so a
-    product of type I/II operations."""
-    rs, rt = rows[s - 1], rows[t - 1]
-    rows[s - 1] = [m11 * a + m12 * b for a, b in zip(rs, rt)]
-    rows[t - 1] = [m21 * a + m22 * b for a, b in zip(rs, rt)]
+def _gcd_combine(work, q, j: int, s: int, others: Sequence[int]):
+    """Fold column j of each row in `others` into row s by det-1 gcd
+    blocks (a swap when the pivot is zero), applied to work and q alike."""
+    for t in others:
+        pivot = work[s - 1][j - 1]
+        other = work[t - 1][j - 1]
+        if other.is_zero():
+            continue
+        if pivot.is_zero():
+            _apply_rows(row_swap(s, t), work, q)
+            continue
+        d, x, y = egcd(pivot, other)
+        _apply_2x2_rows(s, t, x, y, -other.exact_div(d), pivot.exact_div(d), work, q)
 
 
 def clear_column(
@@ -127,22 +147,7 @@ def clear_column(
         raise AllZeroColumn(f"no nonzero entry among rows {listed} of column {j}")
     work = a.rows()
     q = Matrix.identity(a.ring, a.m).rows()
-    for t in listed:
-        if t == s:
-            continue
-        pivot = work[s - 1][j - 1]
-        other = work[t - 1][j - 1]
-        if other.is_zero():
-            continue
-        if pivot.is_zero():
-            for target in (work, q):
-                target[s - 1], target[t - 1] = target[t - 1], target[s - 1]
-            continue
-        d, x, y = egcd(pivot, other)
-        m21 = -other.exact_div(d)
-        m22 = pivot.exact_div(d)
-        _apply_2x2_rows(work, s, t, x, y, m21, m22)
-        _apply_2x2_rows(q, s, t, x, y, m21, m22)
+    _gcd_combine(work, q, j, s, [t for t in listed if t != s])
     return Matrix.from_rows(a.ring, q), Matrix.from_rows(a.ring, work)
 
 
@@ -168,33 +173,23 @@ def _echelon(a: Matrix) -> tuple[list[list[Elem]], list[list[Elem]], list[int]]:
         if not hot:
             continue
         s = hot[0]
-        for t in hot[1:]:
-            pivot = work[s - 1][j - 1]
-            other = work[t - 1][j - 1]
-            d, x, y = egcd(pivot, other)
-            m21 = -other.exact_div(d)
-            m22 = pivot.exact_div(d)
-            _apply_2x2_rows(work, s, t, x, y, m21, m22)
-            _apply_2x2_rows(q, s, t, x, y, m21, m22)
+        _gcd_combine(work, q, j, s, hot[1:])
         if s != pivot_row:
-            for target in (work, q):
-                target[s - 1], target[pivot_row - 1] = (
-                    target[pivot_row - 1], target[s - 1])
+            _apply_rows(row_swap(s, pivot_row), work, q)
         primary.append(j)
         pivot_row += 1
     return work, q, primary
 
 
+def _result(ring: Ring, work, q, primary: list[int]) -> HermiteResult:
+    return HermiteResult(Matrix.from_rows(ring, q), Matrix.from_rows(ring, work),
+                         tuple(primary), len(primary))
+
+
 def hermite_form(a: Matrix) -> HermiteResult:
     """A row echelon (Hermite) form QA = H without the canonical
     normalization phases."""
-    work, q, primary = _echelon(a)
-    return HermiteResult(
-        Matrix.from_rows(a.ring, q),
-        Matrix.from_rows(a.ring, work),
-        tuple(primary),
-        len(primary),
-    )
+    return _result(a.ring, *_echelon(a))
 
 
 def hermite_canonical(a: Matrix) -> HermiteResult:
@@ -208,8 +203,7 @@ def hermite_canonical(a: Matrix) -> HermiteResult:
     for t, j in enumerate(primary, start=1):
         u, _ = canonical_associate(work[t - 1][j - 1])
         if not u.is_one():
-            work[t - 1] = [u * v for v in work[t - 1]]
-            q[t - 1] = [u * v for v in q[t - 1]]
+            _apply_rows(row_scale(t, u), work, q)
     for t, j in enumerate(primary, start=1):
         pivot = work[t - 1][j - 1]
         for i in range(1, t):
@@ -218,14 +212,8 @@ def hermite_canonical(a: Matrix) -> HermiteResult:
             if res == v:
                 continue
             c = (v - res).exact_div(pivot)
-            work[i - 1] = [x - c * y for x, y in zip(work[i - 1], work[t - 1])]
-            q[i - 1] = [x - c * y for x, y in zip(q[i - 1], q[t - 1])]
-    return HermiteResult(
-        Matrix.from_rows(a.ring, q),
-        Matrix.from_rows(a.ring, work),
-        tuple(primary),
-        len(primary),
-    )
+            _apply_rows(row_addmul(i, -c, t), work, q)
+    return _result(a.ring, work, q, primary)
 
 
 def column_hermite_canonical(a: Matrix) -> tuple[Matrix, Matrix]:
@@ -311,7 +299,7 @@ def decompose_unit(u: Matrix) -> list[ElemOp]:
     word: list[ElemOp] = []
 
     def apply(op: ElemOp):
-        _apply_rows(work, op)
+        _apply_rows(op, work)
         word.append(op)
 
     for j in range(1, n + 1):

@@ -14,6 +14,8 @@ from typing import Optional
 from . import determinant
 from .domain import Elem, Ring, factor, prime_sort_key, valuation
 from .errors import (
+    CertificateFailed,
+    Error,
     NonLinearElementaryDivisor,
     NotMonic,
     NotSquare,
@@ -123,7 +125,8 @@ def similarity_invariants(a: Matrix) -> tuple[Elem, ...]:
     product is the characteristic polynomial."""
     a = _as_rational_square(a)
     res = smith(char_matrix(a))
-    assert res.rank == a.m  # det(xI - A) is monic of degree n, never zero
+    if res.rank != a.m:  # det(xI - A) is monic of degree n, never zero
+        raise CertificateFailed(f"xI - A has rank {res.rank}, not {a.m}")
     return res.diag
 
 
@@ -171,12 +174,11 @@ class SimilarityCertificate:
     target: Matrix
 
     def verify(self, a: Matrix) -> bool:
-        a = _as_rational_square(a)
         try:
-            s_inv = determinant.inverse(self.s)
-        except Exception:
+            a = _as_rational_square(a)
+            return determinant.inverse(self.s) @ a @ self.s == self.target
+        except Error:
             return False
-        return s_inv @ a @ self.s == self.target
 
 
 def _elementary_divisor_polys(a: Matrix) -> list[tuple[Elem, int]]:
@@ -212,8 +214,10 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     s_inv = right_eval(res_b.q @ qa_inv, a)
     n = a.m
     ident = Matrix.identity(Ring.Q, n)
-    assert s_inv @ s == ident and s @ s_inv == ident
-    assert s_inv @ a @ s == b, "similarity certificate replay failed"
+    if s_inv @ s != ident or s @ s_inv != ident:
+        raise CertificateFailed("similarity certificate: S S^-1 != I")
+    if s_inv @ a @ s != b:
+        raise CertificateFailed("similarity certificate replay S^-1 A S = B failed")
     return SimilarityCertificate(s, b)
 
 
@@ -222,7 +226,8 @@ def _assemble(a: Matrix, blocks: list[Matrix]) -> tuple[SimilarityCertificate, M
     for blk in blocks[1:]:
         form = direct_sum(form, blk)
     cert = similar(a, form)
-    assert cert is not None  # same elementary divisors by construction
+    if cert is None:  # same elementary divisors by construction
+        raise CertificateFailed("canonical form is not similar to its source")
     return cert, form
 
 

@@ -1,14 +1,23 @@
 """Two-sided reduction to diagonal and Smith canonical form, with
 unimodular witnesses verified by replay on every call.
+
+Each 2x2 chain step updates two rows of P and of Q transposed in place
+through `hermite._apply_2x2_rows`; unit scalings use `hermite._apply_rows`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .domain import Elem, canonical_associate, egcd, valuation
-from .errors import ZeroArgument
-from .matrix import Matrix, general_direct_sum
-from .hermite import column_hermite_canonical, hermite_canonical
+from .errors import CertificateFailed, ZeroArgument
+from .matrix import Matrix
+from .hermite import (
+    _apply_2x2_rows,
+    _apply_rows,
+    column_hermite_canonical,
+    hermite_canonical,
+    row_scale,
+)
 
 _ALTERNATION_CAP = 200
 
@@ -54,7 +63,8 @@ def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         d = res.h
         if _is_diagonal(d):
             return p, q, d
-    raise AssertionError("diagonalization failed to converge")  # pragma: no cover
+    raise CertificateFailed(
+        f"diagonalize found no diagonal form within {_ALTERNATION_CAP} passes")
 
 
 def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
@@ -72,56 +82,34 @@ def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
     one, zero = Elem.one(ring), Elem.zero(ring)
     # R_[2]-c[1] folded into [[1,1],[0,1]] clears the td2 left behind below
     c = (t * d2).exact_div(delta)
-    p2 = Matrix.from_rows(ring, [[one, one], [-c, one - c]])
+    p2_rows = [[one, one], [-c, one - c]]
     u, lam = canonical_associate(lam_signed)
     if not u.is_one():
-        p2 = Matrix.from_rows(ring, [list(p2.row(1)), [u * v for v in p2.row(2)]])
+        _apply_rows(row_scale(2, u), p2_rows)
+    p2 = Matrix.from_rows(ring, p2_rows)
     check = p2 @ Matrix.from_rows(ring, [[d1, zero], [zero, d2]]) @ q2
-    expected = Matrix.from_rows(ring, [[delta, zero], [zero, lam]])
-    assert check == expected, "smith_2x2 certificate failed"
+    if check != Matrix.from_rows(ring, [[delta, zero], [zero, lam]]):
+        raise CertificateFailed(f"smith_2x2 certificate failed on ({d1}, {d2})")
     return p2, q2, delta, lam
 
 
-def _embed(m2: Matrix, i: int, j: int, size: int) -> Matrix:
-    if size == 2:
-        return m2  # slots (i, j) are necessarily (1, 2)
-    pos = [i, j]
-    return general_direct_sum(m2, Matrix.identity(m2.ring, size - 2), pos, pos)
-
-
-def _embed_pair(
-    p: Matrix, q: Matrix, d: Matrix, p2: Matrix, q2: Matrix, i: int, j: int
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Fold a 2x2 transform acting on diagonal slots {i, j} into the full
-    witnesses via the general direct sum with the identity."""
-    pbig = _embed(p2, i, j, d.m)
-    qbig = _embed(q2, i, j, d.n)
-    return pbig @ p, q @ qbig, pbig @ d @ qbig
-
-
-def _chain_pass(p, q, d, diag, start):
-    """Make diag[start] divide every later entry via embedded 2x2 steps."""
+def _chain_pass(pwork, qtwork, diag, start):
+    """Make diag[start] divide every later entry: each 2x2 step acts on
+    rows (start, other) of P and of Q transposed."""
     for other in range(start + 1, len(diag)):
         lead, cur = diag[start], diag[other]
         if divmod(cur, lead)[1].is_zero():
             continue
         p2, q2, delta, lam = smith_2x2(lead, cur)
         # loop variant: the leading slot's valuation strictly decreases
-        assert valuation(delta) < valuation(lead)
-        p, q, d = _embed_pair(p, q, d, p2, q2, start + 1, other + 1)
+        if not valuation(delta) < valuation(lead):
+            raise CertificateFailed(
+                f"chain pass variant broken: {delta} does not shrink {lead}")
+        s, t = start + 1, other + 1
+        _apply_2x2_rows(s, t, *p2.entries, pwork)
+        q11, q12, q21, q22 = q2.entries
+        _apply_2x2_rows(s, t, q11, q21, q12, q22, qtwork)
         diag[start], diag[other] = delta, lam
-    return p, q, d
-
-
-def weak_smith(a: Matrix) -> SmithResult:
-    """Diagonal form in which d1 divides every diagonal entry."""
-    p, q, d = diagonalize(a)
-    diag = [d.entry(i, i) for i in range(1, min(d.m, d.n) + 1)
-            if not d.entry(i, i).is_zero()]
-    if diag:
-        p, q, d = _chain_pass(p, q, d, diag, 0)
-    assert p @ a @ q == d, "weak Smith certificate failed"
-    return SmithResult(p, q, d, tuple(diag), len(diag))
 
 
 def smith(a: Matrix) -> SmithResult:
@@ -131,19 +119,22 @@ def smith(a: Matrix) -> SmithResult:
     diag = [d.entry(i, i) for i in range(1, min(d.m, d.n) + 1)
             if not d.entry(i, i).is_zero()]
     r = len(diag)
+    pwork, qtwork = p.rows(), q.transpose().rows()
     for start in range(r - 1):
-        p, q, d = _chain_pass(p, q, d, diag, start)
-    work = d.rows()
-    pwork = p.rows()
+        _chain_pass(pwork, qtwork, diag, start)
     for t in range(r):
-        u, c = canonical_associate(diag[t])
+        u, diag[t] = canonical_associate(diag[t])
         if not u.is_one():
-            work[t] = [u * v for v in work[t]]
-            pwork[t] = [u * v for v in pwork[t]]
-            diag[t] = c
-    d = Matrix.from_rows(a.ring, work)
+            _apply_rows(row_scale(t + 1, u), pwork)
     p = Matrix.from_rows(a.ring, pwork)
-    assert p @ a @ q == d, "Smith certificate failed"
+    q = Matrix.from_rows(a.ring, qtwork).transpose()
+    zero = Elem.zero(a.ring)
+    d = Matrix.from_rows(a.ring, [[diag[i] if i == j and i < r else zero
+                                   for j in range(a.n)] for i in range(a.m)])
+    if p @ a @ q != d:
+        raise CertificateFailed("Smith certificate P A Q = D failed")
     for t in range(r - 1):
-        assert divmod(diag[t + 1], diag[t])[1].is_zero(), "divisibility chain broken"
+        if not divmod(diag[t + 1], diag[t])[1].is_zero():
+            raise CertificateFailed(
+                f"divisibility chain broken: {diag[t]} does not divide {diag[t + 1]}")
     return SmithResult(p, q, d, tuple(diag), r)

@@ -1,0 +1,78 @@
+"""Certificate replays are explicit checks: they raise CertificateFailed,
+also under `python -O`, and the CLI maps that to exit code 1."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from canonform.cli import main
+from canonform.errors import CertificateFailed
+from canonform.matrix import Matrix, format_matrix, mat_q, mat_z
+from canonform.similarity import SimilarityCertificate
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Corrupts one step of smith and one of similar, in a process started
+# with -O; exits 0 only when both corruptions raise CertificateFailed.
+CORRUPTED_STEPS = textwrap.dedent("""\
+    import importlib, sys
+    from canonform.errors import CertificateFailed
+    from canonform.matrix import mat_q, mat_z
+
+    if __debug__:
+        sys.exit("expected to run under python -O")
+    sm = importlib.import_module("canonform.smith")
+    sim = importlib.import_module("canonform.similarity")
+
+    orig = sm.canonical_associate
+    def doubled(x):
+        u, c = orig(x)
+        return u, c + c
+    sm.canonical_associate = doubled
+    try:
+        sm.smith(mat_z([[2, 4], [6, 8]]))
+        sys.exit("corrupted smith was not caught")
+    except CertificateFailed:
+        pass
+    sm.canonical_associate = orig
+
+    orig_eval = sim.right_eval
+    sim.right_eval = lambda p, a: orig_eval(p, a).scale(2)
+    try:
+        sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
+        sys.exit("corrupted similar was not caught")
+    except CertificateFailed:
+        pass
+    print("caught")
+""")
+
+
+def test_corrupted_certificates_raise_under_dash_o():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_STEPS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "caught"
+
+
+def test_diagonalize_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
+    import importlib
+    sm = importlib.import_module("canonform.smith")
+    monkeypatch.setattr(sm, "_ALTERNATION_CAP", 0)
+    with pytest.raises(CertificateFailed, match="within 0 passes"):
+        sm.diagonalize(mat_z([[2, 4], [6, 8]]))
+    path = tmp_path / "a.mtx"
+    path.write_text(format_matrix(mat_z([[2, 4], [6, 8]])))
+    assert main(["smith", str(path)]) == 1
+    assert "CertificateFailed" in capsys.readouterr().err
+
+
+def test_verify_returns_false_on_shape_mismatch():
+    a = mat_q([[1, 2], [3, 4]])
+    cert = SimilarityCertificate(Matrix.identity(a.ring, 3), a)
+    assert cert.verify(a) is False

@@ -5,7 +5,7 @@ import pytest
 
 from canonform.cli import main
 from canonform.domain import Ring
-from canonform.matrix import format_matrix, mat_q, mat_z, parse_matrix
+from canonform.matrix import format_matrix, mat_q, mat_qx, mat_z, parse_matrix
 
 from conftest import random_matrix
 
@@ -216,3 +216,62 @@ class TestExitCodes:
         from canonform.similarity import companion
         path = write(tmp_path, "c.mtx", companion(polynomial([-2, 0, 0, 1])))
         assert main(["rcf", str(path)]) == 1
+
+
+# Exact P/Q/D and Q/H of the JSON transforms, pinned so that a refactor of
+# the elimination code cannot change them unnoticed.
+GOLDEN = {
+    # diag(6, 4): one chain step on slots (1, 2)
+    "six_four": (
+        mat_z([[6, 0], [0, 4]]),
+        {"P": [["1", "1"], ["2", "3"]],
+         "Q": [["1", "-2"], ["-1", "3"]],
+         "D": [["2", "0"], ["0", "12"]],
+         "diag": ["2", "12"], "rank": 2},
+        {"Q": [["1", "0"], ["0", "1"]],
+         "H": [["6", "0"], ["0", "4"]],
+         "primary_cols": [1, 2], "rank": 2},
+    ),
+    # 3x4 over Z: chain steps on the non-adjacent slots (1, 3), then (2, 3)
+    "wide": (
+        mat_z([[0, -2, 6, 2], [-4, -6, -6, 2], [-1, 0, -9, 0]]),
+        {"P": [["1", "0", "1"], ["-2", "1", "0"], ["1", "-1", "0"]],
+         "Q": [["-1", "-2", "-4", "9"], ["1", "2", "5", "-6"],
+               ["0", "0", "0", "-1"], ["1", "1", "3", "-3"]],
+         "D": [["1", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "4", "0"]],
+         "diag": ["1", "2", "4"], "rank": 3},
+        {"Q": [["0", "0", "-1"], ["-4", "1", "-4"], ["-3", "1", "-4"]],
+         "H": [["1", "0", "9", "0"], ["0", "2", "6", "-6"], ["0", "0", "12", "-4"]],
+         "primary_cols": [1, 2, 3], "rank": 3},
+    ),
+    # 3x3 over Q[x]: one chain step on slots (2, 3)
+    "qx": (
+        mat_qx([["x", "1/2", "0"], ["0", "x", "0"], ["0", "0", "x-2"]]),
+        {"P": [["1", "0", "0"], ["-2*x", "1", "1"],
+               ["-1/2*x^3+2*x", "1/4*x^2-1", "1/4*x^2"]],
+         "Q": [["0", "-1/8", "1/2*x-1"], ["2", "1/4*x", "-x^2+2*x"],
+               ["0", "-1/4*x-1/2", "x^2"]],
+         "D": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "x^3-2*x^2"]],
+         "diag": ["1", "1", "x^3-2*x^2"], "rank": 3},
+        {"Q": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         "H": [["x", "1/2", "0"], ["0", "x", "0"], ["0", "0", "x-2"]],
+         "primary_cols": [1, 2, 3], "rank": 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+class TestGoldenTransforms:
+    def test_smith(self, name, tmp_path, capsys):
+        a, smith_golden, _ = GOLDEN[name]
+        code, report = run_json(capsys, ["smith", write(tmp_path, "a.mtx", a), "--json"])
+        assert code == 0
+        assert report["transforms"] == smith_golden
+        assert report["diag"] == smith_golden["diag"]
+
+    def test_hermite_canonical(self, name, tmp_path, capsys):
+        a, _, hermite_golden = GOLDEN[name]
+        code, report = run_json(capsys, ["hermite", write(tmp_path, "a.mtx", a),
+                                         "--canonical", "--json"])
+        assert code == 0
+        assert report["transforms"] == hermite_golden

@@ -14,7 +14,7 @@ from canonform.domain import (
 from canonform.errors import ZeroArgument
 from canonform.invariants import det_divisors_by_minors
 from canonform.matrix import Matrix, mat_qx, mat_z
-from canonform.smith import diagonalize, smith, smith_2x2, weak_smith
+from canonform.smith import diagonalize, smith, smith_2x2
 
 from conftest import random_matrix, random_unimodular
 
@@ -104,27 +104,6 @@ class TestSmith2x2:
             smith_2x2(integer(0), integer(3))
 
 
-class TestWeakSmith:
-    def test_six_four(self):
-        res = weak_smith(mat_z([[6, 0], [0, 4]]))
-        assert res.p @ mat_z([[6, 0], [0, 4]]) @ res.q == res.d
-        d1 = res.diag[0]
-        assert d1 == integer(2)
-        for dt in res.diag:
-            assert divmod(dt, d1)[1].is_zero()
-
-    def test_rank_one(self):
-        res = weak_smith(mat_z([[2, 4], [4, 8]]))
-        assert res.rank == 1
-
-    def test_field_input_trivial(self):
-        rng = random.Random(191)
-        a = random_matrix(rng, Ring.Q, 3, 3)
-        res = weak_smith(a)
-        for dt in res.diag:
-            assert divmod(dt, res.diag[0])[1].is_zero()
-
-
 class TestSmith:
     def test_two_by_two_via_divisor_oracle(self):
         a = mat_z([[2, 4], [6, 8]])
@@ -139,6 +118,25 @@ class TestSmith:
         a = mat_z([[18, 0], [0, 12]])
         res = smith(a)
         assert res.diag == (integer(6), integer(36))
+        assert_smith_shape(res, a)
+
+    def test_six_four(self):
+        a = mat_z([[6, 0], [0, 4]])
+        res = smith(a)
+        assert res.diag == (integer(2), integer(12))
+        assert_smith_shape(res, a)
+
+    def test_rank_one(self):
+        a = mat_z([[2, 4], [4, 8]])
+        res = smith(a)
+        assert res.rank == 1 and res.diag == (integer(2),)
+        assert_smith_shape(res, a)
+
+    def test_field_input_trivial(self):
+        rng = random.Random(191)
+        a = random_matrix(rng, Ring.Q, 3, 3)
+        res = smith(a)
+        assert all(dt.is_one() for dt in res.diag)
         assert_smith_shape(res, a)
 
     def test_pairwise_coprime_collapses(self):
