@@ -1,6 +1,9 @@
 """Exact determinants and the surrounding calculus: Laplace expansions,
 restricted sums, adjugate, Cramer solving, Cauchy-Binet checks, rank by
 minors, and inversion over the ring.
+
+A unit matrix is inverted through its Hermite canonical form, which is the
+identity, so the row transform is the inverse; no adjugate is formed.
 """
 from __future__ import annotations
 
@@ -146,12 +149,19 @@ def adjugate(a: Matrix) -> Matrix:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Inverse over the ring itself: requires det(a) to be a unit."""
+    """Inverse over the ring itself: requires det(a) to be a unit.
+
+    The Hermite canonical form Q A = H of a unit matrix is I (unit pivots
+    have canonical associate 1, residues modulo 1 are 0), so Q is the
+    inverse; over Q this is Gauss-Jordan elimination.
+    """
+    from .hermite import hermite_canonical  # hermite imports this module
+
     _require_square(a)
-    d = det(a)
-    if not d.is_unit():
-        raise NotAUnit(f"determinant {d} is not a unit of {a.ring}")
-    return adjugate(a).scale(d.unit_inverse())
+    res = hermite_canonical(a)
+    if res.h != Matrix.identity(a.ring, a.m):
+        raise NotAUnit(f"determinant {det(a)} is not a unit of {a.ring}")
+    return res.q
 
 
 def cramer_solve(a: Matrix, y: Matrix) -> Matrix:

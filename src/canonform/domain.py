@@ -499,6 +499,9 @@ def prime_sort_key(p: Elem):
 # ---------------------------------------------------------------------------
 # scalar text grammar
 
+# Parsed polynomials are dense coefficient lists, so the degree is capped.
+_MAX_PARSE_DEGREE = 10_000
+
 _INT_RE = re.compile(r"^-?[0-9]+$")
 _RAT_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 _TERM_RE = re.compile(
@@ -548,6 +551,14 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
                 c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {text!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError(
+                f"a number in a {end - pos}-character term is too long"
+            ) from None
+        if k > _MAX_PARSE_DEGREE:
+            raise ParseError(
+                f"degree {k} exceeds the parser limit {_MAX_PARSE_DEGREE}"
+            )
         coeffs[k] = coeffs.get(k, Fraction(0)) + sign * c
         pos = end
     size = max(coeffs, default=0) + 1

@@ -3,7 +3,8 @@ decision with an explicit conjugator, minimal polynomial, and the
 rational (Frobenius) and Jordan canonical forms.
 
 Constant matrices live over Q (Z inputs are lifted); polynomial matrices
-over Q[x].
+over Q[x].  `rcf` and `jordan` compute the Smith form of xI - A once and
+reuse it both for the elementary divisors and for the conjugator.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .matrix import Matrix, direct_sum, lift, x_identity
-from .smith import smith
+from .smith import SmithResult, smith
 
 
 def _as_rational_square(a: Matrix) -> Matrix:
@@ -120,14 +121,18 @@ def scalar_poly_eval(q: Elem, a: Matrix) -> Matrix:
     return out
 
 
-def similarity_invariants(a: Matrix) -> tuple[Elem, ...]:
-    """Invariant factors of xI - A: n monic polynomials (units as 1) whose
-    product is the characteristic polynomial."""
-    a = _as_rational_square(a)
+def _char_smith(a: Matrix) -> SmithResult:
+    """The Smith form of xI - A for a constant square A over Q."""
     res = smith(char_matrix(a))
     if res.rank != a.m:  # det(xI - A) is monic of degree n, never zero
         raise CertificateFailed(f"xI - A has rank {res.rank}, not {a.m}")
-    return res.diag
+    return res
+
+
+def similarity_invariants(a: Matrix) -> tuple[Elem, ...]:
+    """Invariant factors of xI - A: n monic polynomials (units as 1) whose
+    product is the characteristic polynomial."""
+    return _char_smith(_as_rational_square(a)).diag
 
 
 def minimal_poly(a: Matrix) -> Elem:
@@ -184,8 +189,12 @@ class SimilarityCertificate:
 def _elementary_divisor_polys(a: Matrix) -> list[tuple[Elem, int]]:
     """Elementary divisors of xI - A as (monic prime, exponent), sorted by
     (prime key, exponent)."""
+    return _divisors_of(similarity_invariants(a))
+
+
+def _divisors_of(invariants: tuple[Elem, ...]) -> list[tuple[Elem, int]]:
     out = []
-    for q in similarity_invariants(a):
+    for q in invariants:
         if q.is_one():
             continue
         _, powers = factor(q)
@@ -204,8 +213,13 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     b = _as_rational_square(b)
     if a.m != b.m:
         raise ShapeMismatch("similar needs matrices of equal size")
-    res_a = smith(char_matrix(a))
-    res_b = smith(char_matrix(b))
+    return _conjugator(a, smith(char_matrix(a)), b, smith(char_matrix(b)))
+
+
+def _conjugator(a: Matrix, res_a: SmithResult, b: Matrix,
+                res_b: SmithResult) -> Optional[SimilarityCertificate]:
+    """S with S^-1 A S = B from the Smith forms of xI - A and xI - B, or
+    None when their invariant factors differ."""
     if res_a.diag != res_b.diag:
         return None
     qa_inv = determinant.inverse(res_a.q)
@@ -221,11 +235,12 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     return SimilarityCertificate(s, b)
 
 
-def _assemble(a: Matrix, blocks: list[Matrix]) -> tuple[SimilarityCertificate, Matrix]:
+def _assemble(a: Matrix, res_a: SmithResult,
+              blocks: list[Matrix]) -> tuple[SimilarityCertificate, Matrix]:
     form = blocks[0]
     for blk in blocks[1:]:
         form = direct_sum(form, blk)
-    cert = similar(a, form)
+    cert = _conjugator(a, res_a, form, smith(char_matrix(form)))
     if cert is None:  # same elementary divisors by construction
         raise CertificateFailed("canonical form is not similar to its source")
     return cert, form
@@ -235,20 +250,21 @@ def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     """Frobenius (rational) canonical form: companion blocks of the
     elementary divisors in display order, with verified conjugator."""
     a = _as_rational_square(a)
-    eds = _elementary_divisor_polys(a)
-    blocks = [companion(p ** e) for p, e in eds]
-    return _assemble(a, blocks)
+    res_a = _char_smith(a)
+    blocks = [companion(p ** e) for p, e in _divisors_of(res_a.diag)]
+    return _assemble(a, res_a, blocks)
 
 
 def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     """Jordan canonical form: hypercompanion blocks of the elementary
     divisors, which must all be powers of linear factors."""
     a = _as_rational_square(a)
-    eds = _elementary_divisor_polys(a)
+    res_a = _char_smith(a)
+    eds = _divisors_of(res_a.diag)
     for p, _ in eds:
         if valuation(p) != 1:
             raise NonLinearElementaryDivisor(
                 f"elementary divisor prime {p} is not linear over Q"
             )
     blocks = [hypercompanion(-p.value[0], e) for p, e in eds]
-    return _assemble(a, blocks)
+    return _assemble(a, res_a, blocks)

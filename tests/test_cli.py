@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -210,6 +211,15 @@ class TestExitCodes:
         path = write(tmp_path, "wide.mtx", mat_z([[1, 2]]))
         assert main(["det", str(path)]) == 1  # NotSquare
 
+    def test_huge_degree_is_2_quickly(self, tmp_path, capsys):
+        path = tmp_path / "huge.mtx"
+        path.write_text("ring Q[x]\nrows 1\ncols 1\nx^100000000\n")
+        start = time.perf_counter()
+        assert main(["det", str(path)]) == 2
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert "degree 100000000" in err and "limit 10000" in err
+
     def test_factorization_incomplete_is_1(self, tmp_path, capsys):
         # companion of x^3 - 2: irreducible cubic elementary divisor
         from canonform.domain import polynomial
@@ -275,3 +285,40 @@ class TestGoldenTransforms:
                                          "--canonical", "--json"])
         assert code == 0
         assert report["transforms"] == hermite_golden
+
+
+# Exact S and form of each similarity verb (the key), pinned so that a change to the
+# Smith or inverse code under the similarity layer cannot move them unnoticed.
+GOLDEN_CONJUGATORS = {
+    # U^-1 (J_2(2) + J_1(-1)) U: one Jordan 2-block
+    "jordan": (
+        [mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])],
+        [["2", "1", "0"], ["0", "2", "0"], ["0", "0", "-1"]],
+        [["-1", "2", "2"], ["1", "-1", "-1"], ["1", "-2", "-1"]],
+    ),
+    # U^-1 (rotation + J_2(3)) U: an x^2+1 companion block
+    "rcf": (
+        [mat_q([["7/3", "-2/3", "4/3", "2/3"], ["-7/3", "-1/3", "-10/3", "-2/3"],
+                ["5/3", "2/3", "5/3", "1/3"], ["2/3", "2/3", "-4/3", "7/3"]])],
+        [["0", "1", "0", "0"], ["-9", "6", "0", "0"],
+         ["0", "0", "0", "1"], ["0", "0", "-1", "0"]],
+        [["14/75", "-1/25", "1/75", "2/75"], ["-14/75", "1/25", "7/150", "-1/150"],
+         ["7/75", "-1/50", "-1/75", "-2/75"], ["-73/150", "7/50", "-1/75", "-2/75"]],
+    ),
+    "similar": (
+        [mat_q([[2, 1, 0], [0, 2, 0], [0, 0, 1]]),
+         mat_q([[1, 0, 0], [1, 2, 0], [3, 1, 2]])],
+        [["1", "0", "0"], ["1", "2", "0"], ["3", "1", "2"]],
+        [["-3", "-1", "-1"], ["-1", "-1", "0"], ["-2", "0", "0"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONJUGATORS))
+def test_golden_conjugator(name, tmp_path, capsys):
+    mats, form, s = GOLDEN_CONJUGATORS[name]
+    paths = [write(tmp_path, f"m{i}.mtx", m) for i, m in enumerate(mats)]
+    code, report = run_json(capsys, [name, *paths, "--json"])
+    assert code == 0 and report["verified"] is True
+    assert report["form"] == form
+    assert report["transforms"] == {"S": s}

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations as iter_perms
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonform.determinant import (
     adjugate,
@@ -27,6 +28,7 @@ from canonform.matrix import (
     Matrix,
     general_direct_sum,
     mat_q,
+    mat_qx,
     mat_z,
     submatrix,
     vector,
@@ -373,3 +375,32 @@ class TestInverse:
     def test_rational_inverse(self):
         a = mat_q([[Fraction(1, 2), 1], [0, 3]])
         assert a @ inverse(a) == Matrix.identity(Ring.Q, 2)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+    def test_random_unit_matches_adjugate(self, ring, seed, n):
+        a = random_unimodular(random.Random(seed), ring, n)
+        inv = inverse(a)
+        assert inv == adjugate(a).scale(det(a).unit_inverse())
+        assert a @ inv == Matrix.identity(ring, n)
+
+    @pytest.mark.parametrize("a", [
+        mat_z([[2, 1], [4, 3]]),
+        mat_qx([["x", "0"], ["0", "1"]]),
+        mat_qx([["x+1", "1"], ["x^2", "x"]]),
+        mat_q([[1, 2], [Fraction(1, 2), 1]]),
+        Matrix.zeros(Ring.Q, 3, 3),
+    ])
+    def test_non_unit_determinant(self, a):
+        assert not det(a).is_unit()
+        with pytest.raises(NotAUnit):
+            inverse(a)
+
+    def test_non_square(self):
+        with pytest.raises(NotSquare):
+            inverse(mat_z([[1, 0, 0], [0, 1, 0]]))
+
+    def test_unit_qx_inverse(self):
+        u = mat_qx([["1", "x"], ["0", "2"]])
+        assert inverse(u) == mat_qx([["1", "-1/2*x"], ["0", "1/2"]])

@@ -295,6 +295,16 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_scalar(text, ring)
 
+    def test_degree_cap(self):
+        assert parse_scalar("x^10000", Ring.QX).degree() == 10_000
+        with pytest.raises(ParseError, match="degree 10001 exceeds the parser limit 10000"):
+            parse_scalar("2*x^10001+1", Ring.QX)
+
+    @pytest.mark.parametrize("text", ["x^" + "9" * 5000, "9" * 5000 + "*x"])
+    def test_overlong_number_in_term(self, text):
+        with pytest.raises(ParseError, match="too long"):
+            parse_scalar(text, Ring.QX)
+
 
 def test_monomial_helper():
     assert monomial(2, 3) == poly(0, 0, 3)

@@ -12,6 +12,7 @@ from canonform.domain import (
 )
 from canonform.errors import NonLinearElementaryDivisor, NotMonic
 from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z
+from canonform.smith import smith
 from canonform.similarity import (
     canonical_presentation,
     char_matrix,
@@ -387,3 +388,40 @@ class TestDirectSumLaw:
                 key=lambda pe: (prime_sort_key(pe[0]), pe[1]),
             )
             assert _elementary_divisor_polys(a) == combined
+
+
+class TestSmithReuse:
+    """rcf and jordan reuse the Smith form of xI - A for the conjugator, and
+    unit witnesses are inverted by elimination, not by adjugates."""
+
+    A = mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])  # Jordan type (2, 2), (-1, 1)
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        import canonform.similarity as sim
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return smith(m)
+
+        monkeypatch.setattr(sim, "smith", counted)
+        return calls
+
+    @pytest.mark.parametrize("fn,expected", [
+        (rcf, 2), (jordan, 2), (lambda a: similar(a, a), 2), (minimal_poly, 1),
+    ])
+    def test_smith_call_count(self, smith_calls, fn, expected):
+        fn(self.A)
+        assert len(smith_calls) == expected
+
+    def test_similar_never_reaches_adjugate(self, monkeypatch):
+        import canonform.determinant as det_mod
+
+        def forbidden(a):
+            raise AssertionError("adjugate reached")
+
+        monkeypatch.setattr(det_mod, "adjugate", forbidden)
+        b = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
+        cert = similar(self.A, b)
+        assert cert is not None and cert.verify(self.A)
