@@ -13,6 +13,7 @@ from typing import Iterable
 from .domain import Elem, Ring, gcd
 from .errors import (
     BadIndexSet,
+    CertificateFailed,
     ExactDivisionError,
     NotAUnit,
     NotSquare,
@@ -198,7 +199,7 @@ def cramer_solve(a: Matrix, y: Matrix) -> Matrix:
 def minor_of_product(
     a: Matrix, b: Matrix, rowset: Iterable[int], colset: Iterable[int]
 ) -> Elem:
-    """det((AB)[G|H]) with the Cauchy-Binet identity asserted against the
+    """det((AB)[G|H]) with the Cauchy-Binet identity checked against the
     minor sum over all F; both an operation and a built-in self-check."""
     a._check_ring(b)
     if a.n != b.m:
@@ -213,9 +214,7 @@ def minor_of_product(
     for fs in combinations(range(1, a.n + 1), k):
         rhs = rhs + det(submatrix(a, gs, fs)) * det(submatrix(b, fs, hs))
     if lhs != rhs:
-        raise AssertionError(
-            f"Cauchy-Binet self-check failed: {lhs} != {rhs}"
-        )  # pragma: no cover
+        raise CertificateFailed(f"Cauchy-Binet self-check failed: {lhs} != {rhs}")
     return lhs
 
 

@@ -438,6 +438,37 @@ def _split_squarefree(p: Elem) -> list[Elem]:
     )
 
 
+# Trial division on Z stops here; a larger cofactor must be proved prime.
+_TRIAL_DIVISION_LIMIT = 10**6
+# Miller-Rabin with the prime bases 2..37 decides primality below this.
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 37 below _MILLER_RABIN_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n > 0; str(n) is refused beyond 4300 digits."""
+    k = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return k + (n >= 10**k)
+
+
 def factor(a: Elem) -> tuple[Elem, tuple[tuple[Elem, int], ...]]:
     """Factor a nonzero scalar as unit * product of canonical prime powers.
 
@@ -453,12 +484,16 @@ def factor(a: Elem) -> tuple[Elem, tuple[tuple[Elem, int], ...]]:
         unit = Elem(Ring.Z, -1 if a.value < 0 else 1)
         powers = {}
         d = 2
-        while d * d <= n:
+        while d * d <= n and d <= _TRIAL_DIVISION_LIMIT:
             while n % d == 0:
                 powers[d] = powers.get(d, 0) + 1
                 n //= d
             d += 1
         if n > 1:
+            if d * d <= n and not (n < _MILLER_RABIN_BOUND and _is_prime_mr(n)):
+                raise FactorizationIncomplete(
+                    f"{_digit_count(n)}-digit cofactor has no prime factor up to "
+                    f"{_TRIAL_DIVISION_LIMIT} and is not provably prime")
             powers[n] = powers.get(n, 0) + 1
         pairs = tuple(
             (Elem(Ring.Z, p), e) for p, e in sorted(powers.items())
@@ -510,17 +545,25 @@ _TERM_RE = re.compile(
 )
 
 
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(
+            f"a {len(digits.lstrip('-'))}-digit number is too long") from None
+
+
 def parse_scalar(text: str, ring: Ring) -> Elem:
     """Parse one whitespace-free scalar in the domain grammar."""
     if ring is Ring.Z:
         if not _INT_RE.match(text):
             raise ParseError(f"bad integer scalar {text!r}")
-        return Elem(Ring.Z, int(text))
+        return Elem(Ring.Z, _parse_int(text))
     if ring is Ring.Q:
         m = _RAT_RE.match(text)
         if not m:
             raise ParseError(f"bad rational scalar {text!r}")
-        num, den = int(m.group(1)), int(m.group(2) or 1)
+        num, den = _parse_int(m.group(1)), _parse_int(m.group(2) or "1")
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}")
         return Elem(Ring.Q, Fraction(num, den))

@@ -34,7 +34,8 @@ class ExactDivisionError(Error, ArithmeticError):
 
 
 class FactorizationIncomplete(Error, ArithmeticError):
-    """A polynomial factor of degree >= 3 with no rational root survived."""
+    """A polynomial factor of degree >= 3 with no rational root survived,
+    or an integer cofactor beyond trial division was not proved prime."""
 
 
 class UnsupportedRing(Error, ValueError):

@@ -4,7 +4,8 @@ exact linear solving, and unit-matrix decomposition.
 
 All row operations run through two in-place kernels: `_apply_rows` (one
 `ElemOp`) and `_apply_2x2_rows` (one det-1 block on two rows).  A column
-operation is a row operation on the transposed working list.
+operation is a row operation on the transposed working list; the passes
+`_echelon` and `_canonicalize` act in place on lists of rows.
 """
 from __future__ import annotations
 
@@ -159,16 +160,16 @@ class HermiteResult:
     rank: int
 
 
-def _echelon(a: Matrix) -> tuple[list[list[Elem]], list[list[Elem]], list[int]]:
-    """Shared echelon phase: type I/II ops only."""
-    work = a.rows()
-    q = Matrix.identity(a.ring, a.m).rows()
+def _echelon(work, q) -> list[int]:
+    """Echelon phase on work and q in place, type I/II ops only; returns
+    the primary columns."""
+    m, n = len(work), len(work[0]) if work else 0
     primary = []
     pivot_row = 1
-    for j in range(1, a.n + 1):
-        if pivot_row > a.m:
+    for j in range(1, n + 1):
+        if pivot_row > m:
             break
-        hot = [i for i in range(pivot_row, a.m + 1)
+        hot = [i for i in range(pivot_row, m + 1)
                if not work[i - 1][j - 1].is_zero()]
         if not hot:
             continue
@@ -178,28 +179,13 @@ def _echelon(a: Matrix) -> tuple[list[list[Elem]], list[list[Elem]], list[int]]:
             _apply_rows(row_swap(s, pivot_row), work, q)
         primary.append(j)
         pivot_row += 1
-    return work, q, primary
+    return primary
 
 
-def _result(ring: Ring, work, q, primary: list[int]) -> HermiteResult:
-    return HermiteResult(Matrix.from_rows(ring, q), Matrix.from_rows(ring, work),
-                         tuple(primary), len(primary))
-
-
-def hermite_form(a: Matrix) -> HermiteResult:
-    """A row echelon (Hermite) form QA = H without the canonical
-    normalization phases."""
-    return _result(a.ring, *_echelon(a))
-
-
-def hermite_canonical(a: Matrix) -> HermiteResult:
-    """The Hermite canonical form: primary entries in the associates SDR,
-    entries above each primary entry reduced to the residues SDR.
-
-    The associates phase runs first, then residues are computed left to
-    right.
-    """
-    work, q, primary = _echelon(a)
+def _canonicalize(work, q) -> list[int]:
+    """Echelon, then the associates phase, then residues left to right,
+    on work and q in place; returns the primary columns."""
+    primary = _echelon(work, q)
     for t, j in enumerate(primary, start=1):
         u, _ = canonical_associate(work[t - 1][j - 1])
         if not u.is_one():
@@ -213,7 +199,26 @@ def hermite_canonical(a: Matrix) -> HermiteResult:
                 continue
             c = (v - res).exact_div(pivot)
             _apply_rows(row_addmul(i, -c, t), work, q)
-    return _result(a.ring, work, q, primary)
+    return primary
+
+
+def _result(ring: Ring, work, q, primary: list[int]) -> HermiteResult:
+    return HermiteResult(Matrix.from_rows(ring, q), Matrix.from_rows(ring, work),
+                         tuple(primary), len(primary))
+
+
+def hermite_form(a: Matrix) -> HermiteResult:
+    """A row echelon (Hermite) form QA = H without the canonical
+    normalization phases."""
+    work, q = a.rows(), Matrix.identity(a.ring, a.m).rows()
+    return _result(a.ring, work, q, _echelon(work, q))
+
+
+def hermite_canonical(a: Matrix) -> HermiteResult:
+    """The Hermite canonical form: primary entries in the associates SDR,
+    entries above each primary entry reduced to the residues SDR."""
+    work, q = a.rows(), Matrix.identity(a.ring, a.m).rows()
+    return _result(a.ring, work, q, _canonicalize(work, q))
 
 
 def column_hermite_canonical(a: Matrix) -> tuple[Matrix, Matrix]:

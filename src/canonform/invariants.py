@@ -47,12 +47,19 @@ def invariant_report(a: Matrix) -> InvariantReport:
     fs = [Elem.one(a.ring)]
     for d in res.diag:
         fs.append(fs[-1] * d)
-    eds = []
-    for q in res.diag:
-        _, powers = factor(q)
-        eds.extend(powers)
-    eds.sort(key=lambda pe: (prime_sort_key(pe[0]), pe[1]))
-    return InvariantReport(res.rank, tuple(fs), res.diag, tuple(eds))
+    return InvariantReport(res.rank, tuple(fs), res.diag,
+                           tuple(elementary_divisors(res.diag)))
+
+
+def elementary_divisors(invariants: Iterable[Elem]) -> list[tuple[Elem, int]]:
+    """The (prime, exponent) multiset of the invariant factors, sorted by
+    (prime key, exponent); units contribute nothing."""
+    out = []
+    for q in invariants:
+        if not q.is_one():
+            out.extend(factor(q)[1])
+    out.sort(key=lambda pe: (prime_sort_key(pe[0]), pe[1]))
+    return out
 
 
 def invariant_factors_from_elementary(

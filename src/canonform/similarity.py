@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import determinant
-from .domain import Elem, Ring, factor, prime_sort_key, valuation
+from .domain import Elem, Ring, valuation
 from .errors import (
     CertificateFailed,
     Error,
@@ -23,6 +23,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
+from .invariants import elementary_divisors
 from .matrix import Matrix, direct_sum, lift, x_identity
 from .smith import SmithResult, smith
 
@@ -186,23 +187,6 @@ class SimilarityCertificate:
             return False
 
 
-def _elementary_divisor_polys(a: Matrix) -> list[tuple[Elem, int]]:
-    """Elementary divisors of xI - A as (monic prime, exponent), sorted by
-    (prime key, exponent)."""
-    return _divisors_of(similarity_invariants(a))
-
-
-def _divisors_of(invariants: tuple[Elem, ...]) -> list[tuple[Elem, int]]:
-    out = []
-    for q in invariants:
-        if q.is_one():
-            continue
-        _, powers = factor(q)
-        out.extend(powers)
-    out.sort(key=lambda pe: (prime_sort_key(pe[0]), pe[1]))
-    return out
-
-
 def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     """Decide similarity; on success return S with S^-1 A S = B exactly.
 
@@ -251,7 +235,7 @@ def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     elementary divisors in display order, with verified conjugator."""
     a = _as_rational_square(a)
     res_a = _char_smith(a)
-    blocks = [companion(p ** e) for p, e in _divisors_of(res_a.diag)]
+    blocks = [companion(p ** e) for p, e in elementary_divisors(res_a.diag)]
     return _assemble(a, res_a, blocks)
 
 
@@ -260,7 +244,7 @@ def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     divisors, which must all be powers of linear factors."""
     a = _as_rational_square(a)
     res_a = _char_smith(a)
-    eds = _divisors_of(res_a.diag)
+    eds = elementary_divisors(res_a.diag)
     for p, _ in eds:
         if valuation(p) != 1:
             raise NonLinearElementaryDivisor(

@@ -1,8 +1,9 @@
 """Two-sided reduction to diagonal and Smith canonical form, with
 unimodular witnesses verified by replay on every call.
 
-Each 2x2 chain step updates two rows of P and of Q transposed in place
-through `hermite._apply_2x2_rows`; unit scalings use `hermite._apply_rows`.
+P and Q come only from row operations on the rows of P and of Q^T in
+place: `diagonalize` runs `hermite._canonicalize` on them, each 2x2 chain
+step `hermite._apply_2x2_rows`.  No transform is multiplied out.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from .matrix import Matrix
 from .hermite import (
     _apply_2x2_rows,
     _apply_rows,
-    column_hermite_canonical,
-    hermite_canonical,
+    _canonicalize,
     row_scale,
 )
 
@@ -31,13 +31,9 @@ class SmithResult:
     rank: int
 
 
-def _is_diagonal(a: Matrix) -> bool:
-    return all(
-        a.entry(i, j).is_zero()
-        for i in range(1, a.m + 1)
-        for j in range(1, a.n + 1)
-        if i != j
-    )
+def _is_diagonal(rows) -> bool:
+    return all(v.is_zero() for i, row in enumerate(rows)
+               for j, v in enumerate(row) if i != j)
 
 
 def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -49,22 +45,26 @@ def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     pair is iterated to a fixed point.  A canonical pass that ends
     diagonal has, by its echelon shape, the nonzero entries packed into
     the leading slots and the pivots canonical.
+
+    D, P and Q^T are lists of rows updated in place: a column pass
+    canonicalizes D^T along with Q^T, a row pass D along with P.
     """
-    p = Matrix.identity(a.ring, a.m)
-    q = Matrix.identity(a.ring, a.n)
-    d = a
+    d, p = a.rows(), Matrix.identity(a.ring, a.m).rows()
+    qt = Matrix.identity(a.ring, a.n).rows()
     for _ in range(_ALTERNATION_CAP):
-        cq, d = column_hermite_canonical(d)
-        q = q @ cq
+        dt = [list(col) for col in zip(*d)]
+        _canonicalize(dt, qt)
+        d = [list(row) for row in zip(*dt)]
         if _is_diagonal(d):
-            return p, q, d
-        res = hermite_canonical(d)
-        p = res.q @ p
-        d = res.h
+            break
+        _canonicalize(d, p)
         if _is_diagonal(d):
-            return p, q, d
-    raise CertificateFailed(
-        f"diagonalize found no diagonal form within {_ALTERNATION_CAP} passes")
+            break
+    else:
+        raise CertificateFailed(
+            f"diagonalize found no diagonal form within {_ALTERNATION_CAP} passes")
+    return (Matrix.from_rows(a.ring, p), Matrix.from_rows(a.ring, qt).transpose(),
+            Matrix.from_rows(a.ring, d))
 
 
 def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:

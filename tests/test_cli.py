@@ -220,6 +220,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "degree 100000000" in err and "limit 10000" in err
 
+    @pytest.mark.parametrize("ring,text", [("Z", "1" * 5000), ("Q", "-" + "7" * 5000 + "/3")],
+                             ids=["Z", "Q"])
+    def test_overlong_numeral_is_2(self, tmp_path, capsys, ring, text):
+        path = tmp_path / "long.mtx"
+        path.write_text(f"ring {ring}\nrows 1\ncols 1\n{text}\n")
+        assert main(["det", str(path)]) == 2
+        assert "5000-digit number is too long" in capsys.readouterr().err
+
+    def test_unfactorable_semiprime_is_1_quickly(self, tmp_path, capsys):
+        path = write(tmp_path, "semi.mtx", mat_z([[1000000007 * 998244353]]))
+        start = time.perf_counter()
+        assert main(["invariants", str(path)]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert "FactorizationIncomplete" in capsys.readouterr().err
+
     def test_factorization_incomplete_is_1(self, tmp_path, capsys):
         # companion of x^3 - 2: irreducible cubic elementary divisor
         from canonform.domain import polynomial

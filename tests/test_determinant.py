@@ -19,6 +19,7 @@ from canonform.determinant import (
 from canonform.domain import Ring, integer, rational
 from canonform.errors import (
     BadIndexSet,
+    CertificateFailed,
     NotAUnit,
     NotSquare,
     SingularMatrix,
@@ -321,6 +322,13 @@ class TestCauchyBinet:
             hs = sorted(rng.sample(range(1, bcols + 1), k))
             value = minor_of_product(a, b, gs, hs)
             assert value == det(submatrix(a @ b, gs, hs))
+
+    def test_perturbed_product_is_a_named_error(self, monkeypatch):
+        orig = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__",
+                            lambda x, y: orig(x, y).scale(integer(2)))
+        with pytest.raises(CertificateFailed, match="Cauchy-Binet"):
+            minor_of_product(self.A26, self.B62, [1, 2], [1, 2])
 
 
 class TestRank:

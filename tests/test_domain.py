@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,22 @@ class TestFactor:
         with pytest.raises(FactorizationIncomplete):
             factor(poly(-2, 0, 0, 1))
 
+    def test_semiprime_beyond_trial_division_raises_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(FactorizationIncomplete, match="18-digit cofactor"):
+            factor(integer(1000000007 * 998244353))
+        assert time.perf_counter() - start < 5.0
+
+    def test_large_prime_is_proved(self):
+        start = time.perf_counter()
+        assert factor(integer(-(2**61 - 1))) == (integer(-1), ((integer(2**61 - 1), 1),))
+        assert time.perf_counter() - start < 5.0
+
+    def test_small_factors_then_large_prime(self):
+        n = 2**3 * 999983 * (2**61 - 1)
+        assert factor(integer(n))[1] == (
+            (integer(2), 3), (integer(999983), 1), (integer(2**61 - 1), 1))
+
     def test_repeated_and_scaled_factors(self):
         # 6*(x-1)^2*(x^2+1): unit 6, squarefree split must see both parts
         p = poly(6) * poly(-1, 1) ** 2 * poly(1, 0, 1)
@@ -299,6 +316,13 @@ class TestGrammar:
         assert parse_scalar("x^10000", Ring.QX).degree() == 10_000
         with pytest.raises(ParseError, match="degree 10001 exceeds the parser limit 10000"):
             parse_scalar("2*x^10001+1", Ring.QX)
+
+    @pytest.mark.parametrize("text,ring", [
+        ("1" * 5000, Ring.Z), ("-" + "1" * 5000, Ring.Q), ("1/" + "3" * 5000, Ring.Q)],
+        ids=["Z", "Q-numerator", "Q-denominator"])
+    def test_overlong_numeral(self, text, ring):
+        with pytest.raises(ParseError, match="5000-digit number is too long"):
+            parse_scalar(text, ring)
 
     @pytest.mark.parametrize("text", ["x^" + "9" * 5000, "9" * 5000 + "*x"])
     def test_overlong_number_in_term(self, text):

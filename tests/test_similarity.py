@@ -378,16 +378,20 @@ class TestSimilar:
 class TestDirectSumLaw:
     def test_elementary_divisors_of_direct_sum(self):
         rng = random.Random(313)
-        from canonform.similarity import _elementary_divisor_polys
+        from canonform.invariants import elementary_divisors
+
+        def eds(m):
+            return elementary_divisors(similarity_invariants(m))
+
         for _ in range(10):
             b = hypercompanion(rational(rng.randint(-2, 2)), rng.randint(1, 2))
             c = hypercompanion(rational(rng.randint(-2, 2)), rng.randint(1, 2))
             a = direct_sum(b, c)
             combined = sorted(
-                _elementary_divisor_polys(b) + _elementary_divisor_polys(c),
+                eds(b) + eds(c),
                 key=lambda pe: (prime_sort_key(pe[0]), pe[1]),
             )
-            assert _elementary_divisor_polys(a) == combined
+            assert eds(a) == combined
 
 
 class TestSmithReuse:

@@ -67,6 +67,27 @@ class TestDiagonalize:
         assert p @ a @ q == d
         assert d.entry(1, 1) == integer(2)
 
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_no_transform_products(self, ring, monkeypatch):
+        # P and Q^T are updated row by row in place, never multiplied out
+        import canonform.matrix as matrix_mod
+        rng = random.Random(181)
+        inputs = [random_matrix(rng, ring, rng.randint(2, 4), rng.randint(2, 4))
+                  for _ in range(6)]
+        calls = []
+        orig = matrix_mod.multiply
+
+        def counted(x, y):
+            calls.append((x.m, x.n, y.n))
+            return orig(x, y)
+
+        monkeypatch.setattr(matrix_mod, "multiply", counted)
+        results = [diagonalize(a) for a in inputs]
+        assert calls == []
+        monkeypatch.undo()
+        for a, (p, q, d) in zip(inputs, results):
+            assert p @ a @ q == d
+
 
 class TestSmith2x2:
     def test_eighteen_twelve(self):
