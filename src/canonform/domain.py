@@ -1,14 +1,20 @@
 """Exact scalar arithmetic in the three Euclidean domains Z, Q and Q[x].
 
-A scalar is an Elem: a ring tag plus a value (int for Z, Fraction for Q,
-tuple of Fractions for Q[x], index i holding the coefficient of x^i).
+A scalar is an Elem: a ring tag plus a raw value.  The raw value is an
+int on Z and a Fraction on Q.  On Q[x] it is a pair (nums, den): a tuple
+of ints, index i holding the numerator of the coefficient of x^i, with no
+trailing zero, over one common denominator den > 0 with
+gcd(den, *nums) = 1; zero is ((), 1).  That form is canonical, so == and
+hash on it agree with equality of polynomials.  `Elem.value` is the
+public form (int, Fraction, or a tuple of Fraction coefficients on Q[x]),
+built from the raw value on each read.
 All values are immutable; every operation is a pure function.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
@@ -34,124 +40,187 @@ class Ring(Enum):
         return self.value
 
 
+# Enum member lookups on the class are slow on the hot paths below.
+_Z, _Q, _QX = Ring.Z, Ring.Q, Ring.QX
+
 # ---------------------------------------------------------------------------
-# raw polynomial helpers (tuples of Fractions, coefficient of x^i at index i,
-# () is the zero polynomial, last coefficient nonzero otherwise)
+# raw Q[x] kernels on (nums, den) pairs, see the module docstring
 
-def _ptrim(cs) -> tuple:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+_QZERO = ((), 1)
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x + y)
-    return _ptrim(out)
+def _qnorm(nums, den: int) -> tuple:
+    """The canonical pair of sum(nums[i] x^i) / den, for any den != 0."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    if not n:
+        return _QZERO
+    if den < 0:
+        den, nums = -den, [-c for c in nums[:n]]
+    if den != 1:
+        g = math.gcd(den, *nums[:n])
+        if g != 1:
+            return tuple(c // g for c in nums[:n]), den // g
+    return tuple(nums[:n]), den
 
 
-def _pneg(a):
-    return tuple(-c for c in a)
+def _qfrom(cs: Iterable) -> tuple:
+    """The pair of a coefficient sequence of ints, Fractions, or anything
+    Fraction() accepts; each coefficient is converted once."""
+    cs = [c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
+          for c in cs]
+    den = math.lcm(*[c.denominator for c in cs])
+    return _qnorm([c.numerator * (den // c.denominator) for c in cs], den)
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _ptrim(out)
+def _qadd(a: tuple, b: tuple) -> tuple:
+    (an, ad), (bn, bd) = a, b
+    if not an:
+        return b
+    if not bn:
+        return a
+    if ad != bd:
+        g = math.gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        an, bn, ad = [c * sa for c in an], [c * sb for c in bn], ad * sa
+    if len(an) < len(bn):
+        an, bn = bn, an
+    out = [x + y for x, y in zip(an, bn)]
+    out.extend(an[len(bn):])
+    return _qnorm(out, ad)
 
 
-def _pdivmod(a, b):
-    if not b:
+def _qmul(a: tuple, b: tuple) -> tuple:
+    (an, ad), (bn, bd) = a, b
+    if not an or not bn:
+        return _QZERO
+    if len(an) == 1:
+        x = an[0]
+        return _qnorm([x * y for y in bn], ad * bd)
+    out = [0] * (len(an) + len(bn) - 1)
+    for i, x in enumerate(an):
+        if x:
+            for j, y in enumerate(bn, i):
+                out[j] += x * y
+    return _qnorm(out, ad * bd)
+
+
+def _qdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder by pseudo-division on the numerators: one
+    scale factor s (a product of lead(b)'s) with s*A = Q*B + R."""
+    (an, ad), (bn, bd) = a, b
+    if not bn:
         raise DivisionByZero("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) >= len(b):
-        c = r[-1] / lb
-        k = len(r) - 1 - db
-        q[k] = c
-        for i in range(len(b)):
-            r[k + i] -= c * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return _ptrim(q), _ptrim(r)
+    db = len(bn) - 1
+    if len(an) <= db:
+        return _QZERO, a
+    lb, s = bn[-1], 1
+    r, q = list(an), [0] * (len(an) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        if c:
+            if c % lb:
+                r, q, s, c = [x * lb for x in r], [x * lb for x in q], s * lb, c * lb
+            c //= lb
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * bn[i]
+    return _qnorm([x * bd for x in q], s * ad), _qnorm(r, s * ad)
 
 
-def _pderiv(a):
-    return _ptrim(Fraction(i) * a[i] for i in range(1, len(a)))
+def _qderiv(a: tuple) -> tuple:
+    nums, den = a
+    return _qnorm([i * c for i, c in enumerate(nums)][1:], den)
 
 
 Value = Union[int, Fraction, tuple]
 
 
-@dataclass(frozen=True)
 class Elem:
-    """A scalar tagged by its ring; arithmetic requires matching tags."""
+    """A scalar tagged by its ring; arithmetic requires matching tags.
 
-    ring: Ring
-    value: Value
+    `raw` is the working form described in the module docstring and
+    `value` the public one.  An Elem is immutable: setting or deleting an
+    attribute raises FrozenInstanceError.
+    """
+
+    __slots__ = ("ring", "raw")
+
+    def __init__(self, ring: Ring, value: Value):
+        _set_ring(self, ring)
+        _set_raw(self, _qfrom(value) if ring is _QX else value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _mk, (self.ring, self.raw)
+
+    @property
+    def value(self) -> Value:
+        """int on Z, Fraction on Q, tuple of Fractions (coefficient of x^i
+        at index i, no trailing zero) on Q[x]."""
+        if self.ring is _QX:
+            nums, den = self.raw
+            return tuple(Fraction(c, den) for c in nums)
+        return self.raw
+
+    def __eq__(self, other):
+        if other.__class__ is not Elem:
+            return NotImplemented
+        return self.ring is other.ring and self.raw == other.raw
+
+    def __hash__(self):
+        return hash((self.ring, self.raw))
+
+    def __repr__(self) -> str:
+        return f"Elem(ring={self.ring!r}, value={self.value!r})"
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(ring: Ring) -> "Elem":
-        if ring is Ring.Z:
-            return Elem(Ring.Z, 0)
-        if ring is Ring.Q:
-            return Elem(Ring.Q, Fraction(0))
-        return Elem(Ring.QX, ())
+        return _ZERO[ring]
 
     @staticmethod
     def one(ring: Ring) -> "Elem":
-        if ring is Ring.Z:
-            return Elem(Ring.Z, 1)
-        if ring is Ring.Q:
-            return Elem(Ring.Q, Fraction(1))
-        return Elem(Ring.QX, (Fraction(1),))
+        return _ONE[ring]
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.ring is Ring.QX:
-            return not self.value
-        return self.value == 0
+        return not (self.raw[0] if self.ring is _QX else self.raw)
 
     def is_one(self) -> bool:
-        return self == Elem.one(self.ring)
+        return self == _ONE[self.ring]
 
     def is_unit(self) -> bool:
-        if self.ring is Ring.Z:
-            return self.value in (1, -1)
-        if self.ring is Ring.Q:
-            return self.value != 0
-        return len(self.value) == 1
+        if self.ring is _Z:
+            return self.raw in (1, -1)
+        if self.ring is _Q:
+            return self.raw != 0
+        return len(self.raw[0]) == 1
 
     def unit_inverse(self) -> "Elem":
         if not self.is_unit():
             raise NotAUnit(f"{self} is not a unit of {self.ring}")
-        if self.ring is Ring.Z:
+        if self.ring is _Z:
             return self
-        if self.ring is Ring.Q:
-            return Elem(Ring.Q, 1 / self.value)
-        return Elem(Ring.QX, (1 / self.value[0],))
+        if self.ring is _Q:
+            return _mk(_Q, 1 / self.raw)
+        (c,), den = self.raw
+        return _mk(_QX, _qnorm((den,), c))
 
     def degree(self) -> int:
-        if self.ring is not Ring.QX:
+        if self.ring is not _QX:
             raise RingMismatch("degree is defined for Q[x] scalars only")
-        if not self.value:
+        if not self.raw[0]:
             raise ZeroArgument("zero polynomial has no degree")
-        return len(self.value) - 1
+        return len(self.raw[0]) - 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -166,25 +235,26 @@ class Elem:
 
     def __add__(self, other) -> "Elem":
         other = self._coerced(other)
-        if self.ring is Ring.QX:
-            return Elem(Ring.QX, _padd(self.value, other.value))
-        return Elem(self.ring, self.value + other.value)
+        if self.ring is _QX:
+            return _mk(_QX, _qadd(self.raw, other.raw))
+        return _mk(self.ring, self.raw + other.raw)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Elem":
-        if self.ring is Ring.QX:
-            return Elem(Ring.QX, _pneg(self.value))
-        return Elem(self.ring, -self.value)
+        if self.ring is _QX:
+            nums, den = self.raw
+            return _mk(_QX, (tuple(-c for c in nums), den))
+        return _mk(self.ring, -self.raw)
 
     def __sub__(self, other) -> "Elem":
         return self + (-self._coerced(other))
 
     def __mul__(self, other) -> "Elem":
         other = self._coerced(other)
-        if self.ring is Ring.QX:
-            return Elem(Ring.QX, _pmul(self.value, other.value))
-        return Elem(self.ring, self.value * other.value)
+        if self.ring is _QX:
+            return _mk(_QX, _qmul(self.raw, other.raw))
+        return _mk(self.ring, self.raw * other.raw)
 
     __rmul__ = __mul__
 
@@ -205,16 +275,16 @@ class Elem:
         other = self._coerced(other)
         if other.is_zero():
             raise DivisionByZero("division by zero")
-        if self.ring is Ring.Z:
-            q, r = divmod(self.value, other.value)
+        if self.ring is _Z:
+            q, r = divmod(self.raw, other.raw)
             if r < 0:  # python gives r the divisor's sign; shift into [0, |b|)
-                r -= other.value
+                r -= other.raw
                 q += 1
-            return Elem(Ring.Z, q), Elem(Ring.Z, r)
-        if self.ring is Ring.Q:
-            return Elem(Ring.Q, self.value / other.value), Elem.zero(Ring.Q)
-        q, r = _pdivmod(self.value, other.value)
-        return Elem(Ring.QX, q), Elem(Ring.QX, r)
+            return _mk(_Z, q), _mk(_Z, r)
+        if self.ring is _Q:
+            return _mk(_Q, self.raw / other.raw), _ZERO[_Q]
+        q, r = _qdivmod(self.raw, other.raw)
+        return _mk(_QX, q), _mk(_QX, r)
 
     def exact_div(self, other) -> "Elem":
         q, r = divmod(self, other)
@@ -226,6 +296,21 @@ class Elem:
         return format_scalar(self)
 
 
+_set_ring, _set_raw = Elem.ring.__set__, Elem.raw.__set__
+
+
+def _mk(ring: Ring, raw) -> Elem:
+    """An Elem from a raw value already in its ring's form."""
+    e = object.__new__(Elem)
+    _set_ring(e, ring)
+    _set_raw(e, raw)
+    return e
+
+
+_ZERO = {_Z: _mk(_Z, 0), _Q: _mk(_Q, Fraction(0)), _QX: _mk(_QX, _QZERO)}
+_ONE = {_Z: _mk(_Z, 1), _Q: _mk(_Q, Fraction(1)), _QX: _mk(_QX, ((1,), 1))}
+
+
 def coerce(ring: Ring, v) -> Elem:
     """Build an Elem of the given ring from an Elem, int, Fraction, string,
     or (for Q[x]) a coefficient sequence."""
@@ -235,31 +320,31 @@ def coerce(ring: Ring, v) -> Elem:
         return v
     if isinstance(v, str):
         return parse_scalar(v, ring)
-    if ring is Ring.Z:
+    if ring is _Z:
         if isinstance(v, int):
-            return Elem(Ring.Z, v)
+            return _mk(_Z, v)
         raise RingMismatch(f"cannot coerce {v!r} into Z")
-    if ring is Ring.Q:
+    if ring is _Q:
         if isinstance(v, (int, Fraction)):
-            return Elem(Ring.Q, Fraction(v))
+            return _mk(_Q, Fraction(v))
         raise RingMismatch(f"cannot coerce {v!r} into Q")
     if isinstance(v, (int, Fraction)):
-        return Elem(Ring.QX, _ptrim((Fraction(v),)))
+        return _mk(_QX, _qfrom((v,)))
     if isinstance(v, (list, tuple)):
-        return Elem(Ring.QX, _ptrim(Fraction(c) for c in v))
+        return _mk(_QX, _qfrom(v))
     raise RingMismatch(f"cannot coerce {v!r} into Q[x]")
 
 
 def integer(n: int) -> Elem:
-    return Elem(Ring.Z, n)
+    return _mk(_Z, n)
 
 
 def rational(num, den=1) -> Elem:
-    return Elem(Ring.Q, Fraction(num, den))
+    return _mk(_Q, Fraction(num, den))
 
 
 def polynomial(coeffs: Iterable) -> Elem:
-    return Elem(Ring.QX, _ptrim(Fraction(c) for c in coeffs))
+    return _mk(_QX, _qfrom(coeffs))
 
 
 def monomial(k: int, c=1) -> Elem:
@@ -276,29 +361,29 @@ def valuation(a: Elem) -> int:
     """|a| on Z, deg(a) on Q[x], 1 on Q; undefined on zero."""
     if a.is_zero():
         raise ZeroArgument("valuation of zero is undefined")
-    if a.ring is Ring.Z:
-        return abs(a.value)
-    if a.ring is Ring.Q:
+    if a.ring is _Z:
+        return abs(a.raw)
+    if a.ring is _Q:
         return 1
-    return len(a.value) - 1
+    return len(a.raw[0]) - 1
 
 
 def canonical_associate(a: Elem) -> tuple[Elem, Elem]:
     """Return (u, c) with c = u*a, u a unit and c the SDR representative:
     nonnegative on Z, 0 or 1 on Q, zero-or-monic on Q[x]."""
-    one = Elem.one(a.ring)
+    one = _ONE[a.ring]
     if a.is_zero():
         return one, a
-    if a.ring is Ring.Z:
-        if a.value < 0:
-            return Elem(Ring.Z, -1), Elem(Ring.Z, -a.value)
+    if a.ring is _Z:
+        if a.raw < 0:
+            return _mk(_Z, -1), _mk(_Z, -a.raw)
         return one, a
-    if a.ring is Ring.Q:
+    if a.ring is _Q:
         return a.unit_inverse(), one
-    lead = a.value[-1]
-    if lead == 1:
+    nums, den = a.raw
+    if nums[-1] == den:  # leading coefficient 1
         return one, a
-    u = Elem(Ring.QX, (1 / lead,))
+    u = _mk(_QX, _qnorm((den,), nums[-1]))
     return u, u * a
 
 
@@ -314,9 +399,9 @@ def canonical_residue(a: Elem, m: Elem) -> Elem:
     if m.is_zero():
         raise ZeroModulus("zero modulus")
     if a.ring is Ring.Q:
-        return Elem.zero(Ring.Q)
-    if a.ring is Ring.Z:
-        return Elem(Ring.Z, a.value % abs(m.value))
+        return _ZERO[_Q]
+    if a.ring is _Z:
+        return _mk(_Z, a.raw % abs(m.raw))
     return divmod(a, m)[1]
 
 
@@ -367,13 +452,11 @@ def _is_rational_square(r: Fraction):
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
+    """The positive divisors of n != 0, ascending.  They come from
+    factor(), so its budget bounds the search."""
+    out = [1]
+    for p, e in factor(_mk(_Z, n))[1]:
+        out = [d * p.raw ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
@@ -383,19 +466,19 @@ def _rational_root_split(p: Elem) -> tuple[list[Elem], Elem]:
     linear = []
     while valuation(p) >= 1:
         # roots of x | p first, then candidates a/b from the integer model
-        if p.value[0] == 0:
+        nums = p.raw[0]
+        if nums[0] == 0:
             root = Fraction(0)
         else:
-            den = math.lcm(*(c.denominator for c in p.value))
-            ints = [int(c * den) for c in p.value]
-            g = math.gcd(*ints)
-            ints = [c // g for c in ints]
+            g = math.gcd(*nums)
+            ints = [c // g for c in nums]
+            coeffs, ans = p.value, _divisors(ints[0])
             root = None
             for bn in _divisors(ints[-1]):
-                for an in _divisors(ints[0]):
+                for an in ans:
                     for cand in (Fraction(an, bn), Fraction(-an, bn)):
                         acc = Fraction(0)
-                        for c in reversed(p.value):
+                        for c in reversed(coeffs):
                             acc = acc * cand + c
                         if acc == 0:
                             root = cand
@@ -500,11 +583,11 @@ def factor(a: Elem) -> tuple[Elem, tuple[tuple[Elem, int], ...]]:
         )
         return unit, pairs
     # Q[x]: Yun's squarefree decomposition, then split each level
-    unit = Elem(Ring.QX, (a.value[-1],))
+    unit = _mk(_QX, _qnorm(a.raw[0][-1:], a.raw[1]))
     f = canonical(a)
     powers: dict[Elem, int] = {}
     if valuation(f) > 0:
-        g = gcd(f, Elem(Ring.QX, _pderiv(f.value)))
+        g = gcd(f, _mk(_QX, _qderiv(f.raw)))
         w = f.exact_div(g)
         i = 1
         while not w.is_one():
@@ -528,7 +611,7 @@ def prime_sort_key(p: Elem):
         return (0, p.value)
     if p.ring is Ring.Q:
         return (0, p.value)
-    return (len(p.value), tuple(p.value))
+    return (len(p.raw[0]), p.value)
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +697,16 @@ def _format_fraction(f: Fraction) -> str:
 
 def format_scalar(a: Elem) -> str:
     """Print a scalar in the grammar; parse_scalar inverts this exactly."""
-    if a.ring is Ring.Z:
-        return str(a.value)
-    if a.ring is Ring.Q:
-        return _format_fraction(a.value)
-    if not a.value:
+    if a.ring is _Z:
+        return str(a.raw)
+    if a.ring is _Q:
+        return _format_fraction(a.raw)
+    cs = a.value
+    if not cs:
         return "0"
     parts = []
-    for k in range(len(a.value) - 1, -1, -1):
-        c = a.value[k]
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")

@@ -69,19 +69,12 @@ def canonical_presentation(p: Matrix) -> CanonicalPresentation:
     """Split a polynomial matrix into its coefficient matrices."""
     if p.ring is not Ring.QX:
         raise RingMismatch("canonical presentation needs a Q[x] matrix")
-    deg = 0
-    for e in p.entries:
-        if not e.is_zero():
-            deg = max(deg, e.degree())
+    values = [e.value for e in p.entries]
     layers = []
-    for k in range(deg + 1):
-        rows = []
-        for i in range(1, p.m + 1):
-            rows.append([
-                p.entry(i, j).value[k] if len(p.entry(i, j).value) > k else Fraction(0)
-                for j in range(1, p.n + 1)
-            ])
-        layers.append(Matrix.from_rows(Ring.Q, rows))
+    for k in range(max(1, *map(len, values))):
+        layer = [v[k] if len(v) > k else Fraction(0) for v in values]
+        layers.append(Matrix.from_rows(
+            Ring.Q, [layer[i * p.n:(i + 1) * p.n] for i in range(p.m)]))
     return CanonicalPresentation(tuple(layers))
 
 

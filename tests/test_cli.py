@@ -235,6 +235,14 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
         assert "FactorizationIncomplete" in capsys.readouterr().err
 
+    def test_unfactorable_root_search_is_1_quickly(self, tmp_path, capsys):
+        # the rational-root candidates divide the semiprime constant term
+        path = write(tmp_path, "cubic.mtx", mat_qx([["x^3-998244359987710471"]]))
+        start = time.perf_counter()
+        assert main(["invariants", str(path)]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert "FactorizationIncomplete" in capsys.readouterr().err
+
     def test_factorization_incomplete_is_1(self, tmp_path, capsys):
         # companion of x^3 - 2: irreducible cubic elementary divisor
         from canonform.domain import polynomial

@@ -1,13 +1,18 @@
+import math
 import random
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonform.domain import (
+    Elem,
     Ring,
     canonical_associate,
     canonical_residue,
+    coerce,
     egcd,
     factor,
     format_scalar,
@@ -333,3 +338,136 @@ class TestGrammar:
 def test_monomial_helper():
     assert monomial(2, 3) == poly(0, 0, 3)
     assert format_scalar(monomial(1)) == "x"
+
+
+# ---------------------------------------------------------------------------
+# Q[x] kernels against a reference on tuples of Fractions (coefficient of
+# x^i at index i, no trailing zero), the form Elem.value returns.
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                    for i in range(n))
+
+
+def ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = c
+        for i in range(len(b)):
+            r[k + i] -= c * b[i]
+        r = list(ref_trim(r))
+    return ref_trim(q), ref_trim(r)
+
+
+def ref_egcd(a, b):
+    r0, r1, s0, s1, t0, t1 = a, b, (Fraction(1),), (), (), (Fraction(1),)
+    while r1:
+        q, r = ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, ref_add(s0, ref_neg(ref_mul(q, s1)))
+        t0, t1 = t1, ref_add(t0, ref_neg(ref_mul(q, t1)))
+    u = (1 / r0[-1],)
+    return ref_mul(u, r0), ref_mul(u, s0), ref_mul(u, t0)
+
+
+coefficient = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+coefficients = st.lists(coefficient, max_size=6)
+nonzero_coefficients = coefficients.filter(lambda cs: any(c != 0 for c in cs))
+KERNEL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestQxKernels:
+    @KERNEL_SETTINGS
+    @given(a=coefficients, b=coefficients)
+    def test_ring_operations(self, a, b):
+        ra, rb = ref_trim(a), ref_trim(b)
+        pa, pb = polynomial(a), polynomial(b)
+        assert (pa + pb).value == ref_add(ra, rb)
+        assert (pa - pb).value == ref_add(ra, ref_neg(rb))
+        assert (-pa).value == ref_neg(ra)
+        assert (pa * pb).value == ref_mul(ra, rb)
+
+    @KERNEL_SETTINGS
+    @given(a=coefficients, b=nonzero_coefficients)
+    def test_division(self, a, b):
+        ra, rb = ref_trim(a), ref_trim(b)
+        pa, pb = polynomial(a), polynomial(b)
+        q, r = divmod(pa, pb)
+        assert (q.value, r.value) == ref_divmod(ra, rb)
+        assert canonical_residue(pa, pb).value == ref_divmod(ra, rb)[1]
+        d, s, t = egcd(pa, pb)
+        assert (d.value, s.value, t.value) == ref_egcd(ra, rb)
+        assert gcd(pa, pb).value == ref_egcd(ra, rb)[0]
+        u, c = canonical_associate(pb)
+        lead = (1 / rb[-1],)
+        assert (u.value, c.value) == (lead, ref_mul(lead, rb))
+
+    @KERNEL_SETTINGS
+    @given(a=coefficients, b=coefficients, k=st.integers(-6, 6).filter(bool))
+    def test_equal_values_give_equal_elems(self, a, b, k):
+        pa, pb = polynomial(a), polynomial(b)
+        others = [
+            (pa + pb) - pb,
+            (pa * k) * poly(Fraction(1, k)),
+            polynomial(list(a) + [0, Fraction(0)]),
+            Elem(Ring.QX, tuple(Fraction(c) for c in a)),
+        ]
+        for other in others:
+            assert other == pa and hash(other) == hash(pa)
+            assert other.raw == pa.raw
+        nums, den = pa.raw
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert not nums or nums[-1] != 0
+        assert (pa == pb) == (ref_trim(a) == ref_trim(b))
+
+    @KERNEL_SETTINGS
+    @given(cs=coefficients)
+    def test_edge_round_trip(self, cs):
+        assert coerce(Ring.QX, cs).value == ref_trim(cs)
+        assert coerce(Ring.QX, tuple(cs)).value == ref_trim(cs)
+        assert polynomial(iter(cs)).value == ref_trim(cs)
+        for c in cs:
+            assert coerce(Ring.QX, c).value == ref_trim([c])
+
+    def test_int_after_fraction(self):
+        cs = [Fraction(1, 2), 3, Fraction(-5, 4), 7]
+        want = (Fraction(1, 2), Fraction(3), Fraction(-5, 4), Fraction(7))
+        assert coerce(Ring.QX, cs).value == want
+        assert polynomial(cs).raw == ((2, 12, -5, 28), 4)
+
+    def test_setattr_raises(self):
+        p = poly(1, Fraction(1, 2))
+        for name, value in (("ring", Ring.Z), ("raw", ((), 1)), ("value", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(p, name, value)
+        with pytest.raises(FrozenInstanceError):
+            del p.raw
+        assert p == poly(1, Fraction(1, 2))
