@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain errors, 2 parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,11 +54,12 @@ def _write_transforms(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _cmd_det(args) -> int:
-    a = parse_matrix_file(args.file)
-    value = compute_det(a)
-    report = _envelope("det", form=format_scalar(value))
-    _emit(report, args.json, [format_scalar(value)])
+def _cmd_scalar(args) -> int:
+    """det, minpoly and charpoly: one scalar of one matrix file."""
+    compute = {"det": compute_det, "minpoly": minimal_poly,
+               "charpoly": char_poly}[args.verb]
+    value = format_scalar(compute(parse_matrix_file(args.file)))
+    _emit(_envelope(args.verb, form=value), args.json, [value])
     return 0
 
 
@@ -202,22 +204,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_minpoly(args) -> int:
-    a = parse_matrix_file(args.file)
-    value = minimal_poly(a)
-    report = _envelope("minpoly", form=format_scalar(value))
-    _emit(report, args.json, [format_scalar(value)])
-    return 0
-
-
-def _cmd_charpoly(args) -> int:
-    a = parse_matrix_file(args.file)
-    value = char_poly(a)
-    report = _envelope("charpoly", form=format_scalar(value))
-    _emit(report, args.json, [format_scalar(value)])
-    return 0
-
-
 def _cmd_perm(args) -> int:
     try:
         images = tuple(int(tok) for tok in args.oneline.split(","))
@@ -246,7 +232,9 @@ def _cmd_perm(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="canonform",
         description="Exact matrix canonical forms over Z, Q and Q[x].",
@@ -259,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="structured report")
         return p
 
-    p = add("det", _cmd_det, help="determinant of a matrix file")
+    p = add("det", _cmd_scalar, help="determinant of a matrix file")
     p.add_argument("file")
 
     p = add("hermite", _cmd_hermite, help="row Hermite form QA = H")
@@ -292,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("vector")
 
-    p = add("minpoly", _cmd_minpoly, help="minimal polynomial")
+    p = add("minpoly", _cmd_scalar, help="minimal polynomial")
     p.add_argument("file")
 
-    p = add("charpoly", _cmd_charpoly, help="characteristic polynomial")
+    p = add("charpoly", _cmd_scalar, help="characteristic polynomial")
     p.add_argument("file")
 
     p = add("perm", _cmd_perm, help="analyze a permutation in one-line notation")

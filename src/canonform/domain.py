@@ -17,6 +17,7 @@ import re
 from dataclasses import FrozenInstanceError
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Union
 
 from .errors import (
@@ -442,53 +443,59 @@ def egcd(a: Elem, b: Elem) -> tuple[Elem, Elem, Elem]:
     return d, u * s0, u * t0
 
 
-def _is_rational_square(r: Fraction):
-    if r < 0:
-        return None
-    pn, pd = math.isqrt(r.numerator), math.isqrt(r.denominator)
-    if pn * pn == r.numerator and pd * pd == r.denominator:
-        return Fraction(pn, pd)
-    return None
+# Rational-root candidates one _rational_root_split call may test; past
+# it no survivor can be proved rootless, so the split gives up.
+_ROOT_SEARCH_LIMIT = 100_000
 
 
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0, ascending.  They come from
-    factor(), so its budget bounds the search."""
-    out = [1]
-    for p, e in factor(_mk(_Z, n))[1]:
-        out = [d * p.raw ** k for d in out for k in range(e + 1)]
-    return sorted(out)
+def _root_candidates(c0: int, cn: int):
+    """The numerators and denominators (+-n, d) with n | c0, d | cn and
+    gcd(n, d) = 1, for nonzero c0 and cn.  They come from factor(), so
+    its budget bounds the search."""
+    f0 = {p.raw: e for p, e in factor(_mk(_Z, c0))[1]}
+    fn = {p.raw: e for p, e in factor(_mk(_Z, cn))[1]}
+    choices = [[(p ** i, 1) for i in range(f0.get(p, 0) + 1)]
+               + [(1, p ** j) for j in range(1, fn.get(p, 0) + 1)]
+               for p in sorted(f0.keys() | fn.keys())]
+    for combo in product(*choices):
+        n = d = 1
+        for pn, pd in combo:
+            n, d = n * pn, d * pd
+        yield n, d
+        yield -n, d
 
 
 def _rational_root_split(p: Elem) -> tuple[list[Elem], Elem]:
     """Strip rational roots off a monic polynomial, returning the linear
-    factors found (monic) and the rootless survivor."""
-    linear = []
+    factors found (monic) and the rootless survivor.
+
+    With primitive integer coefficients c_k, a candidate a/b in lowest
+    terms is a root iff sum c_k a^k b^(n-k) = 0.
+    """
+    linear, tests = [], 0
     while valuation(p) >= 1:
-        # roots of x | p first, then candidates a/b from the integer model
         nums = p.raw[0]
-        if nums[0] == 0:
+        g = math.gcd(*nums)
+        ints = [c // g for c in nums]
+        root = None
+        if ints[0] == 0:
             root = Fraction(0)
         else:
-            g = math.gcd(*nums)
-            ints = [c // g for c in nums]
-            coeffs, ans = p.value, _divisors(ints[0])
-            root = None
-            for bn in _divisors(ints[-1]):
-                for an in ans:
-                    for cand in (Fraction(an, bn), Fraction(-an, bn)):
-                        acc = Fraction(0)
-                        for c in reversed(coeffs):
-                            acc = acc * cand + c
-                        if acc == 0:
-                            root = cand
-                            break
-                    if root is not None:
-                        break
-                if root is not None:
+            for a, b in _root_candidates(ints[0], ints[-1]):
+                tests += 1
+                if tests > _ROOT_SEARCH_LIMIT:
+                    raise FactorizationIncomplete(
+                        f"rational-root search on {p} passed "
+                        f"{_ROOT_SEARCH_LIMIT} candidates")
+                acc, bk = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    bk *= b
+                    acc = acc * a + c * bk
+                if acc == 0:
+                    root = Fraction(a, b)
                     break
-            if root is None:
-                break
+        if root is None:
+            break
         factor_ = polynomial([-root, 1])
         linear.append(factor_)
         p = p.exact_div(factor_)
@@ -498,24 +505,18 @@ def _rational_root_split(p: Elem) -> tuple[list[Elem], Elem]:
 def _split_squarefree(p: Elem) -> list[Elem]:
     """Split a monic squarefree polynomial into monic irreducibles.
 
-    Linear factors come from rational-root search; a quadratic survivor is
-    split iff its discriminant is a rational square; any survivor of degree
-    >= 3 is beyond this factorizer.
+    Linear factors come from the rational-root search.  A survivor of
+    degree 2 or 3 has no rational root, hence no linear factor, so it is
+    irreducible; a survivor of degree >= 4 is beyond this factorizer.
     """
     if valuation(p) == 0:
         return []
     linear, rest = _rational_root_split(p)
-    if rest.is_one():
-        return linear
     deg = valuation(rest)
-    if deg == 2:
-        c, b, _a = rest.value[0], rest.value[1], rest.value[2]
-        disc = b * b - 4 * c
-        root = _is_rational_square(disc)
-        if root is None:
-            return linear + [rest]
-        r1, r2 = (-b + root) / 2, (-b - root) / 2
-        return linear + [polynomial([-r1, 1]), polynomial([-r2, 1])]
+    if deg == 0:
+        return linear
+    if deg <= 3:
+        return linear + [rest]
     raise FactorizationIncomplete(
         f"cannot factor degree-{deg} polynomial {rest} over Q"
     )

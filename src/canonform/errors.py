@@ -34,8 +34,9 @@ class ExactDivisionError(Error, ArithmeticError):
 
 
 class FactorizationIncomplete(Error, ArithmeticError):
-    """A polynomial factor of degree >= 3 with no rational root survived,
-    or an integer cofactor beyond trial division was not proved prime."""
+    """A polynomial factor of degree >= 4 with no rational root survived,
+    the rational-root search ran past its candidate limit, or an integer
+    cofactor beyond trial division was not proved prime."""
 
 
 class UnsupportedRing(Error, ValueError):

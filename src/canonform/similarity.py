@@ -13,11 +13,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import determinant
-from .domain import Elem, Ring, valuation
+from .domain import Elem, Ring, polynomial, valuation
 from .errors import (
     CertificateFailed,
     Error,
     NonLinearElementaryDivisor,
+    NotAUnit,
     NotMonic,
     NotSquare,
     RingMismatch,
@@ -57,12 +58,10 @@ class CanonicalPresentation:
         return len(self.coeffs) - 1
 
     def reconstruct(self) -> Matrix:
-        n = self.coeffs[0].m
-        out = Matrix.zeros(Ring.QX, n, self.coeffs[0].n)
-        for k, pk in enumerate(self.coeffs):
-            xk = x_identity(n).power(k) if k else Matrix.identity(Ring.QX, n)
-            out = out + (lift(pk, Ring.QX) @ xk)
-        return out
+        p0 = self.coeffs[0]
+        return Matrix(Ring.QX, p0.m, p0.n, tuple(
+            polynomial([pk.entries[i].value for pk in self.coeffs])
+            for i in range(len(p0.entries))))
 
 
 def canonical_presentation(p: Matrix) -> CanonicalPresentation:
@@ -78,45 +77,37 @@ def canonical_presentation(p: Matrix) -> CanonicalPresentation:
     return CanonicalPresentation(tuple(layers))
 
 
-def right_eval(p: Matrix, a: Matrix) -> Matrix:
-    """rho_A(P) = sum P_k A^k, coefficients kept on the left."""
+def _horner(p: Matrix, a: Matrix, left: bool) -> Matrix:
+    """sum P_k A^k (sum A^k P_k when left) over the layers of P."""
     a = _as_rational_square(a)
     if p.m != a.m or p.n != a.n:
         raise ShapeMismatch("evaluation needs conformable square matrices")
-    pres = canonical_presentation(p)
-    out = pres.coeffs[-1]
-    for k in range(len(pres.coeffs) - 2, -1, -1):
-        out = out @ a + pres.coeffs[k]
+    layers = canonical_presentation(p).coeffs
+    out = layers[-1]
+    for pk in reversed(layers[:-1]):
+        out = (a @ out if left else out @ a) + pk
     return out
+
+
+def right_eval(p: Matrix, a: Matrix) -> Matrix:
+    """rho_A(P) = sum P_k A^k, coefficients kept on the left."""
+    return _horner(p, a, left=False)
 
 
 def left_eval(p: Matrix, a: Matrix) -> Matrix:
     """lambda_A(P) = sum A^k P_k."""
-    a = _as_rational_square(a)
-    if p.m != a.m or p.n != a.n:
-        raise ShapeMismatch("evaluation needs conformable square matrices")
-    pres = canonical_presentation(p)
-    out = pres.coeffs[-1]
-    for k in range(len(pres.coeffs) - 2, -1, -1):
-        out = a @ out + pres.coeffs[k]
-    return out
+    return _horner(p, a, left=True)
 
 
 def scalar_poly_eval(q: Elem, a: Matrix) -> Matrix:
     """q(A) for a scalar polynomial q: the right evaluation of q*I."""
-    a = _as_rational_square(a)
     if q.ring is not Ring.QX:
         raise RingMismatch("expected a Q[x] scalar")
-    out = Matrix.zeros(Ring.Q, a.m, a.m)
-    if q.is_zero():
-        return out
-    for c in reversed(q.value):
-        out = out @ a + Matrix.identity(Ring.Q, a.m).scale(Elem(Ring.Q, c))
-    return out
+    return right_eval(Matrix.identity(Ring.QX, a.m).scale(q), a)
 
 
 def _char_smith(a: Matrix) -> SmithResult:
-    """The Smith form of xI - A for a constant square A over Q."""
+    """The Smith form of xI - A for a constant square A over Z or Q."""
     res = smith(char_matrix(a))
     if res.rank != a.m:  # det(xI - A) is monic of degree n, never zero
         raise CertificateFailed(f"xI - A has rank {res.rank}, not {a.m}")
@@ -126,7 +117,7 @@ def _char_smith(a: Matrix) -> SmithResult:
 def similarity_invariants(a: Matrix) -> tuple[Elem, ...]:
     """Invariant factors of xI - A: n monic polynomials (units as 1) whose
     product is the characteristic polynomial."""
-    return _char_smith(_as_rational_square(a)).diag
+    return _char_smith(a).diag
 
 
 def minimal_poly(a: Matrix) -> Elem:
@@ -190,21 +181,22 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     b = _as_rational_square(b)
     if a.m != b.m:
         raise ShapeMismatch("similar needs matrices of equal size")
-    return _conjugator(a, smith(char_matrix(a)), b, smith(char_matrix(b)))
+    return _conjugator(a, _char_smith(a), b, _char_smith(b))
 
 
 def _conjugator(a: Matrix, res_a: SmithResult, b: Matrix,
                 res_b: SmithResult) -> Optional[SimilarityCertificate]:
-    """S with S^-1 A S = B from the Smith forms of xI - A and xI - B, or
-    None when their invariant factors differ."""
+    """S = rho_B(Q_A Q_B^-1) with S^-1 A S = B from the Smith forms of
+    xI - A and xI - B, or None when their invariant factors differ.
+    S^-1 is the inverse of a constant matrix over Q."""
     if res_a.diag != res_b.diag:
         return None
-    qa_inv = determinant.inverse(res_a.q)
-    qb_inv = determinant.inverse(res_b.q)
-    s = right_eval(res_a.q @ qb_inv, b)
-    s_inv = right_eval(res_b.q @ qa_inv, a)
-    n = a.m
-    ident = Matrix.identity(Ring.Q, n)
+    s = right_eval(res_a.q @ determinant.inverse(res_b.q), b)
+    try:
+        s_inv = determinant.inverse(s)
+    except NotAUnit:
+        raise CertificateFailed("similarity certificate: S is singular") from None
+    ident = Matrix.identity(Ring.Q, a.m)
     if s_inv @ s != ident or s @ s_inv != ident:
         raise CertificateFailed("similarity certificate: S S^-1 != I")
     if s_inv @ a @ s != b:
@@ -217,7 +209,7 @@ def _assemble(a: Matrix, res_a: SmithResult,
     form = blocks[0]
     for blk in blocks[1:]:
         form = direct_sum(form, blk)
-    cert = _conjugator(a, res_a, form, smith(char_matrix(form)))
+    cert = _conjugator(a, res_a, form, _char_smith(form))
     if cert is None:  # same elementary divisors by construction
         raise CertificateFailed("canonical form is not similar to its source")
     return cert, form

@@ -15,12 +15,14 @@ from canonform.similarity import SimilarityCertificate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Corrupts one step of smith and one of similar, in a process started
-# with -O; exits 0 only when both corruptions raise CertificateFailed.
+# Corrupts one step of smith and, two ways, the right evaluation in
+# similar, in a process started with -O; exits 0 only when every
+# corruption raises CertificateFailed (a zero S must not surface as
+# NotAUnit).
 CORRUPTED_STEPS = textwrap.dedent("""\
     import importlib, sys
     from canonform.errors import CertificateFailed
-    from canonform.matrix import mat_q, mat_z
+    from canonform.matrix import Matrix, mat_q, mat_z
 
     if __debug__:
         sys.exit("expected to run under python -O")
@@ -39,13 +41,18 @@ CORRUPTED_STEPS = textwrap.dedent("""\
         pass
     sm.canonical_associate = orig
 
+    def negated_row_1(p, a):
+        s = orig_eval(p, a)
+        return Matrix(s.ring, s.m, s.n, tuple(-e for e in s.row(1)) + s.entries[s.n:])
+
     orig_eval = sim.right_eval
-    sim.right_eval = lambda p, a: orig_eval(p, a).scale(2)
-    try:
-        sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
-        sys.exit("corrupted similar was not caught")
-    except CertificateFailed:
-        pass
+    for corrupted in (negated_row_1, lambda p, a: orig_eval(p, a).scale(0)):
+        sim.right_eval = corrupted
+        try:
+            sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
+            sys.exit("corrupted similar was not caught")
+        except CertificateFailed:
+            pass
     print("caught")
 """)
 

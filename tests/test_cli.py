@@ -244,11 +244,20 @@ class TestExitCodes:
         assert "FactorizationIncomplete" in capsys.readouterr().err
 
     def test_factorization_incomplete_is_1(self, tmp_path, capsys):
-        # companion of x^3 - 2: irreducible cubic elementary divisor
+        # companion of x^4 + 1: a rootless quartic is beyond the factorizer
+        from canonform.domain import polynomial
+        from canonform.similarity import companion
+        path = write(tmp_path, "c.mtx", companion(polynomial([1, 0, 0, 0, 1])))
+        assert main(["rcf", str(path)]) == 1
+
+    def test_rcf_of_irreducible_cubic_is_0(self, tmp_path, capsys):
+        # companion of x^3 - 2: one irreducible cubic elementary divisor
         from canonform.domain import polynomial
         from canonform.similarity import companion
         path = write(tmp_path, "c.mtx", companion(polynomial([-2, 0, 0, 1])))
-        assert main(["rcf", str(path)]) == 1
+        assert main(["rcf", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0 1 0", "0 0 1", "2 0 0", "verified true"]
 
 
 # Exact P/Q/D and Q/H of the JSON transforms, pinned so that a refactor of

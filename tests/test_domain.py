@@ -239,10 +239,34 @@ class TestFactor:
         with pytest.raises(ZeroArgument):
             factor(integer(0))
 
-    def test_degree_three_irreducible_declines(self):
-        # x^3 - 2 has no rational root and cannot be split here
+    def test_degree_four_irreducible_declines(self):
+        # x^4 + 1 has no rational root, but may still split into quadratics
         with pytest.raises(FactorizationIncomplete):
-            factor(poly(-2, 0, 0, 1))
+            factor(poly(1, 0, 0, 0, 1))
+
+    def test_rootless_cubic_is_irreducible(self):
+        assert factor(poly(-2, 0, 0, 1)) == (poly(1), ((poly(-2, 0, 0, 1), 1),))
+        assert factor(poly(-4, 0, 0, 2)) == (poly(2), ((poly(-2, 0, 0, 1), 1),))
+
+    def test_cubic_with_rational_root_splits(self):
+        # 2x^3 - x^2 + 2x - 1 = (2x - 1)(x^2 + 1)
+        assert factor(poly(-1, 2, -1, 2))[1] == (
+            (poly(Fraction(-1, 2), 1), 1), (poly(1, 0, 1), 1))
+
+    @pytest.mark.parametrize("c", [720720, 3603600])
+    def test_root_search_with_many_divisors_is_quick(self, c):
+        start = time.perf_counter()
+        try:
+            factor(poly(c, 1, 0, c))
+        except FactorizationIncomplete:
+            pass
+        assert time.perf_counter() - start < 1.0
+
+    def test_root_search_budget_is_a_named_error(self, monkeypatch):
+        import canonform.domain as dom
+        monkeypatch.setattr(dom, "_ROOT_SEARCH_LIMIT", 1)
+        with pytest.raises(FactorizationIncomplete, match="passed 1 candidates"):
+            factor(poly(-6, 0, 0, 1))
 
     def test_semiprime_beyond_trial_division_raises_quickly(self):
         start = time.perf_counter()

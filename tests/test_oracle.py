@@ -1,20 +1,23 @@
 """Differential tests against sympy on seeded inputs: invariant factors of
-xI - A over Q[x], characteristic polynomials over Q, and Smith diagonals
-over Z.  sympy computes each answer independently of canonform."""
+xI - A over Q[x], characteristic polynomials over Q, Smith diagonals over
+Z and Jordan block sizes.  sympy computes each answer independently of
+canonform.  Then derandomized hypothesis properties: the Smith diagonal
+is invariant under unimodular multipliers, and factor replays."""
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import QQ, ZZ, Matrix as SMatrix, symbols
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors, smith_normal_form
 
-from canonform.domain import Ring
+from canonform.domain import Ring, factor, polynomial
 from canonform.matrix import Matrix, mat_q
-from canonform.similarity import char_poly, similarity_invariants
+from canonform.similarity import char_poly, jordan, similarity_invariants
 from canonform.smith import smith
 
-from conftest import random_matrix
+from conftest import random_matrix, random_unimodular
 
 X = symbols("x")
 QX = QQ[X]
@@ -99,3 +102,91 @@ def test_smith_diagonal_z():
         snf = smith_normal_form(dm).to_Matrix()
         want = [abs(int(snf[i, i])) for i in range(min(m, n)) if snf[i, i] != 0]
         assert [d.value for d in smith(a).diag] == want, (k, rows_of(a))
+
+
+def conjugated_jordan(rng, n) -> tuple[Matrix, list]:
+    """U J U^-1 for a Jordan matrix J of random blocks with rational
+    eigenvalues, and J's (eigenvalue, size) blocks."""
+    blocks, left = [], n
+    while left:
+        size = rng.randint(1, left)
+        blocks.append((Fraction(rng.choice([-2, -1, 0, 1, 3])) / rng.choice([1, 1, 2]), size))
+        left -= size
+    j = SMatrix.zeros(n, n)
+    i = 0
+    for lam, size in blocks:
+        for k in range(i, i + size):
+            j[k, k] = lam
+            if k + 1 < i + size:
+                j[k, k + 1] = 1
+        i += size
+    u = SMatrix(rows_of(random_unimodular(rng, Ring.Z, n)))
+    a = u * j * u.inv()
+    return mat_q([[to_fraction(a[r, c]) for c in range(n)] for r in range(n)]), blocks
+
+
+def jordan_blocks(rows) -> list:
+    """Sorted (eigenvalue, size) blocks of a Jordan matrix given by rows."""
+    out, start, n = [], 0, len(rows)
+    for i in range(n):
+        if i + 1 == n or rows[i][i + 1] == 0:
+            out.append((rows[i][i], i + 1 - start))
+            start = i + 1
+    return sorted(out)
+
+
+def test_jordan_block_sizes():
+    rng = random.Random("oracle-jordan")
+    for k in range(20):
+        a, planted = conjugated_jordan(rng, rng.randint(1, 6))
+        _, j = SMatrix(rows_of(a)).jordan_form()
+        want = jordan_blocks([[to_fraction(j[r, c]) for c in range(a.n)] for r in range(a.m)])
+        _, form = jordan(a)
+        assert jordan_blocks(rows_of(form)) == want == sorted(planted), (k, rows_of(a))
+
+
+@pytest.mark.parametrize("ring,size", [(Ring.Z, 5), (Ring.QX, 3)], ids=["Z", "Q[x]"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 5))
+def test_smith_diagonal_is_unimodular_invariant(ring, size, seed, m, n):
+    rng = random.Random(seed)
+    m, n = min(m, size), min(n, size)
+    a = random_matrix(rng, ring, m, n, max_deg=1)
+    u, v = random_unimodular(rng, ring, m), random_unimodular(rng, ring, n)
+    assert smith(u @ a @ v).diag == smith(a).diag
+
+
+def planted_factors(rng) -> dict:
+    """Distinct monic irreducibles of Q[x] with exponents: linear x - r,
+    quadratics x^2 + bx + c with b^2 < 4c, cubics (x - s)^3 - k with k
+    not a rational cube.  Rootless factors get distinct exponents, so each
+    squarefree part has at most one of them, which factor can split off."""
+    out = {}
+    for r in rng.sample([Fraction(v, d) for v in range(-3, 4) for d in (1, 2)], rng.randint(0, 3)):
+        out[polynomial([-r, 1])] = rng.randint(1, 2)
+    rootless = []
+    for _ in range(rng.randint(0, 2)):
+        b = rng.randint(-2, 2)
+        rootless.append(polynomial([b * b // 4 + rng.randint(1, 3), b, 1]))
+    for _ in range(rng.randint(0, 1)):
+        s, k = rng.randint(-1, 1), rng.choice([2, 3, 5, Fraction(1, 2), Fraction(-7, 3)])
+        rootless.append(polynomial([-s ** 3 - k, 3 * s * s, -3 * s, 1]))
+    for p, e in zip(rootless, rng.sample([1, 2, 3], len(rootless))):
+        out[p] = e
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_factor_replays_planted_products(seed):
+    rng = random.Random(seed)
+    planted = planted_factors(rng)
+    a = polynomial([Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))])
+    for p, e in planted.items():
+        a = a * p ** e
+    unit, powers = factor(a)
+    replay = unit
+    for p, e in powers:
+        replay = replay * p ** e
+    assert replay == a
+    assert dict(powers) == planted

@@ -429,3 +429,26 @@ class TestSmithReuse:
         b = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
         cert = similar(self.A, b)
         assert cert is not None and cert.verify(self.A)
+
+    def test_similar_inverts_one_polynomial_matrix(self, monkeypatch):
+        # S comes from one Q[x] inverse and one right evaluation; S^-1 is
+        # the inverse of the constant S over Q
+        import canonform.determinant as det_mod
+        import canonform.similarity as sim
+        evals, inverted = [], []
+        orig_eval, orig_inverse = sim.right_eval, det_mod.inverse
+
+        def counted_eval(p, a):
+            evals.append(p)
+            return orig_eval(p, a)
+
+        def counted_inverse(m):
+            inverted.append(m.ring)
+            return orig_inverse(m)
+
+        monkeypatch.setattr(sim, "right_eval", counted_eval)
+        monkeypatch.setattr(det_mod, "inverse", counted_inverse)
+        b = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
+        assert similar(self.A, b) is not None
+        assert len(evals) == 1
+        assert inverted.count(Ring.QX) == 1
