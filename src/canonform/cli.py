@@ -142,25 +142,19 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _similarity_report(verb: str, args, compute) -> int:
+def _similarity_report(args) -> int:
+    """rcf and jordan: a canonical form with its similarity certificate."""
+    compute = {"rcf": rcf, "jordan": jordan}[args.verb]
     a = parse_matrix_file(args.file)
     cert, form = compute(a)
     verified = cert.verify(lift(a, Ring.Q))
     transforms = {"S": _matrix_strings(cert.s)}
-    report = _envelope(verb, form=_matrix_strings(form), transforms=transforms,
-                       verified=verified)
+    report = _envelope(args.verb, form=_matrix_strings(form),
+                       transforms=transforms, verified=verified)
     lines = [" ".join(row) for row in _matrix_strings(form)]
     lines.append(f"verified {str(verified).lower()}")
     _emit(report, args.json, lines)
     return 0 if verified else 1
-
-
-def _cmd_rcf(args) -> int:
-    return _similarity_report("rcf", args, rcf)
-
-
-def _cmd_jordan(args) -> int:
-    return _similarity_report("jordan", args, jordan)
 
 
 def _cmd_similar(args) -> int:
@@ -210,23 +204,19 @@ def _cmd_perm(args) -> int:
         f = perm.Permutation(images)
     except ValueError as exc:
         raise ParseError(f"bad one-line permutation {args.oneline!r}: {exc}") from None
-    cyc = perm.cycles(f)
-    cyc_str = "".join("(" + ",".join(map(str, c)) + ")" for c in cyc)
-    inv = perm.inverse(f)
+    cyc_str = "".join("(" + ",".join(map(str, c)) + ")" for c in perm.cycles(f))
+    index, inversions, sign = perm.index(f), len(perm.inversions(f)), perm.sign(f)
+    inverse = ",".join(map(str, perm.inverse(f).images))
     report = _envelope(
-        "perm", form=",".join(map(str, f.images)),
-        cycles=cyc_str,
-        index=perm.index(f),
-        inversions=len(perm.inversions(f)),
-        sign=perm.sign(f),
-        inverse=",".join(map(str, inv.images)),
+        "perm", form=",".join(map(str, f.images)), cycles=cyc_str,
+        index=index, inversions=inversions, sign=sign, inverse=inverse,
     )
     lines = [
         f"cycles {cyc_str}",
-        f"index {perm.index(f)}",
-        f"inversions {len(perm.inversions(f))}",
-        f"sign {perm.sign(f):+d}",
-        "inverse " + ",".join(map(str, inv.images)),
+        f"index {index}",
+        f"inversions {inversions}",
+        f"sign {sign:+d}",
+        f"inverse {inverse}",
     ]
     _emit(report, args.json, lines)
     return 0
@@ -266,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="rank, determinantal divisors, invariant factors, elementary divisors")
     p.add_argument("file")
 
-    p = add("rcf", _cmd_rcf, help="rational (Frobenius) canonical form")
+    p = add("rcf", _similarity_report, help="rational (Frobenius) canonical form")
     p.add_argument("file")
 
-    p = add("jordan", _cmd_jordan, help="Jordan canonical form")
+    p = add("jordan", _similarity_report, help="Jordan canonical form")
     p.add_argument("file")
 
     p = add("similar", _cmd_similar, help="decide similarity of two matrices")

@@ -142,15 +142,28 @@ class Elem:
     """A scalar tagged by its ring; arithmetic requires matching tags.
 
     `raw` is the working form described in the module docstring and
-    `value` the public one.  An Elem is immutable: setting or deleting an
-    attribute raises FrozenInstanceError.
+    `value` the public one.  `Elem(ring, value)` takes an int on Z; an
+    int or Fraction on Q; an int, Fraction, or list or tuple of
+    coefficients on Q[x]; anything else raises RingMismatch.  An Elem is
+    immutable: setting or deleting an attribute raises
+    FrozenInstanceError.
     """
 
     __slots__ = ("ring", "raw")
 
     def __init__(self, ring: Ring, value: Value):
+        if ring is _Z and isinstance(value, int):
+            raw = value
+        elif ring is _Q and isinstance(value, (int, Fraction)):
+            raw = Fraction(value)
+        elif ring is _QX and isinstance(value, (list, tuple)):
+            raw = _qfrom(value)
+        elif ring is _QX and isinstance(value, (int, Fraction)):
+            raw = _qfrom((value,))
+        else:
+            raise RingMismatch(f"cannot coerce {value!r} into {ring}")
         _set_ring(self, ring)
-        _set_raw(self, _qfrom(value) if ring is _QX else value)
+        _set_raw(self, raw)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -231,7 +244,7 @@ class Elem:
                 raise RingMismatch(f"{self.ring} vs {other.ring}")
             return other
         if isinstance(other, int):
-            return coerce(self.ring, other)
+            return Elem(self.ring, other)
         return NotImplemented  # pragma: no cover
 
     def __add__(self, other) -> "Elem":
@@ -313,31 +326,19 @@ _ONE = {_Z: _mk(_Z, 1), _Q: _mk(_Q, Fraction(1)), _QX: _mk(_QX, ((1,), 1))}
 
 
 def coerce(ring: Ring, v) -> Elem:
-    """Build an Elem of the given ring from an Elem, int, Fraction, string,
-    or (for Q[x]) a coefficient sequence."""
+    """Build an Elem of the given ring from an Elem of that ring, a string
+    in the scalar grammar, or any value Elem(ring, v) accepts."""
     if isinstance(v, Elem):
         if v.ring is not ring:
             raise RingMismatch(f"expected {ring}, got {v.ring}")
         return v
     if isinstance(v, str):
         return parse_scalar(v, ring)
-    if ring is _Z:
-        if isinstance(v, int):
-            return _mk(_Z, v)
-        raise RingMismatch(f"cannot coerce {v!r} into Z")
-    if ring is _Q:
-        if isinstance(v, (int, Fraction)):
-            return _mk(_Q, Fraction(v))
-        raise RingMismatch(f"cannot coerce {v!r} into Q")
-    if isinstance(v, (int, Fraction)):
-        return _mk(_QX, _qfrom((v,)))
-    if isinstance(v, (list, tuple)):
-        return _mk(_QX, _qfrom(v))
-    raise RingMismatch(f"cannot coerce {v!r} into Q[x]")
+    return Elem(ring, v)
 
 
 def integer(n: int) -> Elem:
-    return _mk(_Z, n)
+    return Elem(_Z, n)
 
 
 def rational(num, den=1) -> Elem:
@@ -399,10 +400,6 @@ def canonical_residue(a: Elem, m: Elem) -> Elem:
         raise RingMismatch("modulus ring must match")
     if m.is_zero():
         raise ZeroModulus("zero modulus")
-    if a.ring is Ring.Q:
-        return _ZERO[_Q]
-    if a.ring is _Z:
-        return _mk(_Z, a.raw % abs(m.raw))
     return divmod(a, m)[1]
 
 
@@ -608,9 +605,7 @@ def factor(a: Elem) -> tuple[Elem, tuple[tuple[Elem, int], ...]]:
 def prime_sort_key(p: Elem):
     """Deterministic display order: numeric for Z, graded-lex on
     coefficients for monic polynomials."""
-    if p.ring is Ring.Z:
-        return (0, p.value)
-    if p.ring is Ring.Q:
+    if p.ring is not _QX:
         return (0, p.value)
     return (len(p.raw[0]), p.value)
 
@@ -642,7 +637,7 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
     if ring is Ring.Z:
         if not _INT_RE.match(text):
             raise ParseError(f"bad integer scalar {text!r}")
-        return Elem(Ring.Z, _parse_int(text))
+        return _mk(_Z, _parse_int(text))
     if ring is Ring.Q:
         m = _RAT_RE.match(text)
         if not m:
@@ -650,7 +645,7 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
         num, den = _parse_int(m.group(1)), _parse_int(m.group(2) or "1")
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}")
-        return Elem(Ring.Q, Fraction(num, den))
+        return _mk(_Q, Fraction(num, den))
     if not text or " " in text:
         raise ParseError(f"bad polynomial scalar {text!r}")
     coeffs: dict[int, Fraction] = {}

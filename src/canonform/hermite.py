@@ -183,22 +183,19 @@ def _echelon(work, q) -> list[int]:
 
 
 def _canonicalize(work, q) -> list[int]:
-    """Echelon, then the associates phase, then residues left to right,
-    on work and q in place; returns the primary columns."""
+    """Echelon, then one pass over the pivots left to right: scale the
+    pivot row to its canonical associate and reduce the entries above the
+    pivot to residues by the quotient of one divmod.  Acts on work and q
+    in place; returns the primary columns."""
     primary = _echelon(work, q)
     for t, j in enumerate(primary, start=1):
-        u, _ = canonical_associate(work[t - 1][j - 1])
+        u, pivot = canonical_associate(work[t - 1][j - 1])
         if not u.is_one():
             _apply_rows(row_scale(t, u), work, q)
-    for t, j in enumerate(primary, start=1):
-        pivot = work[t - 1][j - 1]
         for i in range(1, t):
-            v = work[i - 1][j - 1]
-            res = canonical_residue(v, pivot)
-            if res == v:
-                continue
-            c = (v - res).exact_div(pivot)
-            _apply_rows(row_addmul(i, -c, t), work, q)
+            c, _ = divmod(work[i - 1][j - 1], pivot)
+            if not c.is_zero():
+                _apply_rows(row_addmul(i, -c, t), work, q)
     return primary
 
 

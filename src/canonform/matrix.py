@@ -223,10 +223,7 @@ def lift(a: Matrix, ring: Ring) -> Matrix:
     """Embed a matrix into a larger ring (Z -> Q, Z/Q -> Q[x])."""
     if a.ring is ring:
         return a
-    if a.ring is Ring.Z and ring is Ring.Q:
-        return Matrix.from_rows(ring, [[e.value for e in a.row(i)]
-                                       for i in range(1, a.m + 1)])
-    if a.ring in (Ring.Z, Ring.Q) and ring is Ring.QX:
+    if (a.ring, ring) in ((Ring.Z, Ring.Q), (Ring.Z, Ring.QX), (Ring.Q, Ring.QX)):
         return Matrix.from_rows(ring, [[e.value for e in a.row(i)]
                                        for i in range(1, a.m + 1)])
     raise RingMismatch(f"cannot lift {a.ring} into {ring}")

@@ -120,12 +120,10 @@ def smith(a: Matrix) -> SmithResult:
             if not d.entry(i, i).is_zero()]
     r = len(diag)
     pwork, qtwork = p.rows(), q.transpose().rows()
+    # diag starts canonical (the pivots of diagonalize's last pass) and
+    # stays so: each chain step writes smith_2x2's canonical delta and lam
     for start in range(r - 1):
         _chain_pass(pwork, qtwork, diag, start)
-    for t in range(r):
-        u, diag[t] = canonical_associate(diag[t])
-        if not u.is_one():
-            _apply_rows(row_scale(t + 1, u), pwork)
     p = Matrix.from_rows(a.ring, pwork)
     q = Matrix.from_rows(a.ring, qtwork).transpose()
     zero = Elem.zero(a.ring)

@@ -15,10 +15,10 @@ from canonform.similarity import SimilarityCertificate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Corrupts one step of smith and, two ways, the right evaluation in
-# similar, in a process started with -O; exits 0 only when every
-# corruption raises CertificateFailed (a zero S must not surface as
-# NotAUnit).
+# Corrupts smith_2x2's associate and diagonalize's P in smith and, two
+# ways, the right evaluation in similar, in a process started with -O;
+# exits 0 only when every corruption raises CertificateFailed (a zero S
+# must not surface as NotAUnit).
 CORRUPTED_STEPS = textwrap.dedent("""\
     import importlib, sys
     from canonform.errors import CertificateFailed
@@ -35,11 +35,23 @@ CORRUPTED_STEPS = textwrap.dedent("""\
         return u, c + c
     sm.canonical_associate = doubled
     try:
-        sm.smith(mat_z([[2, 4], [6, 8]]))
-        sys.exit("corrupted smith was not caught")
+        sm.smith(mat_z([[6, 0], [0, 4]]))
+        sys.exit("corrupted smith_2x2 was not caught")
     except CertificateFailed:
         pass
     sm.canonical_associate = orig
+
+    orig_diagonalize = sm.diagonalize
+    def negated_p(a):
+        p, q, d = orig_diagonalize(a)
+        return p.scale(-1), q, d
+    sm.diagonalize = negated_p
+    try:
+        sm.smith(mat_z([[2, 4], [6, 8]]))
+        sys.exit("corrupted diagonalize was not caught")
+    except CertificateFailed:
+        pass
+    sm.diagonalize = orig_diagonalize
 
     def negated_row_1(p, a):
         s = orig_eval(p, a)

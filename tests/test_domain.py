@@ -65,6 +65,40 @@ class TestArithmetic:
         assert poly(0, 1) * 2 == poly(0, 2)
 
 
+class TestConstructor:
+    def test_q_value_is_a_fraction(self):
+        three = Elem(Ring.Q, 3)
+        assert three.raw == Fraction(3) and type(three.raw) is Fraction
+        assert three.unit_inverse().raw == Fraction(1, 3)
+        assert divmod(three, Elem(Ring.Q, 2))[0].raw == Fraction(3, 2)
+
+    def test_qx_scalar(self):
+        assert Elem(Ring.QX, 5) == polynomial([5])
+        assert Elem(Ring.QX, Fraction(1, 2)) == polynomial([Fraction(1, 2)])
+
+    @pytest.mark.parametrize("ring,value", [
+        (Ring.Z, 3), (Ring.Z, True), (Ring.Q, 3), (Ring.Q, Fraction(1, 2)),
+        (Ring.QX, 3), (Ring.QX, Fraction(1, 2)), (Ring.QX, [1, Fraction(1, 2)]),
+        (Ring.QX, (0, 1)),
+    ])
+    def test_agrees_with_coerce(self, ring, value):
+        e = Elem(ring, value)
+        assert e == coerce(ring, value)
+        assert type(e.raw) is type(coerce(ring, value).raw)
+
+    @pytest.mark.parametrize("ring,value", [
+        (Ring.Z, 2.5), (Ring.Z, Fraction(1, 2)), (Ring.Z, "3"), (Ring.Q, 0.5),
+        (Ring.Q, [1]), (Ring.QX, 0.5), (Ring.QX, "x"), (Ring.QX, integer(1)),
+    ])
+    def test_rejects_other_values(self, ring, value):
+        with pytest.raises(RingMismatch, match="cannot coerce"):
+            Elem(ring, value)
+
+    def test_integer_validates(self):
+        with pytest.raises(RingMismatch):
+            integer(2.5)
+
+
 class TestDivmod:
     def test_eighteen_twelve(self):
         assert divmod(integer(18), integer(12)) == (integer(1), integer(6))

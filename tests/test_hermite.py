@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from canonform.determinant import det, rank_by_minors
-from canonform.domain import Ring, integer, rational
+from canonform.domain import Elem, Ring, integer, rational
 from canonform.errors import AllZeroColumn, NotAUnit, UnsupportedRing
 from canonform.hermite import (
     ElemOp,
@@ -141,6 +141,10 @@ class TestHermiteCanonical:
         res = hermite_canonical(mat_z([[4, 6], [2, 2]]))
         assert res.h == mat_z([[2, 0], [0, 2]])
         assert res.q @ mat_z([[4, 6], [2, 2]]) == res.h
+
+    def test_rational_entries_built_from_ints(self):
+        a = Matrix.from_rows(Ring.Q, [[Elem(Ring.Q, 3), Elem(Ring.Q, 1)]])
+        assert str(hermite_canonical(a).h) == "ring Q\nrows 1\ncols 2\n1 1/3\n"
 
     def test_zero_matrix(self):
         z = Matrix.zeros(Ring.Z, 2, 3)

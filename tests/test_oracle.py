@@ -1,8 +1,9 @@
 """Differential tests against sympy on seeded inputs: invariant factors of
-xI - A over Q[x], characteristic polynomials over Q, Smith diagonals over
-Z and Jordan block sizes.  sympy computes each answer independently of
-canonform.  Then derandomized hypothesis properties: the Smith diagonal
-is invariant under unimodular multipliers, and factor replays."""
+xI - A over Q[x], characteristic polynomials over Q, Smith diagonals and
+Hermite forms over Z, and Jordan block sizes.  sympy computes each answer
+independently of canonform.  Then derandomized hypothesis properties: the
+Smith diagonal and the Hermite form are invariant under unimodular
+multipliers, Cayley-Hamilton holds, and factor replays."""
 import random
 from fractions import Fraction
 
@@ -10,11 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ, ZZ, Matrix as SMatrix, symbols
 from sympy.polys.matrices import DomainMatrix
+from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices.normalforms import invariant_factors, smith_normal_form
 
+from canonform.determinant import det
 from canonform.domain import Ring, factor, polynomial
+from canonform.hermite import hermite_canonical
 from canonform.matrix import Matrix, mat_q
-from canonform.similarity import char_poly, jordan, similarity_invariants
+from canonform.similarity import (
+    char_poly,
+    jordan,
+    minimal_poly,
+    scalar_poly_eval,
+    similarity_invariants,
+)
 from canonform.smith import smith
 
 from conftest import random_matrix, random_unimodular
@@ -104,6 +114,22 @@ def test_smith_diagonal_z():
         assert [d.value for d in smith(a).diag] == want, (k, rows_of(a))
 
 
+def test_hermite_form_z():
+    """sympy's HNF is column-style with the pivots at the bottom right:
+    H = J HNF((J A J)^T)^T J maps it onto canonform's row form, J being
+    the exchange matrix."""
+    rng = random.Random("oracle-hermite")
+    for k in range(120):
+        n = rng.randint(1, 6)
+        a = random_matrix(rng, Ring.Z, n, n)
+        if det(a).is_zero():
+            continue
+        j = SMatrix(n, n, lambda r, c: int(r + c == n - 1))
+        sa = SMatrix(rows_of(a))
+        want = (j * hermite_normal_form((j * sa * j).T).T * j).tolist()
+        assert rows_of(hermite_canonical(a).h) == want, (k, rows_of(a))
+
+
 def conjugated_jordan(rng, n) -> tuple[Matrix, list]:
     """U J U^-1 for a Jordan matrix J of random blocks with rational
     eigenvalues, and J's (eigenvalue, size) blocks."""
@@ -154,6 +180,33 @@ def test_smith_diagonal_is_unimodular_invariant(ring, size, seed, m, n):
     a = random_matrix(rng, ring, m, n, max_deg=1)
     u, v = random_unimodular(rng, ring, m), random_unimodular(rng, ring, n)
     assert smith(u @ a @ v).diag == smith(a).diag
+
+
+@pytest.mark.parametrize("ring,size", [(Ring.Z, 5), (Ring.Q, 4), (Ring.QX, 3)],
+                         ids=["Z", "Q", "Q[x]"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 5),
+       singular=st.booleans())
+def test_hermite_form_is_unimodular_invariant(ring, size, seed, m, n, singular):
+    rng = random.Random(seed)
+    m, n = min(m, size), min(n, size)
+    a = random_matrix(rng, ring, m, n, max_deg=1)
+    if singular and m > 1:  # rank-deficient: last row = first + second
+        rows = a.rows()
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1 % (m - 1)])]
+        a = Matrix.from_rows(ring, rows)
+    u = random_unimodular(rng, ring, m)
+    assert hermite_canonical(u @ a).h == hermite_canonical(a).h
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_cayley_hamilton(seed, n):
+    a = random_q_square(random.Random(seed), n)
+    chi, mu = char_poly(a), minimal_poly(a)
+    assert scalar_poly_eval(chi, a).is_zero()
+    assert scalar_poly_eval(mu, a).is_zero()
+    assert divmod(chi, mu)[1].is_zero()
 
 
 def planted_factors(rng) -> dict:
