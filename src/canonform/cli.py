@@ -13,11 +13,11 @@ import sys
 from . import perm
 from .determinant import det as compute_det
 from .determinant import is_unimodular
-from .domain import Ring, format_scalar
+from .domain import format_scalar
 from .errors import Error, ParseError
 from .hermite import hermite_canonical, hermite_form, solve
 from .invariants import invariant_report
-from .matrix import Matrix, lift, parse_matrix_file
+from .matrix import Matrix, parse_matrix_file
 from .similarity import char_poly, jordan, minimal_poly, rcf, similar
 from .smith import smith
 
@@ -48,7 +48,21 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _write_transforms(path: str, payload: dict) -> None:
+def _emit_verified(report: dict, as_json: bool, lines: list[str]) -> int:
+    """Print a report whose "verified" is a replay verdict, or None when
+    no replay was asked for, with the verdict's text line; return the exit
+    code, 1 when the replay failed."""
+    verified = report["verified"]
+    if verified is not None:
+        lines.append(f"verified {str(verified).lower()}")
+    _emit(report, as_json, lines)
+    return 0 if verified in (None, True) else 1
+
+
+def _write_transforms(path: str | None, payload: dict) -> None:
+    """Write the transforms JSON to path; nothing when path is None."""
+    if path is None:
+        return
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -75,8 +89,7 @@ def _cmd_hermite(args) -> int:
         "rank": res.rank,
         "primary_cols": list(res.primary_cols),
     }
-    if args.transforms:
-        _write_transforms(args.transforms, transforms)
+    _write_transforms(args.transforms, transforms)
     report = _envelope(
         "hermite", form=_matrix_strings(res.h), rank=res.rank,
         transforms=transforms, verified=verified,
@@ -85,10 +98,7 @@ def _cmd_hermite(args) -> int:
     lines = [f"rank {res.rank}",
              "primary_cols " + ",".join(map(str, res.primary_cols))]
     lines += [" ".join(row) for row in _matrix_strings(res.h)]
-    if verified is not None:
-        lines.append(f"verified {str(verified).lower()}")
-    _emit(report, args.json, lines)
-    return 0 if verified in (None, True) else 1
+    return _emit_verified(report, args.json, lines)
 
 
 def _cmd_smith(args) -> int:
@@ -109,33 +119,25 @@ def _cmd_smith(args) -> int:
         "diag": diag,
         "rank": res.rank,
     }
-    if args.transforms:
-        _write_transforms(args.transforms, transforms)
+    _write_transforms(args.transforms, transforms)
     report = _envelope("smith", form=_matrix_strings(res.d), rank=res.rank,
                        diag=diag, transforms=transforms, verified=verified)
     lines = [" ".join(diag) if diag else "(empty)", f"rank {res.rank}"]
-    if verified is not None:
-        lines.append(f"verified {str(verified).lower()}")
-    _emit(report, args.json, lines)
-    return 0 if verified in (None, True) else 1
+    return _emit_verified(report, args.json, lines)
 
 
 def _cmd_invariants(args) -> int:
     a = parse_matrix_file(args.file)
     rep = invariant_report(a)
+    fs = [format_scalar(f) for f in rep.det_divisors]
+    qs = [format_scalar(q) for q in rep.invariant_factors]
     eds = [format_scalar(p ** e) for p, e in rep.elementary_divisors]
-    report = _envelope(
-        "invariants", rank=rep.rank,
-        diag=[format_scalar(q) for q in rep.invariant_factors],
-        det_divisors=[format_scalar(f) for f in rep.det_divisors],
-        invariant_factors=[format_scalar(q) for q in rep.invariant_factors],
-        elementary_divisors=eds,
-    )
+    report = _envelope("invariants", rank=rep.rank, diag=qs, det_divisors=fs,
+                       invariant_factors=qs, elementary_divisors=eds)
     lines = [
         f"rank {rep.rank}",
-        "det_divisors " + " ".join(format_scalar(f) for f in rep.det_divisors),
-        "invariant_factors "
-        + (" ".join(format_scalar(q) for q in rep.invariant_factors) or "(empty)"),
+        "det_divisors " + " ".join(fs),
+        "invariant_factors " + (" ".join(qs) or "(empty)"),
         "elementary_divisors " + (" ".join(eds) or "(empty)"),
     ]
     _emit(report, args.json, lines)
@@ -143,36 +145,27 @@ def _cmd_invariants(args) -> int:
 
 
 def _similarity_report(args) -> int:
-    """rcf and jordan: a canonical form with its similarity certificate."""
-    compute = {"rcf": rcf, "jordan": jordan}[args.verb]
-    a = parse_matrix_file(args.file)
-    cert, form = compute(a)
-    verified = cert.verify(lift(a, Ring.Q))
-    transforms = {"S": _matrix_strings(cert.s)}
-    report = _envelope(args.verb, form=_matrix_strings(form),
-                       transforms=transforms, verified=verified)
-    lines = [" ".join(row) for row in _matrix_strings(form)]
-    lines.append(f"verified {str(verified).lower()}")
-    _emit(report, args.json, lines)
-    return 0 if verified else 1
-
-
-def _cmd_similar(args) -> int:
-    a = parse_matrix_file(args.file_a)
-    b = parse_matrix_file(args.file_b)
-    cert = similar(a, b)
-    if cert is None:
-        report = _envelope("similar", verified=False, similar=False)
-        _emit(report, args.json, ["not similar"])
-        return 0
-    verified = cert.verify(lift(a, Ring.Q))
-    report = _envelope("similar", form=_matrix_strings(cert.target),
-                       transforms={"S": _matrix_strings(cert.s)},
-                       verified=verified, similar=True)
-    lines = ["similar"] + [" ".join(row) for row in _matrix_strings(cert.s)]
-    lines.append(f"verified {str(verified).lower()}")
-    _emit(report, args.json, lines)
-    return 0 if verified else 1
+    """rcf, jordan and similar: a similarity certificate, replayed."""
+    if args.verb == "similar":
+        a = parse_matrix_file(args.file_a)
+        cert = similar(a, parse_matrix_file(args.file_b))
+        if cert is None:
+            report = _envelope("similar", verified=False, similar=False)
+            _emit(report, args.json, ["not similar"])
+            return 0
+        extra = {"similar": True}
+    else:
+        a = parse_matrix_file(args.file)
+        cert, _ = {"rcf": rcf, "jordan": jordan}[args.verb](a)
+        extra = {}
+    form, s = _matrix_strings(cert.target), _matrix_strings(cert.s)
+    report = _envelope(args.verb, form=form, transforms={"S": s},
+                       verified=cert.verify(a), **extra)
+    # similar prints its conjugator S, rcf and jordan their form
+    lines = [" ".join(row) for row in (s if extra else form)]
+    if extra:
+        lines.insert(0, "similar")
+    return _emit_verified(report, args.json, lines)
 
 
 def _cmd_solve(args) -> int:
@@ -231,51 +224,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, *positional, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="structured report")
+        for arg in positional:
+            p.add_argument(arg)
         return p
 
-    p = add("det", _cmd_scalar, help="determinant of a matrix file")
-    p.add_argument("file")
-
-    p = add("hermite", _cmd_hermite, help="row Hermite form QA = H")
-    p.add_argument("file")
+    add("det", _cmd_scalar, "file", help="determinant of a matrix file")
+    p = add("hermite", _cmd_hermite, "file", help="row Hermite form QA = H")
     p.add_argument("--canonical", action="store_true",
                    help="normalize pivots and residues to the canonical SDRs")
     p.add_argument("--transforms", metavar="PATH", help="write Q/H JSON")
     p.add_argument("--verify", action="store_true", help="replay QA = H")
-
-    p = add("smith", _cmd_smith, help="Smith form PAQ = D")
-    p.add_argument("file")
+    p = add("smith", _cmd_smith, "file", help="Smith form PAQ = D")
     p.add_argument("--transforms", metavar="PATH", help="write P/Q/D JSON")
     p.add_argument("--verify", action="store_true", help="replay PAQ = D")
-
-    p = add("invariants", _cmd_invariants,
-            help="rank, determinantal divisors, invariant factors, elementary divisors")
-    p.add_argument("file")
-
-    p = add("rcf", _similarity_report, help="rational (Frobenius) canonical form")
-    p.add_argument("file")
-
-    p = add("jordan", _similarity_report, help="Jordan canonical form")
-    p.add_argument("file")
-
-    p = add("similar", _cmd_similar, help="decide similarity of two matrices")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-
-    p = add("solve", _cmd_solve, help="solve A x = y exactly")
-    p.add_argument("matrix")
-    p.add_argument("vector")
-
-    p = add("minpoly", _cmd_scalar, help="minimal polynomial")
-    p.add_argument("file")
-
-    p = add("charpoly", _cmd_scalar, help="characteristic polynomial")
-    p.add_argument("file")
-
+    add("invariants", _cmd_invariants, "file",
+        help="rank, determinantal divisors, invariant factors, elementary divisors")
+    add("rcf", _similarity_report, "file", help="rational (Frobenius) canonical form")
+    add("jordan", _similarity_report, "file", help="Jordan canonical form")
+    add("similar", _similarity_report, "file_a", "file_b",
+        help="decide similarity of two matrices")
+    add("solve", _cmd_solve, "matrix", "vector", help="solve A x = y exactly")
+    add("minpoly", _cmd_scalar, "file", help="minimal polynomial")
+    add("charpoly", _cmd_scalar, "file", help="characteristic polynomial")
     p = add("perm", _cmd_perm, help="analyze a permutation in one-line notation")
     p.add_argument("oneline", help="comma-separated images, e.g. 4,2,1,3")
 

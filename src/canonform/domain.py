@@ -67,10 +67,13 @@ def _qnorm(nums, den: int) -> tuple:
 
 
 def _qfrom(cs: Iterable) -> tuple:
-    """The pair of a coefficient sequence of ints, Fractions, or anything
-    Fraction() accepts; each coefficient is converted once."""
-    cs = [c if c.__class__ is int or c.__class__ is Fraction else Fraction(c)
-          for c in cs]
+    """The pair of a coefficient sequence of ints and Fractions; any other
+    coefficient raises RingMismatch."""
+    cs = list(cs)
+    for c in cs:  # the exact-type tests first: isinstance is slower
+        if not (c.__class__ is int or c.__class__ is Fraction
+                or isinstance(c, (int, Fraction))):
+            raise RingMismatch(f"cannot coerce coefficient {c!r} into Q[x]")
     den = math.lcm(*[c.denominator for c in cs])
     return _qnorm([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -143,8 +146,9 @@ class Elem:
 
     `raw` is the working form described in the module docstring and
     `value` the public one.  `Elem(ring, value)` takes an int on Z; an
-    int or Fraction on Q; an int, Fraction, or list or tuple of
-    coefficients on Q[x]; anything else raises RingMismatch.  An Elem is
+    int or Fraction on Q; an int, Fraction, or list or tuple of int and
+    Fraction coefficients on Q[x]; anything else raises RingMismatch.
+    Arithmetic passes every non-Elem operand through it.  An Elem is
     immutable: setting or deleting an attribute raises
     FrozenInstanceError.
     """
@@ -153,7 +157,7 @@ class Elem:
 
     def __init__(self, ring: Ring, value: Value):
         if ring is _Z and isinstance(value, int):
-            raw = value
+            raw = int(value)  # a bool is stored as 0 or 1
         elif ring is _Q and isinstance(value, (int, Fraction)):
             raw = Fraction(value)
         elif ring is _QX and isinstance(value, (list, tuple)):
@@ -243,9 +247,7 @@ class Elem:
             if other.ring is not self.ring:
                 raise RingMismatch(f"{self.ring} vs {other.ring}")
             return other
-        if isinstance(other, int):
-            return Elem(self.ring, other)
-        return NotImplemented  # pragma: no cover
+        return Elem(self.ring, other)
 
     def __add__(self, other) -> "Elem":
         other = self._coerced(other)
@@ -342,7 +344,10 @@ def integer(n: int) -> Elem:
 
 
 def rational(num, den=1) -> Elem:
-    return _mk(_Q, Fraction(num, den))
+    """num/den on Q.  Both go through Elem(Ring.Q, ...), so a value other
+    than an int or Fraction raises RingMismatch; a zero den raises
+    DivisionByZero."""
+    return divmod(Elem(_Q, num), Elem(_Q, den))[0]
 
 
 def polynomial(coeffs: Iterable) -> Elem:
@@ -521,13 +526,14 @@ def _split_squarefree(p: Elem) -> list[Elem]:
 
 # Trial division on Z stops here; a larger cofactor must be proved prime.
 _TRIAL_DIVISION_LIMIT = 10**6
-# Miller-Rabin with the prime bases 2..37 decides primality below this.
+# Miller-Rabin with the prime bases 2..41 decides primality below this
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n > 37 below _MILLER_RABIN_BOUND."""
+    """Deterministic Miller-Rabin for odd n > 41 below _MILLER_RABIN_BOUND."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -650,15 +656,11 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
         raise ParseError(f"bad polynomial scalar {text!r}")
     coeffs: dict[int, Fraction] = {}
     pos = 0
-    first = True
-    while pos < len(text):
+    while pos < len(text):  # after the first term, pos sits on a sign
         sign = 1
         if text[pos] in "+-":
             sign = -1 if text[pos] == "-" else 1
             pos += 1
-        elif not first:
-            raise ParseError(f"missing sign in {text!r}")
-        first = False
         end = pos
         while end < len(text) and text[end] not in "+-":
             end += 1

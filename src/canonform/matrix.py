@@ -119,6 +119,8 @@ class Matrix:
     def power(self, e: int) -> "Matrix":
         if not self.is_square():
             raise ShapeMismatch("powers need a square matrix")
+        if e < 0:
+            raise ValueError("negative exponent")
         out = Matrix.identity(self.ring, self.m)
         base = self
         while e:

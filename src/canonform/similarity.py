@@ -18,7 +18,6 @@ from .errors import (
     CertificateFailed,
     Error,
     NonLinearElementaryDivisor,
-    NotAUnit,
     NotMonic,
     NotSquare,
     RingMismatch,
@@ -164,9 +163,16 @@ class SimilarityCertificate:
     target: Matrix
 
     def verify(self, a: Matrix) -> bool:
+        """Replay the certificate against the source A (Z is lifted to Q):
+        S^-1 = inverse(S) over Q, then S^-1 S = I, S S^-1 = I and
+        S^-1 A S = target.  False when any replay fails or raises a
+        canonform.errors.Error (a singular S, mismatched shapes, ...)."""
         try:
             a = _as_rational_square(a)
-            return determinant.inverse(self.s) @ a @ self.s == self.target
+            s_inv = determinant.inverse(self.s)
+            ident = Matrix.identity(Ring.Q, a.m)
+            return (s_inv @ self.s == ident and self.s @ s_inv == ident
+                    and s_inv @ a @ self.s == self.target)
         except Error:
             return False
 
@@ -187,21 +193,15 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
 def _conjugator(a: Matrix, res_a: SmithResult, b: Matrix,
                 res_b: SmithResult) -> Optional[SimilarityCertificate]:
     """S = rho_B(Q_A Q_B^-1) with S^-1 A S = B from the Smith forms of
-    xI - A and xI - B, or None when their invariant factors differ.
-    S^-1 is the inverse of a constant matrix over Q."""
+    xI - A and xI - B, or None when their invariant factors differ;
+    the certificate is replayed by its own verify."""
     if res_a.diag != res_b.diag:
         return None
-    s = right_eval(res_a.q @ determinant.inverse(res_b.q), b)
-    try:
-        s_inv = determinant.inverse(s)
-    except NotAUnit:
-        raise CertificateFailed("similarity certificate: S is singular") from None
-    ident = Matrix.identity(Ring.Q, a.m)
-    if s_inv @ s != ident or s @ s_inv != ident:
-        raise CertificateFailed("similarity certificate: S S^-1 != I")
-    if s_inv @ a @ s != b:
+    cert = SimilarityCertificate(
+        right_eval(res_a.q @ determinant.inverse(res_b.q), b), b)
+    if not cert.verify(a):
         raise CertificateFailed("similarity certificate replay S^-1 A S = B failed")
-    return SimilarityCertificate(s, b)
+    return cert
 
 
 def _assemble(a: Matrix, res_a: SmithResult,

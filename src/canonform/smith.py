@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from .domain import Elem, canonical_associate, egcd, valuation
 from .errors import CertificateFailed, ZeroArgument
 from .matrix import Matrix
-from .hermite import (
-    _apply_2x2_rows,
-    _apply_rows,
-    _canonicalize,
-    row_scale,
-)
+from .hermite import _apply_2x2_rows, _canonicalize
 
 _ALTERNATION_CAP = 200
 
@@ -74,19 +69,14 @@ def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
         raise ZeroArgument("smith_2x2 needs nonzero diagonal entries")
     ring = d1.ring
     delta, s, t = egcd(d1, d2)
-    lam_signed = (d1 * d2).exact_div(delta)
-    q2 = Matrix.from_rows(ring, [
-        [s, -d2.exact_div(delta)],
-        [t, d1.exact_div(delta)],
-    ])
+    e1, e2 = d1.exact_div(delta), d2.exact_div(delta)
+    q2 = Matrix.from_rows(ring, [[s, -e2], [t, e1]])
     one, zero = Elem.one(ring), Elem.zero(ring)
-    # R_[2]-c[1] folded into [[1,1],[0,1]] clears the td2 left behind below
-    c = (t * d2).exact_div(delta)
-    p2_rows = [[one, one], [-c, one - c]]
-    u, lam = canonical_associate(lam_signed)
-    if not u.is_one():
-        _apply_rows(row_scale(2, u), p2_rows)
-    p2 = Matrix.from_rows(ring, p2_rows)
+    # R_[2]-c[1] folded into [[1,1],[0,1]] clears the td2 left behind
+    # below; the second row is then scaled by the unit u making lcm canonical
+    c = t * e2
+    u, lam = canonical_associate(d1 * e2)
+    p2 = Matrix.from_rows(ring, [[one, one], [-c * u, (one - c) * u]])
     check = p2 @ Matrix.from_rows(ring, [[d1, zero], [zero, d2]]) @ q2
     if check != Matrix.from_rows(ring, [[delta, zero], [zero, lam]]):
         raise CertificateFailed(f"smith_2x2 certificate failed on ({d1}, {d2})")

@@ -185,6 +185,13 @@ class TestSolve:
         assert main(["solve", a, y]) == 0
         assert "inconsistent" in capsys.readouterr().out
 
+    def test_text_with_null_space(self, tmp_path, capsys):
+        a = write(tmp_path, "a.mtx", mat_q([[1, 2, 0], [0, 0, 1]]))
+        y = write(tmp_path, "y.mtx", mat_q([[3], [4]]))
+        assert main(["solve", a, y]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "particular 3 0 4", "nullity 1", "null -2 1 0"]
+
 
 class TestPerm:
     def test_analysis(self, capsys):
@@ -196,6 +203,35 @@ class TestPerm:
 
     def test_bad_input_is_parse_error(self, capsys):
         assert main(["perm", "1,1,2"]) == 2
+
+
+# The usage line of every parser, so that a change to how the parser is
+# built cannot drop, rename or reorder an argument unnoticed.
+USAGE = {
+    None: "usage: canonform [-h] {det,hermite,smith,invariants,rcf,jordan,"
+          "similar,solve,minpoly,charpoly,perm} ...",
+    "det": "usage: canonform det [-h] [--json] file",
+    "hermite": "usage: canonform hermite [-h] [--json] [--canonical] "
+               "[--transforms PATH] [--verify] file",
+    "smith": "usage: canonform smith [-h] [--json] [--transforms PATH] [--verify] file",
+    "invariants": "usage: canonform invariants [-h] [--json] file",
+    "rcf": "usage: canonform rcf [-h] [--json] file",
+    "jordan": "usage: canonform jordan [-h] [--json] file",
+    "similar": "usage: canonform similar [-h] [--json] file_a file_b",
+    "solve": "usage: canonform solve [-h] [--json] matrix vector",
+    "minpoly": "usage: canonform minpoly [-h] [--json] file",
+    "charpoly": "usage: canonform charpoly [-h] [--json] file",
+    "perm": "usage: canonform perm [-h] [--json] oneline",
+}
+
+
+@pytest.mark.parametrize("verb", USAGE, ids=lambda v: v or "top")
+def test_help_usage_line(verb, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, no wrapping
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"] if verb else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == USAGE[verb]
 
 
 class TestExitCodes:

@@ -20,6 +20,7 @@ from canonform.domain import Ring, integer, rational
 from canonform.errors import (
     BadIndexSet,
     CertificateFailed,
+    ExactDivisionError,
     NotAUnit,
     NotSquare,
     SingularMatrix,
@@ -267,6 +268,16 @@ class TestCramer:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             cramer_solve(mat_z([[1, 1], [1, 1]]), vector(Ring.Z, [1, 2]))
+
+    def test_polynomial_solution(self):
+        a = mat_qx([["x", "1"], ["0", "x-1"]])
+        x = cramer_solve(a, mat_qx([["x^2+x+1"], ["x^2-1"]]))
+        assert x == mat_qx([["x"], ["x+1"]])
+        assert a @ x == mat_qx([["x^2+x+1"], ["x^2-1"]])
+
+    def test_non_polynomial_solution_rejected(self):
+        with pytest.raises(ExactDivisionError, match="not polynomial"):
+            cramer_solve(mat_qx([["x"]]), mat_qx([["1"]]))
 
 
 class TestCauchyBinet:

@@ -1,13 +1,16 @@
 import math
+import pickle
 import random
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from canonform.domain import (
+    _is_prime_mr,
     Elem,
     Ring,
     canonical_associate,
@@ -33,6 +36,7 @@ from canonform.errors import (
     ZeroArgument,
     ZeroModulus,
 )
+from canonform.matrix import format_matrix, mat_z, parse_matrix
 
 from conftest import random_elem, random_nonzero_elem
 
@@ -97,6 +101,52 @@ class TestConstructor:
     def test_integer_validates(self):
         with pytest.raises(RingMismatch):
             integer(2.5)
+
+    @pytest.mark.parametrize("op", [
+        lambda: integer(1) + 1.5, lambda: 1.5 + integer(1),
+        lambda: divmod(integer(3), 1.5), lambda: rational(1) * 0.5,
+    ], ids=["add", "radd", "divmod", "mul"])
+    def test_arithmetic_operands_go_through_constructor(self, op):
+        with pytest.raises(RingMismatch, match="cannot coerce"):
+            op()
+
+    def test_fraction_operand_on_q(self):
+        assert rational(1) + Fraction(1, 2) == rational(3, 2)
+        assert Fraction(1, 2) + rational(1) == rational(3, 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Elem(Ring.QX, [0.1]), lambda: polynomial([0.1]),
+        lambda: polynomial(["1/2"]), lambda: coerce(Ring.QX, [1, 0.5]),
+    ], ids=["elem", "polynomial-float", "polynomial-str", "coerce"])
+    def test_qx_coefficients_are_ints_or_fractions(self, build):
+        with pytest.raises(RingMismatch, match="cannot coerce coefficient"):
+            build()
+
+    @pytest.mark.parametrize("args", [(0.1,), (0.5, 1), (1, "2")])
+    def test_rational_rejects_other_values(self, args):
+        with pytest.raises(RingMismatch):
+            rational(*args)
+
+    def test_rational_zero_denominator(self):
+        with pytest.raises(DivisionByZero):
+            rational(1, 0)
+        with pytest.raises(DivisionByZero):
+            rational(Fraction(1, 2), Fraction(0))
+
+    def test_bool_is_stored_as_int(self):
+        e = Elem(Ring.Z, True)
+        assert type(e.raw) is int and e == integer(1)
+        a = mat_z([[True, 2], [0, 1]])
+        assert format_matrix(a).splitlines()[-2] == "1 2"
+        assert parse_matrix(format_matrix(a)) == a
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_pickle_round_trip(self, ring):
+        rng = random.Random(61)
+        for _ in range(10):
+            e = random_elem(rng, ring)
+            back = pickle.loads(pickle.dumps(e))
+            assert back == e and type(back.raw) is type(e.raw)
 
 
 class TestDivmod:
@@ -312,6 +362,19 @@ class TestFactor:
         start = time.perf_counter()
         assert factor(integer(-(2**61 - 1))) == (integer(-1), ((integer(2**61 - 1), 1),))
         assert time.perf_counter() - start < 5.0
+
+    # strong pseudoprimes to the first prime bases, the last (psi_12) to
+    # all of 2..37; then two Mersenne primes
+    @pytest.mark.parametrize("n", [
+        3215031751, 2152302898747, 3474749660383, 341550071728321,
+        3825123056546413051, 318665857834031151167461, 2**61 - 1, 2**89 - 1])
+    def test_miller_rabin_agrees_with_sympy(self, n):
+        assert _is_prime_mr(n) == sympy.isprime(n)
+
+    def test_pseudoprime_to_bases_up_to_37_is_not_a_prime(self):
+        # 318665857834031151167461 = 399165290221 * 798330580441
+        with pytest.raises(FactorizationIncomplete, match="24-digit cofactor"):
+            factor(integer(318665857834031151167461))
 
     def test_small_factors_then_large_prime(self):
         n = 2**3 * 999983 * (2**61 - 1)

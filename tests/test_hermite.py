@@ -118,6 +118,14 @@ class TestClearColumn:
         assert [e.value for e in out.col(1)] == [2, 0, 0]
         assert q @ a == out and det(q).is_unit()
 
+    def test_zero_at_chosen_row_and_in_a_listed_row(self):
+        # the zero row 2 is skipped; the zero pivot at row 1 is swapped with row 3
+        a = mat_z([[0, 1], [0, 2], [3, 0], [2, 5]])
+        q, out = clear_column(a, 1, rows_in=[1, 2, 3, 4], s=1)
+        assert [e.value for e in out.col(1)] == [1, 0, 0, 0]
+        assert q @ a == out and det(q).is_unit()
+        assert out.row(2) == a.row(2)
+
     def test_all_zero_column_rejected(self):
         with pytest.raises(AllZeroColumn):
             clear_column(mat_z([[0, 1], [0, 2]]), 1, rows_in=[1, 2], s=1)

@@ -4,7 +4,12 @@ import pytest
 
 from canonform.determinant import gcd_of_minors
 from canonform.domain import Ring, canonical_associate, integer, polynomial
-from canonform.errors import RankTooSmall, ShapeMismatch, TooLargeForOracle
+from canonform.errors import (
+    FactorizationIncomplete,
+    RankTooSmall,
+    ShapeMismatch,
+    TooLargeForOracle,
+)
 from canonform.invariants import (
     det_divisors_by_minors,
     elementary_divisor_values,
@@ -111,6 +116,11 @@ class TestInvariantReport:
                 # elementary divisors beyond the factorizer: the factor-free
                 # invariants must still agree
                 assert smith(b).diag == smith(a).diag
+
+    def test_strong_pseudoprime_is_not_an_elementary_divisor(self):
+        # 399165290221 * 798330580441 passes Miller-Rabin to bases 2..37
+        with pytest.raises(FactorizationIncomplete):
+            invariant_report(mat_z([[318665857834031151167461]]))
 
     def test_round_trip_through_elementary_divisors(self):
         rng = random.Random(229)

@@ -102,6 +102,15 @@ class TestMultiply:
             rhs = submatrix(a, g, range(1, 5)) @ submatrix(b, range(1, 5), h)
             assert lhs == rhs
 
+    def test_power(self):
+        a = mat_z([[1, 1], [0, 1]])
+        assert a.power(0) == Matrix.identity(Ring.Z, 2)
+        assert a.power(5) == mat_z([[1, 5], [0, 1]])
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            mat_z([[1]]).power(-1)
+
     def test_rows_of_product_are_combinations(self):
         rng = random.Random(59)
         a = random_matrix(rng, Ring.Z, 3, 4)
