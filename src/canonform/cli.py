@@ -60,12 +60,16 @@ def _emit_verified(report: dict, as_json: bool, lines: list[str]) -> int:
 
 
 def _write_transforms(path: str | None, payload: dict) -> None:
-    """Write the transforms JSON to path; nothing when path is None."""
+    """Write the transforms JSON to path; nothing when path is None.  A
+    path that cannot be written raises ParseError."""
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_scalar(args) -> int:
@@ -198,7 +202,7 @@ def _cmd_perm(args) -> int:
     except ValueError as exc:
         raise ParseError(f"bad one-line permutation {args.oneline!r}: {exc}") from None
     cyc_str = "".join("(" + ",".join(map(str, c)) + ")" for c in perm.cycles(f))
-    index, inversions, sign = perm.index(f), len(perm.inversions(f)), perm.sign(f)
+    index, inversions, sign = perm.index(f), perm.inversion_count(f), perm.sign(f)
     inverse = ",".join(map(str, perm.inverse(f).images))
     report = _envelope(
         "perm", form=",".join(map(str, f.images)), cycles=cyc_str,

@@ -25,6 +25,7 @@ from .errors import (
     ExactDivisionError,
     FactorizationIncomplete,
     NotAUnit,
+    OutputTooLarge,
     ParseError,
     RingMismatch,
     ZeroArgument,
@@ -275,12 +276,7 @@ class Elem:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Elem":
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = Elem.one(self.ring)
-        for _ in range(e):
-            out = out * self
-        return out
+        return power(self, e, _ONE[self.ring], Elem.__mul__)
 
     def __divmod__(self, other):
         """Division with remainder: a = b*q + r, r = 0 or val(r) < val(b).
@@ -325,6 +321,20 @@ def _mk(ring: Ring, raw) -> Elem:
 
 _ZERO = {_Z: _mk(_Z, 0), _Q: _mk(_Q, Fraction(0)), _QX: _mk(_QX, _QZERO)}
 _ONE = {_Z: _mk(_Z, 1), _Q: _mk(_Q, Fraction(1)), _QX: _mk(_QX, ((1,), 1))}
+
+
+def power(base, e: int, one, mul):
+    """base ** e for e >= 0 under the product mul, by square and multiply."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        if e > 1:
+            base = mul(base, base)
+        e >>= 1
+    return out
 
 
 def coerce(ring: Ring, v) -> Elem:
@@ -694,25 +704,33 @@ def _format_fraction(f: Fraction) -> str:
 
 
 def format_scalar(a: Elem) -> str:
-    """Print a scalar in the grammar; parse_scalar inverts this exactly."""
-    if a.ring is _Z:
-        return str(a.raw)
-    if a.ring is _Q:
-        return _format_fraction(a.raw)
-    cs = a.value
-    if not cs:
-        return "0"
-    parts = []
-    for k in range(len(cs) - 1, -1, -1):
-        c = cs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if k == 0:
-            body = _format_fraction(mag)
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            body = xs if mag == 1 else f"{_format_fraction(mag)}*{xs}"
-        parts.append(sign + body)
-    return "".join(parts)
+    """Print a scalar in the grammar; parse_scalar inverts this exactly.
+    A number of more digits than str() converts (4300, as the parser)
+    raises OutputTooLarge."""
+    try:
+        if a.ring is _Z:
+            return str(a.raw)
+        if a.ring is _Q:
+            return _format_fraction(a.raw)
+        cs = a.value
+        if not cs:
+            return "0"
+        parts = []
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else ("+" if parts else "")
+            mag = abs(c)
+            if k == 0:
+                body = _format_fraction(mag)
+            else:
+                xs = "x" if k == 1 else f"x^{k}"
+                body = xs if mag == 1 else f"{_format_fraction(mag)}*{xs}"
+            parts.append(sign + body)
+        return "".join(parts)
+    except ValueError:  # str() refused an int: name the longest one
+        cs = a.value if a.ring is _QX else (a.raw,)
+        digits = max(_digit_count(abs(n)) for c in cs
+                     for n in (c.numerator, c.denominator) if n)
+        raise OutputTooLarge(f"a {digits}-digit number is too long to print") from None

@@ -13,6 +13,10 @@ class ParseError(Error, ValueError):
     pass
 
 
+class OutputTooLarge(Error, ValueError):
+    """A result holds a number of more digits than str() converts."""
+
+
 class RingMismatch(Error, ValueError):
     pass
 

@@ -119,16 +119,7 @@ class Matrix:
     def power(self, e: int) -> "Matrix":
         if not self.is_square():
             raise ShapeMismatch("powers need a square matrix")
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = Matrix.identity(self.ring, self.m)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base if e > 1 else base
-            e >>= 1
-        return out
+        return domain.power(self, e, Matrix.identity(self.ring, self.m), multiply)
 
     def __str__(self) -> str:
         return format_matrix(self)
@@ -281,10 +272,12 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def parse_matrix_file(path: str) -> Matrix:
+    """parse_matrix of a UTF-8 file; an unreadable or undecodable file
+    raises ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_matrix(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 

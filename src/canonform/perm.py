@@ -86,6 +86,22 @@ def inversions(f: Permutation) -> frozenset[tuple[int, int]]:
     )
 
 
+def inversion_count(f: Permutation) -> int:
+    """len(inversions(f)) in O(n log n): scanning right to left, a Fenwick
+    tree over the values counts those already seen below each f(i)."""
+    tree = [0] * (f.n + 1)
+    count = 0
+    for v in reversed(f.images):
+        k = v - 1
+        while k:
+            count += tree[k]
+            k &= k - 1
+        while v <= f.n:
+            tree[v] += 1
+            v += v & -v
+    return count
+
+
 def sign(f: Permutation) -> int:
     return -1 if index(f) % 2 else 1
 

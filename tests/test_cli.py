@@ -390,3 +390,53 @@ def test_golden_conjugator(name, tmp_path, capsys):
     assert code == 0 and report["verified"] is True
     assert report["form"] == form
     assert report["transforms"] == {"S": s}
+
+
+def test_perm_of_a_long_reversal_is_fast(capsys):
+    n = 20_000
+    start = time.perf_counter()
+    assert main(["perm", ",".join(map(str, range(n, 0, -1)))]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert f"inversions {n * (n - 1) // 2}" in capsys.readouterr().out.splitlines()
+
+
+BAD_FILES = {
+    "non-utf8.mtx": b"ring Z\nrows 1\ncols 1\n\xff\n",
+    "rows0.mtx": b"ring Z\nrows 0\ncols 1\n",
+    "huge-degree.mtx": b"ring Q[x]\nrows 1\ncols 1\nx^100000000\n",
+    "long-numeral.mtx": b"ring Z\nrows 1\ncols 1\n" + b"1" * 5000 + b"\n",
+    "wide.mtx": b"ring Z\nrows 1\ncols 2\n1 2\n",
+    "semiprime.mtx": b"ring Z\nrows 1\ncols 1\n998244359987710471\n",
+    "digits8001.mtx": b"ring Z\nrows 2\ncols 2\n1" + b"0" * 4000 + b" 0\n0 1" + b"0" * 4000 + b"\n",
+    "ok.mtx": b"ring Z\nrows 2\ncols 2\n1 2\n3 4\n",
+}
+
+# (argv with {dir} for the file directory, exit code, stderr prefix)
+FAILING_COMMANDS = [
+    (["det", "{dir}/non-utf8.mtx"], 2, "parse error: cannot read"),
+    (["smith", "{dir}/non-utf8.mtx", "--json"], 2, "parse error: cannot read"),
+    (["similar", "{dir}/ok.mtx", "{dir}/non-utf8.mtx"], 2, "parse error: cannot read"),
+    (["smith", "{dir}/ok.mtx", "--transforms", "{dir}/missing/t.json"], 2,
+     "parse error: cannot write"),
+    (["hermite", "{dir}/ok.mtx", "--transforms", "{dir}"], 2, "parse error: cannot write"),
+    (["det", "{dir}/digits8001.mtx"], 1, "error: OutputTooLarge: a 8001-digit number"),
+    (["det", "{dir}/digits8001.mtx", "--json"], 1, "error: OutputTooLarge"),
+    (["det", "{dir}/rows0.mtx"], 2, "parse error:"),
+    (["det", "{dir}/absent.mtx"], 2, "parse error: cannot read"),
+    (["det", "{dir}/huge-degree.mtx"], 2, "parse error:"),
+    (["smith", "{dir}/long-numeral.mtx"], 2, "parse error:"),
+    (["det", "{dir}/wide.mtx"], 1, "error: NotSquare"),
+    (["invariants", "{dir}/semiprime.mtx"], 1, "error: FactorizationIncomplete"),
+    (["perm", "1,1,2"], 2, "parse error:"),
+]
+
+
+@pytest.mark.parametrize("argv,code,prefix", FAILING_COMMANDS,
+                         ids=[" ".join(argv).replace("{dir}/", "") for argv, _, _ in FAILING_COMMANDS])
+def test_failures_are_one_stderr_line(argv, code, prefix, tmp_path, capsys):
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    assert main([a.format(dir=tmp_path) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from canonform.determinant import (
+    _validate_subset,
     adjugate,
     cramer_solve,
     det,
@@ -23,7 +24,9 @@ from canonform.errors import (
     ExactDivisionError,
     NotAUnit,
     NotSquare,
+    ShapeMismatch,
     SingularMatrix,
+    SizeMismatch,
     TooLargeForOracle,
 )
 from canonform.matrix import (
@@ -423,3 +426,19 @@ class TestInverse:
     def test_unit_qx_inverse(self):
         u = mat_qx([["1", "x"], ["0", "2"]])
         assert inverse(u) == mat_qx([["1", "-1/2*x"], ["0", "1/2"]])
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: _validate_subset([1, 3], 2), BadIndexSet),
+    (lambda: restricted_det_sum(mat_z([[1, 2, 0], [0, 1, 0], [0, 0, 1]]), [1], [1, 2]),
+     SizeMismatch),
+    (lambda: restricted_det_sum(mat_z([[1, 2], [3, 4]]), [1, 2], [1, 2]), BadIndexSet),
+    (lambda: cramer_solve(mat_q([[1, 0], [0, 1]]), vector(Ring.Q, [1, 2, 3])), ShapeMismatch),
+    (lambda: minor_of_product(mat_z([[1, 2]]), mat_z([[1, 2]]), [1], [1]), ShapeMismatch),
+    (lambda: minor_of_product(mat_z([[1, 2], [3, 4]]), mat_z([[1, 0], [0, 1]]), [1], [1, 2]),
+     SizeMismatch),
+], ids=["subset-range", "restricted-sizes", "restricted-not-proper", "cramer-right-side",
+        "product-shapes", "product-set-sizes"])
+def test_validation_errors(call, error):
+    with pytest.raises(error):
+        call()

@@ -31,6 +31,8 @@ from canonform.domain import (
 from canonform.errors import (
     DivisionByZero,
     FactorizationIncomplete,
+    NotAUnit,
+    OutputTooLarge,
     ParseError,
     RingMismatch,
     ZeroArgument,
@@ -592,3 +594,48 @@ class TestQxKernels:
         with pytest.raises(FrozenInstanceError):
             del p.raw
         assert p == poly(1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("p", [integer(-3), rational(-2, 3), polynomial([Fraction(1, 2), -1, 2])],
+                         ids=["Z", "Q", "Q[x]"])
+def test_pow_equals_repeated_product(p):
+    acc = Elem.one(p.ring)
+    for e in range(10):
+        assert p ** e == acc
+        acc = acc * p
+
+
+def test_pow_squares():
+    start = time.perf_counter()
+    x = integer(3) ** 200000
+    assert time.perf_counter() - start < 0.5
+    assert x.value == 3 ** 200000
+    with pytest.raises(ValueError, match="negative exponent"):
+        integer(3) ** -1
+
+
+def test_format_scalar_digit_limit():
+    assert format_scalar(integer(10**4299)) == "1" + "0" * 4299
+    big = 10**4300
+    for a in (integer(-big), rational(1, big), polynomial([1, Fraction(big, 7)])):
+        with pytest.raises(OutputTooLarge, match="4301-digit"):
+            format_scalar(a)
+
+
+def test_lcm_of_zeros_is_zero():
+    assert lcm(integer(0), integer(0)) == integer(0)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: integer(3).degree(), RingMismatch, "Q\\[x\\] scalars only"),
+    (lambda: polynomial([]).degree(), ZeroArgument, "no degree"),
+    (lambda: integer(2).unit_inverse(), NotAUnit, "not a unit"),
+    (lambda: canonical_residue(integer(1), rational(2)), RingMismatch, "modulus ring"),
+    (lambda: gcd(integer(1), rational(2)), RingMismatch, "Z vs Q"),
+    (lambda: egcd(integer(1), rational(2)), RingMismatch, "Z vs Q"),
+    (lambda: parse_scalar("x+1/0", Ring.QX), ParseError, "zero denominator"),
+], ids=["degree-on-Z", "degree-of-zero", "unit-inverse", "residue-rings", "gcd-rings",
+        "egcd-rings", "qx-zero-denominator"])
+def test_validation_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -5,7 +5,14 @@ import pytest
 
 from canonform.determinant import det, rank_by_minors
 from canonform.domain import Elem, Ring, integer, rational
-from canonform.errors import AllZeroColumn, NotAUnit, UnsupportedRing
+from canonform.errors import (
+    AllZeroColumn,
+    IndexOutOfRange,
+    NotAUnit,
+    RingMismatch,
+    ShapeMismatch,
+    UnsupportedRing,
+)
 from canonform.hermite import (
     ElemOp,
     apply_op,
@@ -381,3 +388,36 @@ class TestStabilizer:
             p = Matrix.from_rows(Ring.Z, p_rows)
             assert p @ res.h == res.h
             assert stabilizer_shape(p, r)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: ElemOp("rotate", "row", 1, 2), ValueError),
+    (lambda: ElemOp("swap", "diagonal", 1, 2), ValueError),
+    (lambda: ElemOp("addmul", "row", 1, 1, integer(2)), ValueError),
+    (lambda: apply_op(mat_z([[1], [2]]), row_swap(1, 3)), IndexOutOfRange),
+    (lambda: apply_op(mat_z([[1], [2]]), row_addmul(1, rational(1), 2)), RingMismatch),
+    (lambda: clear_column(mat_z([[1], [2]]), 2, [1, 2], 1), IndexOutOfRange),
+    (lambda: clear_column(mat_z([[1], [2]]), 1, [1, 2], 3), IndexOutOfRange),
+    (lambda: clear_column(mat_z([[1], [2]]), 1, [1, 3], 1), IndexOutOfRange),
+    (lambda: solve(mat_q([[1, 0], [0, 1]]), vector(Ring.Q, [1])), ShapeMismatch),
+    (lambda: decompose_unit(mat_z([[1, 0]])), NotAUnit),
+], ids=["op-kind", "op-axis", "op-same-index", "apply-range", "apply-ring",
+        "clear-column-range", "clear-column-chosen-row", "clear-column-listed-row",
+        "solve-right-side", "decompose-not-square"])
+def test_validation_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_nonzero_row_after_zero_row_is_not_canonical():
+    assert is_hermite_canonical(mat_z([[0, 0], [0, 1]])) is None
+
+
+@pytest.mark.parametrize("p,r", [
+    (mat_z([[1, 0, 0]]), 0),
+    (mat_z([[1, 0], [0, 1]]), 3),
+    (mat_z([[2, 0], [0, 1]]), 1),
+    (mat_z([[1, 0], [1, 1]]), 1),
+], ids=["not-square", "r-range", "top-not-identity", "nonzero-below"])
+def test_stabilizer_shape_rejects(p, r):
+    assert stabilizer_shape(p, r) is False

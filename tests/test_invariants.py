@@ -7,6 +7,7 @@ from canonform.domain import Ring, canonical_associate, integer, polynomial
 from canonform.errors import (
     FactorizationIncomplete,
     RankTooSmall,
+    RingMismatch,
     ShapeMismatch,
     TooLargeForOracle,
 )
@@ -227,3 +228,12 @@ def test_report_entries_canonical():
             for prime, exp in rep.elementary_divisors:
                 assert exp >= 1
                 assert canonical_associate(prime)[1] == prime
+
+
+@pytest.mark.parametrize("eds,error", [
+    ([(polynomial([-1, 1]), 1)], RingMismatch),
+    ([(integer(2), 0)], ValueError),
+], ids=["ring", "exponent-below-1"])
+def test_from_elementary_validation(eds, error):
+    with pytest.raises(error):
+        invariant_factors_from_elementary(eds, 2, Ring.Z)

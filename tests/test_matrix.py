@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from canonform.domain import Ring, integer
+from canonform.domain import Elem, Ring, integer
 from canonform.errors import (
     BadIndexSet,
     EmptyResult,
@@ -16,10 +16,12 @@ from canonform.matrix import (
     direct_sum,
     format_matrix,
     general_direct_sum,
+    lift,
     mat_q,
     mat_z,
     multiply,
     parse_matrix,
+    parse_matrix_file,
     submatrix,
     submatrix_sets,
     vector,
@@ -268,3 +270,47 @@ def test_empty_matrices_rejected():
 def test_mixed_entry_rings_rejected():
     with pytest.raises(RingMismatch):
         mat_z([[integer(1), mat_q([[1]]).entry(1, 1)]])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_power_equals_repeated_product(ring):
+    a = random_matrix(random.Random(f"power/{ring}"), ring, 3, 3, bound=3, max_deg=1)
+    acc = Matrix.identity(ring, 3)
+    for e in range(10):
+        assert a.power(e) == acc
+        acc = acc @ a
+    with pytest.raises(ValueError, match="negative exponent"):
+        a.power(-1)
+
+
+def test_power_of_a_jordan_block():
+    assert mat_z([[2, 1], [0, 2]]).power(10) == mat_z([[1024, 5120], [0, 1024]])
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(b"ring Z\nrows 1\ncols 1\n\xff\n")
+    with pytest.raises(ParseError, match="cannot read"):
+        parse_matrix_file(str(path))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: Matrix(Ring.Z, 2, 2, (Elem.one(Ring.Z),)), ShapeMismatch),
+    (lambda: mat_z([[1, 2], [3]]), ShapeMismatch),
+    (lambda: mat_z([[1]]).entry(2, 1), IndexOutOfRange),
+    (lambda: mat_z([[1]]) + mat_z([[1, 2]]), ShapeMismatch),
+    (lambda: mat_z([[1, 2]]).power(2), ShapeMismatch),
+    (lambda: submatrix(mat_z([[1]]), [], [1]), BadIndexSet),
+    (lambda: submatrix_sets(mat_z([[1]]), [2], [1]), IndexOutOfRange),
+    (lambda: submatrix_sets(mat_z([[1, 2], [3, 4]]), [1], [1], "keep"), BadIndexSet),
+    (lambda: general_direct_sum(mat_z([[1]]), mat_z([[2]]), [3], [1]), BadIndexSet),
+    (lambda: lift(mat_q([[1]]), Ring.Z), RingMismatch),
+    (lambda: parse_matrix("ring Z\nrows 1\n"), ParseError),
+    (lambda: parse_matrix("ring Z\nrows one\ncols 1\n1\n"), ParseError),
+    (lambda: parse_matrix("ring Z\nrows 1\ncols 1.5\n1\n"), ParseError),
+], ids=["entry-count", "ragged", "entry-range", "add-shapes", "power-not-square",
+        "empty-selector", "sets-range", "sets-mode", "direct-sum-range", "lift-q-to-z",
+        "short-header", "rows-not-int", "cols-not-int"])
+def test_validation_errors(call, error):
+    with pytest.raises(error):
+        call()

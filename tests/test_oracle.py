@@ -19,6 +19,7 @@ from canonform.domain import Ring, factor, polynomial
 from canonform.hermite import hermite_canonical
 from canonform.matrix import Matrix, mat_q
 from canonform.similarity import (
+    SimilarityCertificate,
     char_poly,
     jordan,
     minimal_poly,
@@ -243,3 +244,32 @@ def test_factor_replays_planted_products(seed):
         replay = replay * p ** e
     assert replay == a
     assert dict(powers) == planted
+
+
+def certificate_triple(rng, n):
+    """(A, S, B): B = S^-1 A S for a random S, or, one time in four each,
+    a singular S (last row twice the first, zero when n = 1) or a B with
+    one entry moved by one."""
+    a = random_matrix(rng, Ring.Q, n, n, bound=5)
+    s = random_matrix(rng, Ring.Q, n, n, bound=5)
+    roll = rng.random()
+    if roll < 1 / 4:
+        rows = s.rows()
+        rows[-1] = [(2 if n > 1 else 0) * x for x in rows[0]]
+        s = Matrix.from_rows(Ring.Q, rows)
+    sa, ss = SMatrix(rows_of(a)), SMatrix(rows_of(s))
+    b = ss.inv() * sa * ss if ss.det() != 0 else sa
+    b = [[to_fraction(b[i, j]) for j in range(n)] for i in range(n)]
+    if roll > 3 / 4:
+        i, j = rng.randrange(n), rng.randrange(n)
+        b[i][j] += 1
+    return a, s, mat_q(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_certificate_verify_agrees_with_sympy(seed, n):
+    a, s, b = certificate_triple(random.Random(seed), n)
+    sa, ss, sb = (SMatrix(rows_of(m)) for m in (a, s, b))
+    want = ss.det() != 0 and ss.inv() * sa * ss == sb
+    assert SimilarityCertificate(s, b).verify(a) is want

@@ -12,6 +12,7 @@ from canonform.perm import (
     decompose_injection,
     index,
     inverse,
+    inversion_count,
     inversions,
     sign,
 )
@@ -168,3 +169,14 @@ def test_bad_one_line_rejected():
         Injection((1, 1), codomain=3)
     with pytest.raises(ValueError):
         Injection((4,), codomain=3)
+
+
+def test_inversion_count_matches_inversions():
+    rng = random.Random("inversion-count")
+    perms = [Permutation.identity(7), Permutation(tuple(range(9, 0, -1)))]
+    for _ in range(200):
+        images = list(range(1, rng.randint(0, 60) + 1))
+        rng.shuffle(images)
+        perms.append(Permutation(tuple(images)))
+    for f in perms:
+        assert inversion_count(f) == len(inversions(f)), f.images

@@ -6,14 +6,22 @@ import pytest
 from canonform.domain import (
     Ring,
     factor,
+    integer,
     polynomial,
     prime_sort_key,
     rational,
 )
-from canonform.errors import NonLinearElementaryDivisor, NotMonic
+from canonform.errors import (
+    NonLinearElementaryDivisor,
+    NotMonic,
+    NotSquare,
+    RingMismatch,
+    ShapeMismatch,
+)
 from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z
 from canonform.smith import smith
 from canonform.similarity import (
+    SimilarityCertificate,
     canonical_presentation,
     char_matrix,
     char_poly,
@@ -452,3 +460,102 @@ class TestSmithReuse:
         assert similar(self.A, b) is not None
         assert len(evals) == 1
         assert inverted.count(Ring.QX) == 1
+
+
+class TestVerifyReplay:
+    """verify checks det(S) != 0 and A S = S target over Q, never S^-1."""
+
+    A = mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])
+    J = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
+
+    def test_singular_commuting_s_is_rejected(self):
+        d = mat_q([[1, 0], [0, 2]])
+        s = mat_q([[1, 0], [0, 0]])
+        assert d @ s == s @ d  # A S = S B holds, but S is singular
+        assert SimilarityCertificate(s, d).verify(d) is False
+
+    def test_invertible_s_that_does_not_conjugate(self):
+        cert = SimilarityCertificate(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [0, 2]]))
+        assert cert.verify(mat_q([[2, 0], [0, 1]])) is False
+
+    @pytest.mark.parametrize("ring", [Ring.Z, Ring.QX])
+    def test_s_over_another_ring(self, ring):
+        b = mat_q([[1, 2], [0, 3]])
+        assert SimilarityCertificate(Matrix.identity(Ring.Q, 2), b).verify(b) is True
+        assert SimilarityCertificate(Matrix.identity(ring, 2), b).verify(b) is False
+
+    def test_valid_certificates(self):
+        cert, form = jordan(self.A)
+        assert form == self.J and cert.verify(self.A) is True
+        a = mat_z([[2, 1], [0, 3]])
+        cert, _ = rcf(a)
+        assert cert.verify(a) is True  # a Z source is lifted to Q
+        assert SimilarityCertificate(Matrix.identity(Ring.Q, 2),
+                                     lift(a, Ring.Q)).verify(a) is True
+
+    def test_replay_inverts_nothing(self, monkeypatch):
+        import canonform.determinant as det_mod
+        import canonform.hermite as herm_mod
+        import canonform.matrix as mat_mod
+        cert = similar(self.A, self.J)
+        calls = {"det": 0, "multiply": 0}
+        orig_det, orig_multiply = det_mod.det, mat_mod.multiply
+
+        def forbidden(*args):
+            raise AssertionError("a matrix was inverted during the replay")
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(det_mod, "inverse", forbidden)
+        monkeypatch.setattr(herm_mod, "hermite_canonical", forbidden)
+        monkeypatch.setattr(det_mod, "det", counted("det", orig_det))
+        monkeypatch.setattr(mat_mod, "multiply", counted("multiply", orig_multiply))
+        assert cert.verify(self.A) is True
+        assert calls == {"det": 1, "multiply": 2}
+
+    @pytest.mark.parametrize("fn", [rcf, jordan, lambda a: similar(a, a)],
+                             ids=["rcf", "jordan", "similar"])
+    def test_one_inverse_per_conjugator_over_qx(self, fn, monkeypatch):
+        import canonform.determinant as det_mod
+        inverted, orig_inverse = [], det_mod.inverse
+
+        def counted(m):
+            inverted.append(m.ring)
+            return orig_inverse(m)
+
+        monkeypatch.setattr(det_mod, "inverse", counted)
+        fn(self.A)
+        assert inverted == [Ring.QX]
+
+
+@pytest.mark.parametrize("alpha", [0.1, "1/2", poly(1, 2)], ids=["float", "str", "Q[x]"])
+def test_hypercompanion_rejects_non_rational_alpha(alpha):
+    with pytest.raises(RingMismatch):
+        hypercompanion(alpha, 2)
+
+
+@pytest.mark.parametrize("alpha", [3, Fraction(1, 2), integer(3), rational(1, 2)])
+def test_hypercompanion_takes_exact_alpha(alpha):
+    value = Fraction(alpha.value if hasattr(alpha, "value") else alpha)
+    assert hypercompanion(alpha, 2) == mat_q([[value, 1], [0, value]])
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: char_matrix(mat_q([[1, 2]])), NotSquare),
+    (lambda: char_poly(mat_qx([["x"]])), RingMismatch),
+    (lambda: canonical_presentation(mat_q([[1]])), RingMismatch),
+    (lambda: right_eval(mat_qx([["x", "1"]]), mat_q([[1]])), ShapeMismatch),
+    (lambda: scalar_poly_eval(rational(2), mat_q([[1]])), RingMismatch),
+    (lambda: companion(poly(3)), NotMonic),
+    (lambda: hypercompanion(1, 0), ShapeMismatch),
+    (lambda: similar(mat_q([[1]]), mat_q([[1, 0], [0, 1]])), ShapeMismatch),
+], ids=["not-square", "qx-input", "presentation-of-q", "eval-shape",
+        "scalar-eval-not-qx", "companion-of-constant", "hypercompanion-k0",
+        "similar-sizes"])
+def test_validation_errors(call, error):
+    with pytest.raises(error):
+        call()
