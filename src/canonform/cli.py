@@ -13,10 +13,10 @@ import sys
 from . import perm
 from .determinant import det as compute_det
 from .determinant import is_unimodular
-from .domain import format_scalar
+from .domain import brief, format_scalar
 from .errors import Error, ParseError
 from .hermite import hermite_canonical, hermite_form, solve
-from .invariants import invariant_report
+from .invariants import elementary_divisor_values, invariant_report
 from .matrix import Matrix, parse_matrix_file
 from .similarity import char_poly, jordan, minimal_poly, rcf, similar
 from .smith import smith
@@ -135,7 +135,7 @@ def _cmd_invariants(args) -> int:
     rep = invariant_report(a)
     fs = [format_scalar(f) for f in rep.det_divisors]
     qs = [format_scalar(q) for q in rep.invariant_factors]
-    eds = [format_scalar(p ** e) for p, e in rep.elementary_divisors]
+    eds = [format_scalar(v) for v in elementary_divisor_values(rep.elementary_divisors)]
     report = _envelope("invariants", rank=rep.rank, diag=qs, det_divisors=fs,
                        invariant_factors=qs, elementary_divisors=eds)
     lines = [
@@ -200,7 +200,8 @@ def _cmd_perm(args) -> int:
         images = tuple(int(tok) for tok in args.oneline.split(","))
         f = perm.Permutation(images)
     except ValueError as exc:
-        raise ParseError(f"bad one-line permutation {args.oneline!r}: {exc}") from None
+        raise ParseError(
+            f"bad one-line permutation {brief(args.oneline)}: {exc}") from None
     cyc_str = "".join("(" + ",".join(map(str, c)) + ")" for c in perm.cycles(f))
     index, inversions, sign = perm.index(f), perm.inversion_count(f), perm.sign(f)
     inverse = ",".join(map(str, perm.inverse(f).images))

@@ -4,13 +4,15 @@ minors, and inversion over the ring.
 
 A unit matrix is inverted through its Hermite canonical form, which is the
 identity, so the row transform is the inverse; no adjugate is formed.
+`inverse` is public API with no caller in the library: the similarity
+code reads Q_B^-1 off smith's replayed identity instead.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from typing import Iterable
 
-from .domain import Elem, Ring, gcd
+from .domain import Elem, Ring, brief, gcd
 from .errors import (
     BadIndexSet,
     CertificateFailed,
@@ -161,7 +163,7 @@ def inverse(a: Matrix) -> Matrix:
     _require_square(a)
     res = hermite_canonical(a)
     if res.h != Matrix.identity(a.ring, a.m):
-        raise NotAUnit(f"determinant {det(a)} is not a unit of {a.ring}")
+        raise NotAUnit(f"determinant {brief(det(a))} is not a unit of {a.ring}")
     return res.q
 
 
@@ -214,7 +216,8 @@ def minor_of_product(
     for fs in combinations(range(1, a.n + 1), k):
         rhs = rhs + det(submatrix(a, gs, fs)) * det(submatrix(b, fs, hs))
     if lhs != rhs:
-        raise CertificateFailed(f"Cauchy-Binet self-check failed: {lhs} != {rhs}")
+        raise CertificateFailed(
+            f"Cauchy-Binet self-check failed: {brief(lhs)} != {brief(rhs)}")
     return lhs
 
 

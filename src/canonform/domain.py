@@ -21,6 +21,7 @@ from itertools import product
 from typing import Iterable, Union
 
 from .errors import (
+    BadExponent,
     DivisionByZero,
     ExactDivisionError,
     FactorizationIncomplete,
@@ -74,7 +75,7 @@ def _qfrom(cs: Iterable) -> tuple:
     for c in cs:  # the exact-type tests first: isinstance is slower
         if not (c.__class__ is int or c.__class__ is Fraction
                 or isinstance(c, (int, Fraction))):
-            raise RingMismatch(f"cannot coerce coefficient {c!r} into Q[x]")
+            raise RingMismatch(f"cannot coerce coefficient {brief(c)} into Q[x]")
     den = math.lcm(*[c.denominator for c in cs])
     return _qnorm([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -166,7 +167,7 @@ class Elem:
         elif ring is _QX and isinstance(value, (int, Fraction)):
             raw = _qfrom((value,))
         else:
-            raise RingMismatch(f"cannot coerce {value!r} into {ring}")
+            raise RingMismatch(f"cannot coerce {brief(value)} into {ring}")
         _set_ring(self, ring)
         _set_raw(self, raw)
 
@@ -226,7 +227,7 @@ class Elem:
 
     def unit_inverse(self) -> "Elem":
         if not self.is_unit():
-            raise NotAUnit(f"{self} is not a unit of {self.ring}")
+            raise NotAUnit(f"{brief(self)} is not a unit of {self.ring}")
         if self.ring is _Z:
             return self
         if self.ring is _Q:
@@ -301,7 +302,8 @@ class Elem:
     def exact_div(self, other) -> "Elem":
         q, r = divmod(self, other)
         if not r.is_zero():
-            raise ExactDivisionError(f"{self} is not divisible by {other}")
+            raise ExactDivisionError(
+                f"{brief(self)} is not divisible by {brief(self._coerced(other))}")
         return q
 
     def __str__(self) -> str:
@@ -326,7 +328,7 @@ _ONE = {_Z: _mk(_Z, 1), _Q: _mk(_Q, Fraction(1)), _QX: _mk(_QX, ((1,), 1))}
 def power(base, e: int, one, mul):
     """base ** e for e >= 0 under the product mul, by square and multiply."""
     if e < 0:
-        raise ValueError("negative exponent")
+        raise BadExponent("negative exponent")
     out = one
     while e:
         if e & 1:
@@ -497,7 +499,7 @@ def _rational_root_split(p: Elem) -> tuple[list[Elem], Elem]:
                 tests += 1
                 if tests > _ROOT_SEARCH_LIMIT:
                     raise FactorizationIncomplete(
-                        f"rational-root search on {p} passed "
+                        f"rational-root search on {brief(p)} passed "
                         f"{_ROOT_SEARCH_LIMIT} candidates")
                 acc, bk = ints[-1], 1
                 for c in reversed(ints[:-1]):
@@ -530,7 +532,7 @@ def _split_squarefree(p: Elem) -> list[Elem]:
     if deg <= 3:
         return linear + [rest]
     raise FactorizationIncomplete(
-        f"cannot factor degree-{deg} polynomial {rest} over Q"
+        f"cannot factor degree-{deg} polynomial {brief(rest)} over Q"
     )
 
 
@@ -652,18 +654,18 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
     """Parse one whitespace-free scalar in the domain grammar."""
     if ring is Ring.Z:
         if not _INT_RE.match(text):
-            raise ParseError(f"bad integer scalar {text!r}")
+            raise ParseError(f"bad integer scalar {brief(text)}")
         return _mk(_Z, _parse_int(text))
     if ring is Ring.Q:
         m = _RAT_RE.match(text)
         if not m:
-            raise ParseError(f"bad rational scalar {text!r}")
+            raise ParseError(f"bad rational scalar {brief(text)}")
         num, den = _parse_int(m.group(1)), _parse_int(m.group(2) or "1")
         if den == 0:
-            raise ParseError(f"zero denominator in {text!r}")
+            raise ParseError(f"zero denominator in {brief(text)}")
         return _mk(_Q, Fraction(num, den))
     if not text or " " in text:
-        raise ParseError(f"bad polynomial scalar {text!r}")
+        raise ParseError(f"bad polynomial scalar {brief(text)}")
     coeffs: dict[int, Fraction] = {}
     pos = 0
     while pos < len(text):  # after the first term, pos sits on a sign
@@ -676,7 +678,8 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
             end += 1
         m = _TERM_RE.match(text[pos:end])
         if not m or pos == end:
-            raise ParseError(f"bad polynomial term {text[pos:end]!r} in {text!r}")
+            raise ParseError(
+                f"bad polynomial term {brief(text[pos:end])} in {brief(text)}")
         try:
             if m.group("const") is not None:
                 k, c = 0, Fraction(m.group("const"))
@@ -684,7 +687,7 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
                 k = int(m.group("pow") or 1)
                 c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {text!r}") from None
+            raise ParseError(f"zero denominator in {brief(text)}") from None
         except ValueError:  # more digits than int() converts
             raise ParseError(
                 f"a number in a {end - pos}-character term is too long"
@@ -734,3 +737,29 @@ def format_scalar(a: Elem) -> str:
         digits = max(_digit_count(abs(n)) for c in cs
                      for n in (c.numerator, c.denominator) if n)
         raise OutputTooLarge(f"a {digits}-digit number is too long to print") from None
+
+
+# Longest operand text an error message shows; a longer one is named by size.
+_BRIEF_LIMIT = 80
+
+
+def brief(v) -> str:
+    """An operand as an error message shows it: format_scalar of an Elem,
+    repr of anything else, when that is at most _BRIEF_LIMIT characters;
+    otherwise its size, such as "a 5001-digit integer"."""
+    try:
+        text = format_scalar(v) if isinstance(v, Elem) else repr(v)
+        if len(text) <= _BRIEF_LIMIT:
+            return text
+    except ValueError:  # OutputTooLarge, or repr of an int over 4300 digits
+        pass
+    if isinstance(v, Elem):
+        if v.ring is _QX:
+            return f"a degree-{len(v.raw[0]) - 1} polynomial"
+        v = v.raw
+    if isinstance(v, (int, Fraction)):
+        digits = _digit_count(max(abs(v.numerator), v.denominator))
+        return f"a {digits}-digit {'integer' if isinstance(v, int) else 'rational'}"
+    if isinstance(v, (str, list, tuple)):
+        return f"a {type(v).__name__} of length {len(v)}"
+    return f"a {type(v).__name__}"

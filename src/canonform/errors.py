@@ -63,6 +63,15 @@ class BadIndexSet(Error, ValueError):
     pass
 
 
+class BadOperation(Error, ValueError):
+    """An elementary operation of unknown kind or axis, or one that names
+    the same index twice."""
+
+
+class BadExponent(Error, ValueError):
+    """A negative power, or an elementary divisor exponent below 1."""
+
+
 class EmptyResult(Error, ValueError):
     pass
 

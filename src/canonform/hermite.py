@@ -16,6 +16,7 @@ from . import determinant
 from .domain import (
     Elem,
     Ring,
+    brief,
     canonical_associate,
     canonical_residue,
     egcd,
@@ -23,6 +24,7 @@ from .domain import (
 )
 from .errors import (
     AllZeroColumn,
+    BadOperation,
     IndexOutOfRange,
     NotAUnit,
     RingMismatch,
@@ -45,11 +47,11 @@ class ElemOp:
 
     def __post_init__(self):
         if self.kind not in ("swap", "addmul", "scale"):
-            raise ValueError(f"bad op kind {self.kind!r}")
+            raise BadOperation(f"bad op kind {self.kind!r}")
         if self.axis not in ("row", "col"):
-            raise ValueError(f"bad axis {self.axis!r}")
+            raise BadOperation(f"bad axis {self.axis!r}")
         if self.kind in ("swap", "addmul") and self.i == self.j:
-            raise ValueError("swap/addmul need two distinct indices")
+            raise BadOperation("swap/addmul need two distinct indices")
 
     def inverted(self) -> "ElemOp":
         if self.kind == "swap":
@@ -100,7 +102,7 @@ def apply_op(a: Matrix, op: ElemOp) -> Matrix:
     if op.coeff is not None and op.coeff.ring is not a.ring:
         raise RingMismatch("op coefficient ring mismatch")
     if op.kind == "scale" and not op.coeff.is_unit():
-        raise NotAUnit(f"scale coefficient {op.coeff} is not a unit")
+        raise NotAUnit(f"scale coefficient {brief(op.coeff)} is not a unit")
     if op.axis == "row":
         rows = a.rows()
         _apply_rows(op, rows)

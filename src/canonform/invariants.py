@@ -8,8 +8,14 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .determinant import gcd_of_minors
-from .domain import Elem, Ring, factor, prime_sort_key
-from .errors import RankTooSmall, RingMismatch, ShapeMismatch, TooLargeForOracle
+from .domain import Elem, Ring, brief, factor, prime_sort_key
+from .errors import (
+    BadExponent,
+    RankTooSmall,
+    RingMismatch,
+    ShapeMismatch,
+    TooLargeForOracle,
+)
 from .matrix import Matrix
 from .smith import smith
 
@@ -73,13 +79,13 @@ def invariant_factors_from_elementary(
         if p.ring is not ring:
             raise RingMismatch("elementary divisor ring mismatch")
         if e < 1:
-            raise ValueError("exponents must be positive")
+            raise BadExponent("exponents must be positive")
         per_prime.setdefault(p, []).append(e)
     qs = [Elem.one(ring) for _ in range(r)]
     for p, exps in per_prime.items():
         if len(exps) > r:
             raise RankTooSmall(
-                f"prime {p} occurs {len(exps)} times but rank is {r}"
+                f"prime {brief(p)} occurs {len(exps)} times but rank is {r}"
             )
         exps = [0] * (r - len(exps)) + sorted(exps)
         for t, e in enumerate(exps):

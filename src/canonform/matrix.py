@@ -167,12 +167,9 @@ def submatrix_sets(
     alpha, beta = sorted(set(alpha)), sorted(set(beta))
     if any(not 1 <= i <= x.m for i in alpha) or any(not 1 <= j <= x.n for j in beta):
         raise IndexOutOfRange("index set outside matrix bounds")
-    try:
-        rmode, cmode = mode.split("-")
-        if rmode not in ("keep", "drop") or cmode not in ("keep", "drop"):
-            raise ValueError
-    except ValueError:
-        raise BadIndexSet(f"bad mode {mode!r}") from None
+    rmode, _, cmode = mode.partition("-")
+    if rmode not in ("keep", "drop") or cmode not in ("keep", "drop"):
+        raise BadIndexSet(f"bad mode {mode!r}")
     rows = alpha if rmode == "keep" else [i for i in range(1, x.m + 1) if i not in alpha]
     cols = beta if cmode == "keep" else [j for j in range(1, x.n + 1) if j not in beta]
     if not rows or not cols:
@@ -297,10 +294,6 @@ def vector(ring: Ring, values: Sequence) -> Matrix:
     return Matrix.from_rows(ring, [[v] for v in values])
 
 
-def scalar_matrix(ring: Ring, size: int, c) -> Matrix:
-    return Matrix.identity(ring, size).scale(coerce(ring, c))
-
-
 def x_identity(size: int) -> Matrix:
     """x * I_n over Q[x]."""
-    return scalar_matrix(Ring.QX, size, domain.X)
+    return Matrix.identity(Ring.QX, size).scale(domain.X)

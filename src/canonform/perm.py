@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SizeMismatch
+from .domain import brief
+from .errors import BadIndexSet, SizeMismatch
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,7 @@ class Permutation:
     def __post_init__(self):
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images} is not a rearrangement of 1..{n}")
+            raise BadIndexSet(f"{brief(self.images)} is not a rearrangement of 1..{n}")
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -115,9 +116,9 @@ class Injection:
 
     def __post_init__(self):
         if len(set(self.images)) != len(self.images):
-            raise ValueError(f"{self.images} is not injective")
+            raise BadIndexSet(f"{brief(self.images)} is not injective")
         if any(not 1 <= v <= self.codomain for v in self.images):
-            raise ValueError(f"{self.images} leaves codomain 1..{self.codomain}")
+            raise BadIndexSet(f"{brief(self.images)} leaves codomain 1..{self.codomain}")
 
     @property
     def n(self) -> int:

@@ -4,7 +4,9 @@ rational (Frobenius) and Jordan canonical forms.
 
 Constant matrices live over Q (Z inputs are lifted); polynomial matrices
 over Q[x].  `rcf` and `jordan` compute the Smith form of xI - A once and
-reuse it both for the elementary divisors and for the conjugator.
+reuse it both for the elementary divisors and for the conjugator
+S = rho_B(Q_A D_B^-1 P_B (xI - B)), read off the two replayed Smith
+identities: no matrix is inverted.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import determinant
-from .domain import Elem, Ring, polynomial, valuation
+from .domain import Elem, Ring, brief, polynomial, valuation
 from .errors import (
     CertificateFailed,
     Error,
@@ -128,7 +130,7 @@ def companion(q: Elem) -> Matrix:
     """Companion matrix of a monic polynomial: superdiagonal ones, bottom
     row a_j with q(x) = x^k - sum a_j x^j (so a_j = -coeff_j(q))."""
     if q.ring is not Ring.QX or q.is_zero() or q.value[-1] != 1:
-        raise NotMonic(f"{q} is not monic")
+        raise NotMonic(f"{brief(q)} is not monic")
     k = q.degree()
     if k < 1:
         raise NotMonic("companion needs degree >= 1")
@@ -193,12 +195,19 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
 def _conjugator(a: Matrix, res_a: SmithResult, b: Matrix,
                 res_b: SmithResult) -> Optional[SimilarityCertificate]:
     """S = rho_B(Q_A Q_B^-1) with S^-1 A S = B from the Smith forms of
-    xI - A and xI - B, or None when their invariant factors differ;
-    the certificate is replayed by its own verify."""
+    xI - A and xI - B, or None when their invariant factors differ.
+    Q_B^-1 = D_B^-1 P_B (xI - B) is read off smith's replayed identity
+    P_B (xI - B) Q_B = D_B: one product and exact row divisions, no
+    inverse.  The certificate is replayed by its own verify."""
     if res_a.diag != res_b.diag:
         return None
+    rows = (res_b.p @ char_matrix(b)).rows()  # D_B Q_B^-1
+    for i, d in enumerate(res_b.diag):
+        rows[i], rems = zip(*(divmod(v, d) for v in rows[i]))
+        if any(not r.is_zero() for r in rems):
+            raise CertificateFailed(f"Q_B^-1 row {i + 1} is not polynomial")
     cert = SimilarityCertificate(
-        right_eval(res_a.q @ determinant.inverse(res_b.q), b), b)
+        right_eval(res_a.q @ Matrix.from_rows(Ring.QX, rows), b), b)
     if not cert.verify(a):
         raise CertificateFailed("similarity certificate replay S^-1 A S = B failed")
     return cert
@@ -233,7 +242,7 @@ def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     for p, _ in eds:
         if valuation(p) != 1:
             raise NonLinearElementaryDivisor(
-                f"elementary divisor prime {p} is not linear over Q"
+                f"elementary divisor prime {brief(p)} is not linear over Q"
             )
     blocks = [hypercompanion(-p.value[0], e) for p, e in eds]
     return _assemble(a, res_a, blocks)

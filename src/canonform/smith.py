@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import Elem, canonical_associate, egcd, valuation
+from .domain import Elem, brief, canonical_associate, egcd, valuation
 from .errors import CertificateFailed, ZeroArgument
 from .matrix import Matrix
 from .hermite import _apply_2x2_rows, _canonicalize
@@ -79,7 +79,8 @@ def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
     p2 = Matrix.from_rows(ring, [[one, one], [-c * u, (one - c) * u]])
     check = p2 @ Matrix.from_rows(ring, [[d1, zero], [zero, d2]]) @ q2
     if check != Matrix.from_rows(ring, [[delta, zero], [zero, lam]]):
-        raise CertificateFailed(f"smith_2x2 certificate failed on ({d1}, {d2})")
+        raise CertificateFailed(
+            f"smith_2x2 certificate failed on ({brief(d1)}, {brief(d2)})")
     return p2, q2, delta, lam
 
 
@@ -94,7 +95,8 @@ def _chain_pass(pwork, qtwork, diag, start):
         # loop variant: the leading slot's valuation strictly decreases
         if not valuation(delta) < valuation(lead):
             raise CertificateFailed(
-                f"chain pass variant broken: {delta} does not shrink {lead}")
+                f"chain pass variant broken: {brief(delta)} does not shrink "
+                f"{brief(lead)}")
         s, t = start + 1, other + 1
         _apply_2x2_rows(s, t, *p2.entries, pwork)
         q11, q12, q21, q22 = q2.entries
@@ -124,5 +126,6 @@ def smith(a: Matrix) -> SmithResult:
     for t in range(r - 1):
         if not divmod(diag[t + 1], diag[t])[1].is_zero():
             raise CertificateFailed(
-                f"divisibility chain broken: {diag[t]} does not divide {diag[t + 1]}")
+                f"divisibility chain broken: {brief(diag[t])} does not divide "
+                f"{brief(diag[t + 1])}")
     return SmithResult(p, q, d, tuple(diag), r)

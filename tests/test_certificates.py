@@ -15,12 +15,15 @@ from canonform.similarity import SimilarityCertificate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Corrupts smith_2x2's associate and diagonalize's P in smith and, two
-# ways, the right evaluation in similar, in a process started with -O;
-# exits 0 only when every corruption raises CertificateFailed (a zero S
-# must not surface as NotAUnit).
+# Corrupts smith_2x2's associate and diagonalize's P in smith, two ways
+# the right evaluation in similar, and the P_B that similar reads Q_B^-1
+# off, in a process started with -O; exits 0 only when every corruption
+# raises CertificateFailed (a zero S must not surface as NotAUnit).  P_B
+# gets its first row added to its last: scaling a row of P_B by a unit
+# only multiplies Q_B^-1 by a unit diagonal commuting with D_B, which
+# still gives a valid conjugator.
 CORRUPTED_STEPS = textwrap.dedent("""\
-    import importlib, sys
+    import dataclasses, importlib, sys
     from canonform.errors import CertificateFailed
     from canonform.matrix import Matrix, mat_q, mat_z
 
@@ -65,6 +68,20 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             sys.exit("corrupted similar was not caught")
         except CertificateFailed:
             pass
+    sim.right_eval = orig_eval
+
+    orig_char_smith = sim._char_smith
+    def last_row_plus_first(a):
+        res = orig_char_smith(a)
+        rows = res.p.rows()
+        rows[-1] = [u + v for u, v in zip(rows[-1], rows[0])]
+        return dataclasses.replace(res, p=Matrix.from_rows(res.p.ring, rows))
+    sim._char_smith = last_row_plus_first
+    try:
+        sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
+        sys.exit("corrupted P_B was not caught")
+    except CertificateFailed:
+        pass
     print("caught")
 """)
 

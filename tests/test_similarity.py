@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from canonform.determinant import inverse
 from canonform.domain import (
     Ring,
     factor,
@@ -439,27 +440,74 @@ class TestSmithReuse:
         assert cert is not None and cert.verify(self.A)
 
     def test_similar_inverts_one_polynomial_matrix(self, monkeypatch):
-        # S comes from one Q[x] inverse and one right evaluation; S^-1 is
-        # the inverse of the constant S over Q
+        # S comes from one right evaluation; Q_B^-1 is read off smith's
+        # replayed P_B (xI - B) Q_B = D_B, so no matrix is inverted
         import canonform.determinant as det_mod
+        import canonform.hermite as herm_mod
         import canonform.similarity as sim
-        evals, inverted = [], []
-        orig_eval, orig_inverse = sim.right_eval, det_mod.inverse
+        evals, orig_eval = [], sim.right_eval
 
         def counted_eval(p, a):
             evals.append(p)
             return orig_eval(p, a)
 
-        def counted_inverse(m):
-            inverted.append(m.ring)
-            return orig_inverse(m)
+        def forbidden(*args):
+            raise AssertionError("a matrix was inverted")
 
         monkeypatch.setattr(sim, "right_eval", counted_eval)
-        monkeypatch.setattr(det_mod, "inverse", counted_inverse)
+        monkeypatch.setattr(det_mod, "inverse", forbidden)
+        monkeypatch.setattr(herm_mod, "hermite_canonical", forbidden)
         b = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
-        assert similar(self.A, b) is not None
+        cert = similar(self.A, b)
+        assert cert is not None and cert.verify(self.A)
         assert len(evals) == 1
-        assert inverted.count(Ring.QX) == 1
+
+
+def _conjugated(rng, blocks):
+    """(U^-1 F U, F) for the direct sum F of the blocks and a random U."""
+    form = blocks[0]
+    for blk in blocks[1:]:
+        form = direct_sum(form, blk)
+    u = lift(random_unimodular(rng, Ring.Z, form.m), Ring.Q)
+    return inverse(u) @ form @ u, form
+
+
+def _oracle_corpus():
+    """pytest params (call, A, B or None): seeded conjugated Jordan and companion
+    inputs, and similar(a, a) on random Q matrices n = 2..7.  rcf gets one
+    companion block, since factor declines a product of two rootless
+    quadratics; similar takes the direct sum itself and factors nothing."""
+    rng = random.Random(20261018)
+    cases = []
+    for k in range(12):
+        jblocks = [hypercompanion(rational(rng.randint(-2, 2), rng.choice([1, 2])),
+                                  rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        cblocks = [companion(poly(rng.randint(-3, 3), rng.randint(-2, 2), 1))
+                   for _ in range(rng.randint(1, 2))]
+        cases.append(pytest.param(jordan, _conjugated(rng, jblocks)[0], None,
+                                  id=f"jordan-{k}"))
+        a = _conjugated(rng, jblocks[:1] + cblocks[:1])[0]
+        cases.append(pytest.param(rcf, a, None, id=f"rcf-{k}"))
+        cases.append(pytest.param(similar, *_conjugated(rng, jblocks + cblocks),
+                                  id=f"similar-{k}"))
+    for n in range(2, 8):
+        a = random_matrix(random.Random(n), Ring.Q, n, n, bound=5)
+        cases.append(pytest.param(similar, a, a, id=f"self-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("call,a,b", _oracle_corpus())
+def test_conjugator_matches_inverted_q_b(call, a, b):
+    # Q_B^-1 = D_B^-1 P_B (xI - B) is the unique inverse of Q_B, so S is
+    # the one the former rho_B(Q_A inverse(Q_B)) gave
+    from canonform.similarity import _char_smith
+    if b is None:
+        cert, b = call(a)
+    else:
+        cert = call(a, b)
+    reference = right_eval(_char_smith(a).q @ inverse(_char_smith(b).q), lift(b, Ring.Q))
+    assert cert.s == reference
+    assert cert.verify(a)
 
 
 class TestVerifyReplay:
@@ -520,16 +568,19 @@ class TestVerifyReplay:
     @pytest.mark.parametrize("fn", [rcf, jordan, lambda a: similar(a, a)],
                              ids=["rcf", "jordan", "similar"])
     def test_one_inverse_per_conjugator_over_qx(self, fn, monkeypatch):
+        # no inverse at all now: neither determinant.inverse nor the
+        # hermite_canonical it would run
         import canonform.determinant as det_mod
-        inverted, orig_inverse = [], det_mod.inverse
+        import canonform.hermite as herm_mod
 
-        def counted(m):
-            inverted.append(m.ring)
-            return orig_inverse(m)
+        def forbidden(*args):
+            raise AssertionError("a matrix was inverted")
 
-        monkeypatch.setattr(det_mod, "inverse", counted)
-        fn(self.A)
-        assert inverted == [Ring.QX]
+        monkeypatch.setattr(det_mod, "inverse", forbidden)
+        monkeypatch.setattr(herm_mod, "hermite_canonical", forbidden)
+        cert = fn(self.A)
+        cert = cert[0] if isinstance(cert, tuple) else cert
+        assert cert.verify(self.A)
 
 
 @pytest.mark.parametrize("alpha", [0.1, "1/2", poly(1, 2)], ids=["float", "str", "Q[x]"])

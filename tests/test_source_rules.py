@@ -1,0 +1,57 @@
+"""Rules read off the library source.
+
+A certificate is replayed by an explicit check that raises, never by an
+`assert` (which `python -O` strips), and every error the library raises is
+a class of canonform.errors, so the CLI can map it to an exit code.  A
+bare `raise` re-raises, and FrozenInstanceError is Elem's documented
+immutability contract.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+from canonform import errors
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "canonform"
+ERROR_CLASSES = {name for name, obj in vars(errors).items()
+                 if isinstance(obj, type) and issubclass(obj, errors.Error)}
+ALLOWED = ERROR_CLASSES | {"FrozenInstanceError"}
+SOURCES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _raised_name(node: ast.Raise):
+    """The class a raise statement names, or None for a bare re-raise."""
+    exc = node.exc
+    if exc is None:
+        return None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    if isinstance(exc, ast.Name):
+        return exc.id
+    return ast.unparse(exc)
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"domain.py", "errors.py", "similarity.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_raises_name_error_classes(path):
+    bad = [(node.lineno, _raised_name(node)) for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Raise) and node.exc is not None
+           and _raised_name(node) not in ALLOWED]
+    assert bad == [], f"{path.name}: raises outside canonform.errors: {bad}"
