@@ -1,13 +1,14 @@
 """Exact scalar arithmetic in the three Euclidean domains Z, Q and Q[x].
 
 A scalar is an Elem: a ring tag plus a raw value.  The raw value is an
-int on Z and a Fraction on Q.  On Q[x] it is a pair (nums, den): a tuple
-of ints, index i holding the numerator of the coefficient of x^i, with no
-trailing zero, over one common denominator den > 0 with
-gcd(den, *nums) = 1; zero is ((), 1).  That form is canonical, so == and
-hash on it agree with equality of polynomials.  `Elem.value` is the
-public form (int, Fraction, or a tuple of Fraction coefficients on Q[x]),
-built from the raw value on each read.
+int on Z.  On Q and Q[x] it is a pair (nums, den): a tuple of ints, index
+i holding the numerator of the coefficient of x^i, with no trailing zero,
+over one common denominator den > 0 with gcd(den, *nums) = 1; zero is
+((), 1).  A Q scalar is such a pair of degree <= 0, so Q and Q[x] share
+the _q* kernels.  The form is canonical, so == and hash on it agree with
+equality of values.  `Elem.value` is the public form (int, Fraction, or a
+tuple of Fraction coefficients on Q[x]), built from the raw value on each
+read.
 All values are immutable; every operation is a pure function.
 """
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Ring(Enum):
 _Z, _Q, _QX = Ring.Z, Ring.Q, Ring.QX
 
 # ---------------------------------------------------------------------------
-# raw Q[x] kernels on (nums, den) pairs, see the module docstring
+# raw Q and Q[x] kernels on (nums, den) pairs, see the module docstring
 
 _QZERO = ((), 1)
 
@@ -146,13 +147,13 @@ Value = Union[int, Fraction, tuple]
 class Elem:
     """A scalar tagged by its ring; arithmetic requires matching tags.
 
-    `raw` is the working form described in the module docstring and
-    `value` the public one.  `Elem(ring, value)` takes an int on Z; an
-    int or Fraction on Q; an int, Fraction, or list or tuple of int and
-    Fraction coefficients on Q[x]; anything else raises RingMismatch.
-    Arithmetic passes every non-Elem operand through it.  An Elem is
-    immutable: setting or deleting an attribute raises
-    FrozenInstanceError.
+    `raw` is the working form described in the module docstring (an int
+    on Z, a (nums, den) pair on Q and Q[x]) and `value` the public one.
+    `Elem(ring, value)` takes an int on Z; an int or Fraction on Q; an
+    int, Fraction, or list or tuple of int and Fraction coefficients on
+    Q[x]; anything else raises RingMismatch.  Arithmetic passes every
+    non-Elem operand through it.  An Elem is immutable: setting or
+    deleting an attribute raises FrozenInstanceError.
     """
 
     __slots__ = ("ring", "raw")
@@ -160,11 +161,9 @@ class Elem:
     def __init__(self, ring: Ring, value: Value):
         if ring is _Z and isinstance(value, int):
             raw = int(value)  # a bool is stored as 0 or 1
-        elif ring is _Q and isinstance(value, (int, Fraction)):
-            raw = Fraction(value)
         elif ring is _QX and isinstance(value, (list, tuple)):
             raw = _qfrom(value)
-        elif ring is _QX and isinstance(value, (int, Fraction)):
+        elif ring is not _Z and isinstance(value, (int, Fraction)):
             raw = _qfrom((value,))
         else:
             raise RingMismatch(f"cannot coerce {brief(value)} into {ring}")
@@ -184,10 +183,12 @@ class Elem:
     def value(self) -> Value:
         """int on Z, Fraction on Q, tuple of Fractions (coefficient of x^i
         at index i, no trailing zero) on Q[x]."""
+        if self.ring is _Z:
+            return self.raw
+        nums, den = self.raw
         if self.ring is _QX:
-            nums, den = self.raw
             return tuple(Fraction(c, den) for c in nums)
-        return self.raw
+        return Fraction(nums[0] if nums else 0, den)
 
     def __eq__(self, other):
         if other.__class__ is not Elem:
@@ -213,7 +214,7 @@ class Elem:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.raw[0] if self.ring is _QX else self.raw)
+        return not (self.raw if self.ring is _Z else self.raw[0])
 
     def is_one(self) -> bool:
         return self == _ONE[self.ring]
@@ -221,8 +222,6 @@ class Elem:
     def is_unit(self) -> bool:
         if self.ring is _Z:
             return self.raw in (1, -1)
-        if self.ring is _Q:
-            return self.raw != 0
         return len(self.raw[0]) == 1
 
     def unit_inverse(self) -> "Elem":
@@ -230,10 +229,8 @@ class Elem:
             raise NotAUnit(f"{brief(self)} is not a unit of {self.ring}")
         if self.ring is _Z:
             return self
-        if self.ring is _Q:
-            return _mk(_Q, 1 / self.raw)
         (c,), den = self.raw
-        return _mk(_QX, _qnorm((den,), c))
+        return _mk(self.ring, _qnorm((den,), c))
 
     def degree(self) -> int:
         if self.ring is not _QX:
@@ -253,26 +250,26 @@ class Elem:
 
     def __add__(self, other) -> "Elem":
         other = self._coerced(other)
-        if self.ring is _QX:
-            return _mk(_QX, _qadd(self.raw, other.raw))
-        return _mk(self.ring, self.raw + other.raw)
+        if self.ring is _Z:
+            return _mk(_Z, self.raw + other.raw)
+        return _mk(self.ring, _qadd(self.raw, other.raw))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Elem":
-        if self.ring is _QX:
-            nums, den = self.raw
-            return _mk(_QX, (tuple(-c for c in nums), den))
-        return _mk(self.ring, -self.raw)
+        if self.ring is _Z:
+            return _mk(_Z, -self.raw)
+        nums, den = self.raw
+        return _mk(self.ring, (tuple(-c for c in nums), den))
 
     def __sub__(self, other) -> "Elem":
         return self + (-self._coerced(other))
 
     def __mul__(self, other) -> "Elem":
         other = self._coerced(other)
-        if self.ring is _QX:
-            return _mk(_QX, _qmul(self.raw, other.raw))
-        return _mk(self.ring, self.raw * other.raw)
+        if self.ring is _Z:
+            return _mk(_Z, self.raw * other.raw)
+        return _mk(self.ring, _qmul(self.raw, other.raw))
 
     __rmul__ = __mul__
 
@@ -294,10 +291,8 @@ class Elem:
                 r -= other.raw
                 q += 1
             return _mk(_Z, q), _mk(_Z, r)
-        if self.ring is _Q:
-            return _mk(_Q, self.raw / other.raw), _ZERO[_Q]
         q, r = _qdivmod(self.raw, other.raw)
-        return _mk(_QX, q), _mk(_QX, r)
+        return _mk(self.ring, q), _mk(self.ring, r)
 
     def exact_div(self, other) -> "Elem":
         q, r = divmod(self, other)
@@ -321,8 +316,8 @@ def _mk(ring: Ring, raw) -> Elem:
     return e
 
 
-_ZERO = {_Z: _mk(_Z, 0), _Q: _mk(_Q, Fraction(0)), _QX: _mk(_QX, _QZERO)}
-_ONE = {_Z: _mk(_Z, 1), _Q: _mk(_Q, Fraction(1)), _QX: _mk(_QX, ((1,), 1))}
+_ZERO = {_Z: _mk(_Z, 0), _Q: _mk(_Q, _QZERO), _QX: _mk(_QX, _QZERO)}
+_ONE = {_Z: _mk(_Z, 1), _Q: _mk(_Q, ((1,), 1)), _QX: _mk(_QX, ((1,), 1))}
 
 
 def power(base, e: int, one, mul):
@@ -397,12 +392,10 @@ def canonical_associate(a: Elem) -> tuple[Elem, Elem]:
         if a.raw < 0:
             return _mk(_Z, -1), _mk(_Z, -a.raw)
         return one, a
-    if a.ring is _Q:
-        return a.unit_inverse(), one
     nums, den = a.raw
     if nums[-1] == den:  # leading coefficient 1
         return one, a
-    u = _mk(_QX, _qnorm((den,), nums[-1]))
+    u = _mk(a.ring, _qnorm((den,), nums[-1]))
     return u, u * a
 
 
@@ -480,14 +473,15 @@ def _root_candidates(c0: int, cn: int):
 
 
 def _rational_root_split(p: Elem) -> tuple[list[Elem], Elem]:
-    """Strip rational roots off a monic polynomial, returning the linear
-    factors found (monic) and the rootless survivor.
+    """Strip rational roots off a monic polynomial of degree >= 1,
+    returning the linear factors found (monic) and the survivor: linear,
+    or rootless.  A linear survivor is not searched.
 
     With primitive integer coefficients c_k, a candidate a/b in lowest
     terms is a root iff sum c_k a^k b^(n-k) = 0.
     """
     linear, tests = [], 0
-    while valuation(p) >= 1:
+    while valuation(p) >= 2:
         nums = p.raw[0]
         g = math.gcd(*nums)
         ints = [c // g for c in nums]
@@ -519,16 +513,15 @@ def _rational_root_split(p: Elem) -> tuple[list[Elem], Elem]:
 def _split_squarefree(p: Elem) -> list[Elem]:
     """Split a monic squarefree polynomial into monic irreducibles.
 
-    Linear factors come from the rational-root search.  A survivor of
-    degree 2 or 3 has no rational root, hence no linear factor, so it is
-    irreducible; a survivor of degree >= 4 is beyond this factorizer.
+    Linear factors come from the rational-root search.  Its survivor is
+    linear, or of degree 2 or 3 with no rational root, hence no linear
+    factor, so it is irreducible; a survivor of degree >= 4 is beyond this
+    factorizer.
     """
     if valuation(p) == 0:
         return []
     linear, rest = _rational_root_split(p)
     deg = valuation(rest)
-    if deg == 0:
-        return linear
     if deg <= 3:
         return linear + [rest]
     raise FactorizationIncomplete(
@@ -663,7 +656,7 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
         num, den = _parse_int(m.group(1)), _parse_int(m.group(2) or "1")
         if den == 0:
             raise ParseError(f"zero denominator in {brief(text)}")
-        return _mk(_Q, Fraction(num, den))
+        return _mk(_Q, _qnorm((num,), den))
     if not text or " " in text:
         raise ParseError(f"bad polynomial scalar {brief(text)}")
     coeffs: dict[int, Fraction] = {}
@@ -714,7 +707,7 @@ def format_scalar(a: Elem) -> str:
         if a.ring is _Z:
             return str(a.raw)
         if a.ring is _Q:
-            return _format_fraction(a.raw)
+            return _format_fraction(a.value)
         cs = a.value
         if not cs:
             return "0"
@@ -733,7 +726,7 @@ def format_scalar(a: Elem) -> str:
             parts.append(sign + body)
         return "".join(parts)
     except ValueError:  # str() refused an int: name the longest one
-        cs = a.value if a.ring is _QX else (a.raw,)
+        cs = a.value if a.ring is _QX else (a.value,)
         digits = max(_digit_count(abs(n)) for c in cs
                      for n in (c.numerator, c.denominator) if n)
         raise OutputTooLarge(f"a {digits}-digit number is too long to print") from None
@@ -756,7 +749,7 @@ def brief(v) -> str:
     if isinstance(v, Elem):
         if v.ring is _QX:
             return f"a degree-{len(v.raw[0]) - 1} polynomial"
-        v = v.raw
+        v = v.value
     if isinstance(v, (int, Fraction)):
         digits = _digit_count(max(abs(v.numerator), v.denominator))
         return f"a {digits}-digit {'integer' if isinstance(v, int) else 'rational'}"

@@ -74,9 +74,10 @@ class TestArithmetic:
 class TestConstructor:
     def test_q_value_is_a_fraction(self):
         three = Elem(Ring.Q, 3)
-        assert three.raw == Fraction(3) and type(three.raw) is Fraction
-        assert three.unit_inverse().raw == Fraction(1, 3)
-        assert divmod(three, Elem(Ring.Q, 2))[0].raw == Fraction(3, 2)
+        assert three.value == Fraction(3) and type(three.value) is Fraction
+        assert three.unit_inverse().value == Fraction(1, 3)
+        assert divmod(three, Elem(Ring.Q, 2))[0].value == Fraction(3, 2)
+        assert three.raw == ((3,), 1)
 
     def test_qx_scalar(self):
         assert Elem(Ring.QX, 5) == polynomial([5])
@@ -348,6 +349,13 @@ class TestFactor:
             pass
         assert time.perf_counter() - start < 1.0
 
+    def test_linear_factor_constant_is_not_factored(self):
+        # 998244359987710471 has no prime factor below 10^6 and is not prime
+        p = poly(-998244359987710471, 1)
+        assert factor(p) == (poly(1), ((p, 1),))
+        assert factor(poly(-998244359987710471, 7)) == (
+            poly(7), ((poly(Fraction(-998244359987710471, 7), 1), 1),))
+
     def test_root_search_budget_is_a_named_error(self, monkeypatch):
         import canonform.domain as dom
         monkeypatch.setattr(dom, "_ROOT_SEARCH_LIMIT", 1)
@@ -594,6 +602,49 @@ class TestQxKernels:
         with pytest.raises(FrozenInstanceError):
             del p.raw
         assert p == poly(1, Fraction(1, 2))
+
+
+rationals = st.fractions(max_denominator=10**12)
+
+
+def q_value(e):
+    """The Fraction of a Q scalar, after checking that its raw form is a
+    normalized pair of degree <= 0."""
+    nums, den = e.raw
+    assert e.ring is Ring.Q and len(nums) <= 1 and den > 0
+    assert math.gcd(den, *nums) == 1 and (not nums or nums[0] != 0)
+    assert parse_scalar(format_scalar(e), Ring.Q) == e
+    return e.value
+
+
+class TestQPairForm:
+    """A Q scalar is the degree-0 case of the Q[x] pair; every result
+    agrees with Fraction arithmetic on `.value`."""
+
+    @KERNEL_SETTINGS
+    @given(a=rationals, b=rationals, k=st.integers(-6, 6).filter(bool))
+    def test_ring_operations(self, a, b, k):
+        ea, eb = Elem(Ring.Q, a), Elem(Ring.Q, b)
+        assert q_value(ea) == a and type(ea.value) is Fraction
+        assert q_value(ea + eb) == a + b
+        assert q_value(ea - eb) == a - b
+        assert q_value(-ea) == -a
+        assert q_value(ea * eb) == a * b
+        assert (ea == eb) == (a == b)
+        for other in ((ea + eb) - eb, rational(a.numerator * k, a.denominator * k)):
+            assert other == ea and hash(other) == hash(ea) and other.raw == ea.raw
+
+    @KERNEL_SETTINGS
+    @given(a=rationals, b=rationals.filter(bool))
+    def test_division_and_units(self, a, b):
+        ea, eb = Elem(Ring.Q, a), Elem(Ring.Q, b)
+        q, r = divmod(ea, eb)
+        assert q_value(q) == a / b and q_value(r) == 0
+        assert q_value(ea.exact_div(eb)) == a / b
+        assert eb.is_unit() and q_value(eb.unit_inverse()) == 1 / b
+        u, c = canonical_associate(ea)
+        assert q_value(c) == (1 if a else 0) and q_value(u) * a == c.value
+        assert u.is_unit()
 
 
 @pytest.mark.parametrize("p", [integer(-3), rational(-2, 3), polynomial([Fraction(1, 2), -1, 2])],

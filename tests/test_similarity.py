@@ -610,3 +610,11 @@ def test_hypercompanion_takes_exact_alpha(alpha):
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call", [jordan, rcf])
+def test_one_by_one_with_unfactorable_entry_is_its_own_form(call):
+    # the linear factor x - c is irreducible: c is not factored
+    a = mat_q([[998244359987710471]])
+    cert, form = call(a)
+    assert form == a and cert.verify(a)

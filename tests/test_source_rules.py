@@ -4,7 +4,8 @@ A certificate is replayed by an explicit check that raises, never by an
 `assert` (which `python -O` strips), and every error the library raises is
 a class of canonform.errors, so the CLI can map it to an exit code.  A
 bare `raise` re-raises, and FrozenInstanceError is Elem's documented
-immutability contract.
+immutability contract.  Arithmetic is exact: no true division `/` (which
+makes a float of two ints) and no float(...) call.
 """
 import ast
 from pathlib import Path
@@ -55,3 +56,21 @@ def test_raises_name_error_classes(path):
            if isinstance(node, ast.Raise) and node.exc is not None
            and _raised_name(node) not in ALLOWED]
     assert bad == [], f"{path.name}: raises outside canonform.errors: {bad}"
+
+
+def _makes_float(node: ast.AST) -> bool:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_true_division_or_float_call(path):
+    lines = [node.lineno for node in ast.walk(_tree(path)) if _makes_float(node)]
+    assert lines == [], f"{path.name}: true division or float() on lines {lines}"
+
+
+@pytest.mark.parametrize("code", ["a / b", "a /= b", "float(a)"])
+def test_float_rule_sees(code):
+    assert any(_makes_float(node) for node in ast.walk(ast.parse(code)))
