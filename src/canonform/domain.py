@@ -23,6 +23,7 @@ from typing import Iterable, Union
 
 from .errors import (
     BadExponent,
+    CertificateFailed,
     DivisionByZero,
     ExactDivisionError,
     FactorizationIncomplete,
@@ -396,7 +397,7 @@ def canonical_associate(a: Elem) -> tuple[Elem, Elem]:
     if nums[-1] == den:  # leading coefficient 1
         return one, a
     u = _mk(a.ring, _qnorm((den,), nums[-1]))
-    return u, u * a
+    return u, (one if a.ring is _Q else u * a)  # on Q, u * a is 1
 
 
 def canonical(a: Elem) -> Elem:
@@ -529,16 +530,24 @@ def _split_squarefree(p: Elem) -> list[Elem]:
     )
 
 
-# Trial division on Z stops here; a larger cofactor must be proved prime.
-_TRIAL_DIVISION_LIMIT = 10**6
+# Trial division on Z tries 2 and the odd d below this bound.
+_TRIAL_BOUND = 1000
 # Miller-Rabin with the prime bases 2..41 decides primality below this
 # (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Pollard-Brent work one factor() call may spend, over every split and
+# every constant c.  A step (one x -> x^2 + c) on a cofactor of w 64-bit
+# words costs w, so a larger cofactor gets fewer steps; past the budget a
+# composite cofactor stays unsplit and factor() gives up.
+_RHO_BUDGET = 2**20
+# Steps whose differences _brent multiplies together between two gcds.
+_RHO_BATCH = 128
 
 
 def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n > 41 below _MILLER_RABIN_BOUND."""
+    """Miller-Rabin for odd n > 41 to the bases 2..41: False proves n
+    composite; True proves n prime below _MILLER_RABIN_BOUND."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -555,42 +564,106 @@ def _is_prime_mr(n: int) -> bool:
     return True
 
 
+def _brent(n: int, c: int, limit: int) -> tuple[int, int]:
+    """Brent's variant of Pollard rho (Brent 1980) on x -> x^2 + c mod n
+    from x = 2, for an odd composite n: a divisor g of n and the steps
+    spent, at most limit and then one batch walked again.  g is 1 when the
+    limit ran out, and n when the cycle closed without a split.
+    """
+    y, q, g, r, steps = 2, 1, 1, 1, 0
+    while g == 1:
+        if steps + r > limit:
+            return 1, steps
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            b = min(_RHO_BATCH, r - k)
+            if steps + b > limit:
+                return 1, steps
+            ys = y
+            for _ in range(b):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            steps, k = steps + b, k + b
+        r *= 2
+    if g == n:  # the batch passed a split: walk it again one step at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(x - ys, n)
+            steps += 1
+    return g, steps
+
+
 def _digit_count(n: int) -> int:
     """Decimal digits of n > 0; str(n) is refused beyond 4300 digits."""
     k = int((n.bit_length() - 1) * math.log10(2)) + 1
     return k + (n >= 10**k)
 
 
+def _factor_int(n: int) -> dict[int, int]:
+    """The prime powers {p: e} of n >= 1.  Trial division by 2 and the odd
+    d below _TRIAL_BOUND; then each cofactor is proved prime, or split by
+    _brent within one _RHO_BUDGET and both parts taken in turn.  Every
+    split is replayed as g * (m // g) == m."""
+    powers: dict[int, int] = {}
+    d = 2
+    while d < _TRIAL_BOUND and d * d <= n:
+        while n % d == 0:
+            powers[d] = powers.get(d, 0) + 1
+            n //= d
+        d += 1 + (d > 2)
+    # no cofactor has a prime factor below d, so one below d^2 is prime
+    todo, budget = [n] if n > 1 else [], _RHO_BUDGET
+    while todo:
+        m = todo.pop()
+        if m < d * d or (m < _MILLER_RABIN_BOUND and _is_prime_mr(m)):
+            powers[m] = powers.get(m, 0) + 1
+            continue
+        g, c, words = m, 0, (m.bit_length() + 63) // 64
+        while g == m:  # the cycle closed: try the next constant
+            c += 1
+            g, steps = _brent(m, c, budget // words)
+            budget -= steps * words
+        if g == 1:
+            raise FactorizationIncomplete(
+                f"{_digit_count(m)}-digit cofactor was neither proved prime nor "
+                f"split by Pollard-Brent within {_RHO_BUDGET} word-steps")
+        if g * (m // g) != m:
+            raise CertificateFailed(
+                f"rho split {brief(g)} does not divide the cofactor {brief(m)}")
+        todo += [g, m // g]
+    return powers
+
+
 def factor(a: Elem) -> tuple[Elem, tuple[tuple[Elem, int], ...]]:
     """Factor a nonzero scalar as unit * product of canonical prime powers.
 
     Returns (unit, ((prime, exponent), ...)) with distinct primes sorted
-    by prime_sort_key.
+    by prime_sort_key.  On Z: trial division below _TRIAL_BOUND, then
+    deterministic Miller-Rabin proves each cofactor below
+    _MILLER_RABIN_BOUND prime, and Pollard-Brent splits the composite ones
+    within _RHO_BUDGET.  Each split and the product of the prime powers
+    are replayed, raising CertificateFailed; a cofactor neither proved
+    prime nor split raises FactorizationIncomplete.  On Q[x]: Yun's
+    squarefree decomposition, then _split_squarefree on each part.
     """
     if a.is_zero():
         raise ZeroArgument("cannot factor zero")
     if a.ring is Ring.Q:
         return a, ()
     if a.ring is Ring.Z:
-        n = abs(a.value)
-        unit = Elem(Ring.Z, -1 if a.value < 0 else 1)
-        powers = {}
-        d = 2
-        while d * d <= n and d <= _TRIAL_DIVISION_LIMIT:
-            while n % d == 0:
-                powers[d] = powers.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            if d * d <= n and not (n < _MILLER_RABIN_BOUND and _is_prime_mr(n)):
-                raise FactorizationIncomplete(
-                    f"{_digit_count(n)}-digit cofactor has no prime factor up to "
-                    f"{_TRIAL_DIVISION_LIMIT} and is not provably prime")
-            powers[n] = powers.get(n, 0) + 1
-        pairs = tuple(
-            (Elem(Ring.Z, p), e) for p, e in sorted(powers.items())
-        )
-        return unit, pairs
+        n = abs(a.raw)
+        powers = _factor_int(n)
+        if math.prod(p ** e for p, e in powers.items()) != n:
+            raise CertificateFailed(
+                f"the prime powers of {brief(a)} do not multiply back to it")
+        unit = _mk(_Z, -1 if a.raw < 0 else 1)
+        return unit, tuple((_mk(_Z, p), e) for p, e in sorted(powers.items()))
     # Q[x]: Yun's squarefree decomposition, then split each level
     unit = _mk(_QX, _qnorm(a.raw[0][-1:], a.raw[1]))
     f = canonical(a)

@@ -96,6 +96,46 @@ def test_corrupted_certificates_raise_under_dash_o():
     assert out.stdout.strip() == "caught"
 
 
+# A Pollard-Brent split that is not a divisor, and prime powers that do not
+# multiply back to the input, each raise CertificateFailed under -O.
+CORRUPTED_FACTOR = textwrap.dedent("""\
+    import importlib, sys
+    from canonform.errors import CertificateFailed
+
+    if __debug__:
+        sys.exit("expected to run under python -O")
+    dom = importlib.import_module("canonform.domain")
+
+    orig_brent = dom._brent
+    dom._brent = lambda n, c, limit: (3, 1)
+    try:
+        dom.factor(dom.integer(1000000007 * 998244353))
+        sys.exit("a non-divisor split was not caught")
+    except CertificateFailed:
+        pass
+    dom._brent = orig_brent
+
+    orig_factor_int = dom._factor_int
+    dom._factor_int = lambda n: {**orig_factor_int(n), 2: 1}
+    try:
+        dom.factor(dom.integer(45))
+        sys.exit("a wrong product was not caught")
+    except CertificateFailed:
+        pass
+    print("caught")
+""")
+
+
+def test_corrupted_factor_raises_under_dash_o():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_FACTOR],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "caught"
+
+
 def test_diagonalize_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
     import importlib
     sm = importlib.import_module("canonform.smith")

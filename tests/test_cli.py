@@ -10,6 +10,10 @@ from canonform.matrix import format_matrix, mat_q, mat_qx, mat_z, parse_matrix
 
 from conftest import random_matrix
 
+# 46 digits, above the Miller-Rabin bound, and its smaller prime factor
+# 2^61 - 1 is far beyond the Pollard-Brent budget
+UNSPLITTABLE = (2**61 - 1) * (2**89 - 1)
+
 DIRSUM_TEXT = """\
 ring Z
 rows 4
@@ -132,6 +136,13 @@ class TestInvariants:
         assert "det_divisors 1 1 1 1 13" in out
         assert "invariant_factors 1 1 1 13" in out
         assert "elementary_divisors 13" in out
+
+    def test_rootless_cubic_with_semiprime_constant(self, tmp_path, capsys):
+        # the root candidates divide 1000000007 * 998244353: none is a root
+        path = write(tmp_path, "cubic.mtx", mat_qx([["x^3-998244359987710471"]]))
+        assert main(["invariants", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "elementary_divisors x^3-998244359987710471" in out
 
 
 class TestSimilarityVerbs:
@@ -265,7 +276,7 @@ class TestExitCodes:
         assert "5000-digit number is too long" in capsys.readouterr().err
 
     def test_unfactorable_semiprime_is_1_quickly(self, tmp_path, capsys):
-        path = write(tmp_path, "semi.mtx", mat_z([[1000000007 * 998244353]]))
+        path = write(tmp_path, "semi.mtx", mat_z([[UNSPLITTABLE]]))
         start = time.perf_counter()
         assert main(["invariants", str(path)]) == 1
         assert time.perf_counter() - start < 5.0
@@ -273,7 +284,7 @@ class TestExitCodes:
 
     def test_unfactorable_root_search_is_1_quickly(self, tmp_path, capsys):
         # the rational-root candidates divide the semiprime constant term
-        path = write(tmp_path, "cubic.mtx", mat_qx([["x^3-998244359987710471"]]))
+        path = write(tmp_path, "cubic.mtx", mat_qx([[f"x^3-{UNSPLITTABLE}"]]))
         start = time.perf_counter()
         assert main(["invariants", str(path)]) == 1
         assert time.perf_counter() - start < 5.0
@@ -406,7 +417,7 @@ BAD_FILES = {
     "huge-degree.mtx": b"ring Q[x]\nrows 1\ncols 1\nx^100000000\n",
     "long-numeral.mtx": b"ring Z\nrows 1\ncols 1\n" + b"1" * 5000 + b"\n",
     "wide.mtx": b"ring Z\nrows 1\ncols 2\n1 2\n",
-    "semiprime.mtx": b"ring Z\nrows 1\ncols 1\n998244359987710471\n",
+    "semiprime.mtx": b"ring Z\nrows 1\ncols 1\n%d\n" % UNSPLITTABLE,
     "digits8001.mtx": b"ring Z\nrows 2\ncols 2\n1" + b"0" * 4000 + b" 0\n0 1" + b"0" * 4000 + b"\n",
     "ok.mtx": b"ring Z\nrows 2\ncols 2\n1 2\n3 4\n",
 }

@@ -363,10 +363,50 @@ class TestFactor:
             factor(poly(-6, 0, 0, 1))
 
     def test_semiprime_beyond_trial_division_raises_quickly(self):
+        # the smaller factor 2^61 - 1 is far beyond the Pollard-Brent budget
         start = time.perf_counter()
-        with pytest.raises(FactorizationIncomplete, match="18-digit cofactor"):
-            factor(integer(1000000007 * 998244353))
+        with pytest.raises(FactorizationIncomplete, match="46-digit cofactor"):
+            factor(integer((2**61 - 1) * (2**89 - 1)))
         assert time.perf_counter() - start < 5.0
+
+    def test_semiprime_of_ten_digit_primes_splits(self):
+        start = time.perf_counter()
+        assert factor(integer(-1000000007 * 998244353)) == (
+            integer(-1), ((integer(998244353), 1), (integer(1000000007), 1)))
+        assert time.perf_counter() - start < 1.0
+
+    def test_root_search_factors_semiprime_constant(self):
+        # (x - 2)(x - 998244359987710471), the constant 1000000007 * 998244353 * 2
+        p, q = poly(-2, 1), poly(-998244359987710471, 1)
+        assert factor(p * q) == (poly(1), ((q, 1), (p, 1)))
+
+    def test_rho_budget_is_a_named_error(self, monkeypatch):
+        import canonform.domain as dom
+        monkeypatch.setattr(dom, "_RHO_BUDGET", 10)
+        with pytest.raises(FactorizationIncomplete,
+                           match="18-digit cofactor .* within 10 word-steps"):
+            factor(integer(1000000007 * 998244353))
+
+    def test_rho_budget_is_shared_by_all_splits(self, monkeypatch):
+        # 1009 * 1013 * 1019 takes two splits; a budget the first one
+        # spends leaves the second nothing
+        import canonform.domain as dom
+        n = 1009 * 1013 * 1019
+        assert factor(integer(n))[1] == tuple((integer(p), 1) for p in (1009, 1013, 1019))
+        first = dom._brent(n, 1, dom._RHO_BUDGET)[1]
+        monkeypatch.setattr(dom, "_RHO_BUDGET", first)
+        with pytest.raises(FactorizationIncomplete, match=f"within {first} word-steps"):
+            factor(integer(n))
+
+    def test_brent_limit_and_cycle(self):
+        import canonform.domain as dom
+        g, steps = dom._brent(1000000007 * 998244353, 1, 10**6)
+        assert g in (998244353, 1000000007) and 0 < steps <= 10**6
+        assert dom._brent(1000000007 * 998244353, 1, 0) == (1, 0)
+        # mod 1009 * 1013 the map x -> x^2 + c may close its cycle on both
+        # primes at once; some small c then returns n itself
+        assert any(dom._brent(1009 * 1013, c, 10**4)[0] == 1009 * 1013
+                   for c in range(1, 50))
 
     def test_large_prime_is_proved(self):
         start = time.perf_counter()
@@ -383,8 +423,8 @@ class TestFactor:
 
     def test_pseudoprime_to_bases_up_to_37_is_not_a_prime(self):
         # 318665857834031151167461 = 399165290221 * 798330580441
-        with pytest.raises(FactorizationIncomplete, match="24-digit cofactor"):
-            factor(integer(318665857834031151167461))
+        assert factor(integer(318665857834031151167461)) == (
+            integer(1), ((integer(399165290221), 1), (integer(798330580441), 1)))
 
     def test_small_factors_then_large_prime(self):
         n = 2**3 * 999983 * (2**61 - 1)

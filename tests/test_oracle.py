@@ -1,21 +1,22 @@
 """Differential tests against sympy on seeded inputs: invariant factors of
 xI - A over Q[x], characteristic polynomials over Q, Smith diagonals and
-Hermite forms over Z, and Jordan block sizes.  sympy computes each answer
-independently of canonform.  Then derandomized hypothesis properties: the
-Smith diagonal and the Hermite form are invariant under unimodular
-multipliers, Cayley-Hamilton holds, and factor replays."""
+Hermite forms over Z, Jordan block sizes, and integer factorizations.
+sympy computes each answer independently of canonform.  Then derandomized
+hypothesis properties: the Smith diagonal and the Hermite form are
+invariant under unimodular multipliers, Cayley-Hamilton holds, and factor
+replays."""
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import QQ, ZZ, Matrix as SMatrix, symbols
+from sympy import QQ, ZZ, Matrix as SMatrix, factorint, prevprime, symbols
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices.normalforms import invariant_factors, smith_normal_form
 
 from canonform.determinant import det
-from canonform.domain import Ring, factor, polynomial
+from canonform.domain import Ring, factor, integer, polynomial
 from canonform.hermite import hermite_canonical
 from canonform.matrix import Matrix, mat_q
 from canonform.similarity import (
@@ -273,3 +274,43 @@ def test_certificate_verify_agrees_with_sympy(seed, n):
     sa, ss, sb = (SMatrix(rows_of(m)) for m in (a, s, b))
     want = ss.det() != 0 and ss.inv() * sa * ss == sb
     assert SimilarityCertificate(s, b).verify(a) is want
+
+
+def integer_corpus(rng, kind) -> list[int]:
+    """Nonzero integers for factor: random ones up to 10^18 of either sign,
+    semiprimes of two primes in 10^6..10^10, or a planted prime in
+    4..9 * 10^9 times small prime powers."""
+    if kind == "random":
+        return [rng.choice((-1, 1)) * rng.randint(1, 10**18) for _ in range(60)]
+    if kind == "semiprime":
+        return [prevprime(rng.randint(10**6 + 100, 10**10))
+                * prevprime(rng.randint(10**6 + 100, 10**10)) for _ in range(12)]
+    out = []
+    for _ in range(30):
+        n = prevprime(rng.randint(4 * 10**9, 9 * 10**9))
+        for p in rng.sample([2, 3, 5, 7, 11, 13, 997, 1009], rng.randint(0, 3)):
+            n *= p ** rng.randint(1, 4)
+        out.append(rng.choice((-1, 1)) * n)
+    return out
+
+
+def factor_pairs(n: int) -> tuple[int, list[tuple[int, int]]]:
+    unit, powers = factor(integer(n))
+    return unit.value, [(p.value, e) for p, e in powers]
+
+
+@pytest.mark.parametrize("kind", ["random", "semiprime", "planted"])
+def test_factor_agrees_with_factorint(kind):
+    for n in integer_corpus(random.Random(13), kind):
+        assert factor_pairs(n) == (1 if n > 0 else -1, sorted(factorint(abs(n)).items())), n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(-10**18, 10**18).filter(bool))
+def test_integer_factor_replays(n):
+    unit, powers = factor_pairs(n)
+    replay = unit
+    for p, e in powers:
+        replay *= p ** e
+    assert replay == n
+    assert powers == sorted(factorint(abs(n)).items())

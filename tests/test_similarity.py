@@ -613,6 +613,15 @@ def test_validation_errors(call, error):
 
 
 @pytest.mark.parametrize("call", [jordan, rcf])
+def test_diagonal_with_semiprime_entry(call):
+    # the root search factors the constant 2 * 1000000007 * 998244353
+    a = mat_q([[2, 0], [0, 998244359987710471]])
+    cert, form = call(a)
+    assert form == mat_q([[998244359987710471, 0], [0, 2]])
+    assert cert.verify(a)
+
+
+@pytest.mark.parametrize("call", [jordan, rcf])
 def test_one_by_one_with_unfactorable_entry_is_its_own_form(call):
     # the linear factor x - c is irreducible: c is not factored
     a = mat_q([[998244359987710471]])
