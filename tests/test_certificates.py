@@ -97,7 +97,8 @@ def test_corrupted_certificates_raise_under_dash_o():
 
 
 # A Pollard-Brent split that is not a divisor, and prime powers that do not
-# multiply back to the input, each raise CertificateFailed under -O.
+# multiply back to the input, each raise CertificateFailed under -O, each
+# from its own replay.
 CORRUPTED_FACTOR = textwrap.dedent("""\
     import importlib, sys
     from canonform.errors import CertificateFailed
@@ -111,8 +112,9 @@ CORRUPTED_FACTOR = textwrap.dedent("""\
     try:
         dom.factor(dom.integer(1000000007 * 998244353))
         sys.exit("a non-divisor split was not caught")
-    except CertificateFailed:
-        pass
+    except CertificateFailed as exc:
+        if "does not divide" not in str(exc):
+            sys.exit(f"the split replay did not catch it: {exc}")
     dom._brent = orig_brent
 
     orig_factor_int = dom._factor_int
@@ -120,8 +122,9 @@ CORRUPTED_FACTOR = textwrap.dedent("""\
     try:
         dom.factor(dom.integer(45))
         sys.exit("a wrong product was not caught")
-    except CertificateFailed:
-        pass
+    except CertificateFailed as exc:
+        if "multiply back" not in str(exc):
+            sys.exit(f"the product replay did not catch it: {exc}")
     print("caught")
 """)
 

@@ -5,7 +5,6 @@ import pytest
 from canonform.determinant import gcd_of_minors
 from canonform.domain import Ring, canonical_associate, integer, polynomial
 from canonform.errors import (
-    FactorizationIncomplete,
     RankTooSmall,
     RingMismatch,
     ShapeMismatch,
