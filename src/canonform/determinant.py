@@ -2,6 +2,7 @@
 restricted sums, adjugate, Cramer solving, Cauchy-Binet checks, rank by
 minors, and inversion over the ring.
 
+`det` runs Bareiss on raw values (domain.RAW_OPS), dividing with Elem.exact_div.
 A unit matrix is inverted through its Hermite canonical form, which is the
 identity, so the row transform is the inverse; no adjugate is formed.
 `inverse` is public API with no caller in the library: the similarity
@@ -12,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable
 
-from .domain import Elem, Ring, brief, gcd
+from .domain import RAW_OPS, Elem, Ring, _mk, brief, gcd
 from .errors import (
     BadIndexSet,
     CertificateFailed,
@@ -61,31 +62,28 @@ def det(a: Matrix) -> Elem:
     """Determinant by fraction-free (Bareiss) elimination; exact in every
     ring, agrees with det_expansion."""
     _require_square(a)
-    n = a.m
-    if n == 1:
-        return a.entry(1, 1)
-    w = [list(a.row(i)) for i in range(1, n + 1)]
-    zero, one = Elem.zero(a.ring), Elem.one(a.ring)
+    n, ring = a.m, a.ring
+    add, mul, zero = RAW_OPS[ring]
+    w = a.raw_rows()
     sign_flip = False
-    prev = one
+    prev = Elem.one(ring)
     for k in range(n - 1):
-        if w[k][k].is_zero():
+        if w[k][k] == zero:
             for t in range(k + 1, n):
-                if not w[t][k].is_zero():
+                if w[t][k] != zero:
                     w[k], w[t] = w[t], w[k]
                     sign_flip = not sign_flip
                     break
             else:
-                return zero
-        pivot = w[k][k]
+                return Elem.zero(ring)
+        pivot, wk = w[k][k], w[k]
         for i in range(k + 1, n):
-            wik = w[i][k]
+            wi, neg = w[i], (-_mk(ring, w[i][k])).raw
             for j in range(k + 1, n):
-                num = pivot * w[i][j] - wik * w[k][j]
-                w[i][j] = num.exact_div(prev)
-            w[i][k] = zero
-        prev = pivot
-    result = w[n - 1][n - 1]
+                num = _mk(ring, add(mul(pivot, wi[j]), mul(neg, wk[j])))
+                wi[j] = num.exact_div(prev).raw
+        prev = _mk(ring, pivot)
+    result = _mk(ring, w[n - 1][n - 1])
     return -result if sign_flip else result
 
 
@@ -113,13 +111,9 @@ def laplace(a: Matrix, xset: Iterable[int], axis: str = "rows") -> Elem:
 
 
 def _restricted_term(a, xs, ys, axis="rows") -> Elem:
-    if axis == "rows":
-        inner = submatrix_sets(a, xs, ys, "keep-keep")
-        outer = submatrix_sets(a, xs, ys, "drop-drop")
-    else:
-        inner = submatrix_sets(a, ys, xs, "keep-keep")
-        outer = submatrix_sets(a, ys, xs, "drop-drop")
-    term = det(inner) * det(outer)
+    rs, cs = (xs, ys) if axis == "rows" else (ys, xs)
+    term = det(submatrix_sets(a, rs, cs, "keep-keep")) * det(
+        submatrix_sets(a, rs, cs, "drop-drop"))
     return -term if (sum(xs) + sum(ys)) % 2 else term
 
 

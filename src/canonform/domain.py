@@ -10,10 +10,15 @@ equality of values.  `Elem.value` is the public form (int, Fraction, or a
 tuple of Fraction coefficients on Q[x]), built from the raw value on each
 read.
 All values are immutable; every operation is a pure function.
+
+RAW_OPS maps each ring to the (add, mul, zero) of its raw values: the
+matrix kernels in hermite, smith, matrix and determinant work on raw
+entries through it, so only this module dispatches on the raw form.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import FrozenInstanceError
 from enum import Enum
@@ -141,6 +146,9 @@ def _qderiv(a: tuple) -> tuple:
     nums, den = a
     return _qnorm([i * c for i, c in enumerate(nums)][1:], den)
 
+
+RAW_OPS = {_Z: (operator.add, operator.mul, 0),
+           _Q: (_qadd, _qmul, _QZERO), _QX: (_qadd, _qmul, _QZERO)}
 
 Value = Union[int, Fraction, tuple]
 

@@ -5,7 +5,10 @@ exact linear solving, and unit-matrix decomposition.
 All row operations run through two in-place kernels: `_apply_rows` (one
 `ElemOp`) and `_apply_2x2_rows` (one det-1 block on two rows).  A column
 operation is a row operation on the transposed working list; the passes
-`_echelon` and `_canonicalize` act in place on lists of rows.
+`_echelon` and `_canonicalize` act in place on lists of rows.  Working
+rows hold raw values (see domain) and the kernels do their arithmetic
+through domain.RAW_OPS; an Elem is built only for a pivot decision
+(egcd, divmod, canonical_associate) and for the coefficient of an op.
 """
 from __future__ import annotations
 
@@ -14,8 +17,10 @@ from typing import Optional, Sequence
 
 from . import determinant
 from .domain import (
+    RAW_OPS,
     Elem,
     Ring,
+    _mk,
     brief,
     canonical_associate,
     canonical_residue,
@@ -31,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedRing,
 )
-from .matrix import Matrix, lift
+from .matrix import Matrix, lift, submatrix
 
 
 @dataclass(frozen=True)
@@ -73,26 +78,33 @@ def row_scale(i: int, unit: Elem) -> ElemOp:
     return ElemOp("scale", "row", i, coeff=unit)
 
 
-def _apply_rows(op: ElemOp, *mats: list[list[Elem]]):
-    """Apply one row op in place to each list-of-rows working matrix."""
-    i, j, c = op.i - 1, op.j - 1, op.coeff
-    for rows in mats:
-        if op.kind == "swap":
+def _apply_rows(op: ElemOp, *mats: list[list]):
+    """Apply one row op in place to each working list of raw rows."""
+    i, j = op.i - 1, op.j - 1
+    if op.kind == "swap":
+        for rows in mats:
             rows[i], rows[j] = rows[j], rows[i]
-        elif op.kind == "addmul":
-            rows[i] = [t + c * s for t, s in zip(rows[i], rows[j])]
+        return
+    add, mul, _ = RAW_OPS[op.coeff.ring]
+    c = op.coeff.raw
+    for rows in mats:
+        if op.kind == "addmul":
+            rows[i] = [add(t, mul(c, s)) for t, s in zip(rows[i], rows[j])]
         else:
-            rows[i] = [c * v for v in rows[i]]
+            rows[i] = [mul(c, v) for v in rows[i]]
 
 
-def _apply_2x2_rows(s, t, m11, m12, m21, m22, *mats: list[list[Elem]]):
+def _apply_2x2_rows(s, t, m11, m12, m21, m22, *mats: list[list]):
     """rows[s], rows[t] <- (m11*rows[s] + m12*rows[t],
                             m21*rows[s] + m22*rows[t]) in each working
-    matrix; a det-1 block, so a product of type I/II operations."""
+    list of raw rows, for Elems m11..m22 of a det-1 block, so a product
+    of type I/II operations."""
+    add, mul, _ = RAW_OPS[m11.ring]
+    m11, m12, m21, m22 = m11.raw, m12.raw, m21.raw, m22.raw
     for rows in mats:
         rs, rt = rows[s - 1], rows[t - 1]
-        rows[s - 1] = [m11 * a + m12 * b for a, b in zip(rs, rt)]
-        rows[t - 1] = [m21 * a + m22 * b for a, b in zip(rs, rt)]
+        rows[s - 1] = [add(mul(m11, a), mul(m12, b)) for a, b in zip(rs, rt)]
+        rows[t - 1] = [add(mul(m21, a), mul(m22, b)) for a, b in zip(rs, rt)]
 
 
 def apply_op(a: Matrix, op: ElemOp) -> Matrix:
@@ -103,13 +115,10 @@ def apply_op(a: Matrix, op: ElemOp) -> Matrix:
         raise RingMismatch("op coefficient ring mismatch")
     if op.kind == "scale" and not op.coeff.is_unit():
         raise NotAUnit(f"scale coefficient {brief(op.coeff)} is not a unit")
-    if op.axis == "row":
-        rows = a.rows()
-        _apply_rows(op, rows)
-        return Matrix.from_rows(a.ring, rows)
-    cols = [list(a.col(j)) for j in range(1, a.n + 1)]
-    _apply_rows(op, cols)
-    return Matrix.from_rows(a.ring, list(zip(*cols)))
+    rows = (a if op.axis == "row" else a.transpose()).raw_rows()
+    _apply_rows(op, rows)
+    out = Matrix.from_raw(a.ring, rows)
+    return out if op.axis == "row" else out.transpose()
 
 
 def op_matrix(op: ElemOp, size: int, ring: Ring) -> Matrix:
@@ -118,17 +127,19 @@ def op_matrix(op: ElemOp, size: int, ring: Ring) -> Matrix:
     return apply_op(Matrix.identity(ring, size), op)
 
 
-def _gcd_combine(work, q, j: int, s: int, others: Sequence[int]):
+def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
     """Fold column j of each row in `others` into row s by det-1 gcd
     blocks (a swap when the pivot is zero), applied to work and q alike."""
+    zero = RAW_OPS[ring][2]
     for t in others:
         pivot = work[s - 1][j - 1]
         other = work[t - 1][j - 1]
-        if other.is_zero():
+        if other == zero:
             continue
-        if pivot.is_zero():
+        if pivot == zero:
             _apply_rows(row_swap(s, t), work, q)
             continue
+        pivot, other = _mk(ring, pivot), _mk(ring, other)
         d, x, y = egcd(pivot, other)
         _apply_2x2_rows(s, t, x, y, -other.exact_div(d), pivot.exact_div(d), work, q)
 
@@ -148,10 +159,9 @@ def clear_column(
         raise IndexOutOfRange("listed row outside matrix")
     if all(a.entry(i, j).is_zero() for i in listed):
         raise AllZeroColumn(f"no nonzero entry among rows {listed} of column {j}")
-    work = a.rows()
-    q = Matrix.identity(a.ring, a.m).rows()
-    _gcd_combine(work, q, j, s, [t for t in listed if t != s])
-    return Matrix.from_rows(a.ring, q), Matrix.from_rows(a.ring, work)
+    work, q = a.raw_rows(), Matrix.identity(a.ring, a.m).raw_rows()
+    _gcd_combine(a.ring, work, q, j, s, [t for t in listed if t != s])
+    return Matrix.from_raw(a.ring, q), Matrix.from_raw(a.ring, work)
 
 
 @dataclass(frozen=True)
@@ -162,21 +172,21 @@ class HermiteResult:
     rank: int
 
 
-def _echelon(work, q) -> list[int]:
+def _echelon(ring: Ring, work, q) -> list[int]:
     """Echelon phase on work and q in place, type I/II ops only; returns
     the primary columns."""
+    zero = RAW_OPS[ring][2]
     m, n = len(work), len(work[0]) if work else 0
     primary = []
     pivot_row = 1
     for j in range(1, n + 1):
         if pivot_row > m:
             break
-        hot = [i for i in range(pivot_row, m + 1)
-               if not work[i - 1][j - 1].is_zero()]
+        hot = [i for i in range(pivot_row, m + 1) if work[i - 1][j - 1] != zero]
         if not hot:
             continue
         s = hot[0]
-        _gcd_combine(work, q, j, s, hot[1:])
+        _gcd_combine(ring, work, q, j, s, hot[1:])
         if s != pivot_row:
             _apply_rows(row_swap(s, pivot_row), work, q)
         primary.append(j)
@@ -184,40 +194,40 @@ def _echelon(work, q) -> list[int]:
     return primary
 
 
-def _canonicalize(work, q) -> list[int]:
+def _canonicalize(ring: Ring, work, q) -> list[int]:
     """Echelon, then one pass over the pivots left to right: scale the
     pivot row to its canonical associate and reduce the entries above the
     pivot to residues by the quotient of one divmod.  Acts on work and q
     in place; returns the primary columns."""
-    primary = _echelon(work, q)
+    primary = _echelon(ring, work, q)
     for t, j in enumerate(primary, start=1):
-        u, pivot = canonical_associate(work[t - 1][j - 1])
+        u, pivot = canonical_associate(_mk(ring, work[t - 1][j - 1]))
         if not u.is_one():
             _apply_rows(row_scale(t, u), work, q)
         for i in range(1, t):
-            c, _ = divmod(work[i - 1][j - 1], pivot)
+            c, _ = divmod(_mk(ring, work[i - 1][j - 1]), pivot)
             if not c.is_zero():
                 _apply_rows(row_addmul(i, -c, t), work, q)
     return primary
 
 
 def _result(ring: Ring, work, q, primary: list[int]) -> HermiteResult:
-    return HermiteResult(Matrix.from_rows(ring, q), Matrix.from_rows(ring, work),
+    return HermiteResult(Matrix.from_raw(ring, q), Matrix.from_raw(ring, work),
                          tuple(primary), len(primary))
 
 
 def hermite_form(a: Matrix) -> HermiteResult:
     """A row echelon (Hermite) form QA = H without the canonical
     normalization phases."""
-    work, q = a.rows(), Matrix.identity(a.ring, a.m).rows()
-    return _result(a.ring, work, q, _echelon(work, q))
+    work, q = a.raw_rows(), Matrix.identity(a.ring, a.m).raw_rows()
+    return _result(a.ring, work, q, _echelon(a.ring, work, q))
 
 
 def hermite_canonical(a: Matrix) -> HermiteResult:
     """The Hermite canonical form: primary entries in the associates SDR,
     entries above each primary entry reduced to the residues SDR."""
-    work, q = a.rows(), Matrix.identity(a.ring, a.m).rows()
-    return _result(a.ring, work, q, _canonicalize(work, q))
+    work, q = a.raw_rows(), Matrix.identity(a.ring, a.m).raw_rows()
+    return _result(a.ring, work, q, _canonicalize(a.ring, work, q))
 
 
 def column_hermite_canonical(a: Matrix) -> tuple[Matrix, Matrix]:
@@ -230,19 +240,13 @@ def column_hermite_canonical(a: Matrix) -> tuple[Matrix, Matrix]:
 def is_hermite_canonical(h: Matrix) -> Optional[tuple[int, tuple[int, ...]]]:
     """Total shape-and-SDR predicate; (rank, primary_cols) on acceptance,
     None on rejection."""
-    primaries = []
-    seen_zero_row = False
-    for i in range(1, h.m + 1):
-        row = h.row(i)
-        j = next((k + 1 for k, v in enumerate(row) if not v.is_zero()), None)
-        if j is None:
-            seen_zero_row = True
-            continue
-        if seen_zero_row:
-            return None  # nonzero row after a zero row
-        if primaries and j <= primaries[-1]:
-            return None
-        primaries.append(j)
+    # each row's leading column, n + 1 for a zero row: they must rise
+    # strictly until the zero rows, which come last
+    leads = [next((k for k, v in enumerate(h.row(i), 1) if not v.is_zero()), h.n + 1)
+             for i in range(1, h.m + 1)]
+    if any(x >= y and y <= h.n for x, y in zip(leads, leads[1:])):
+        return None
+    primaries = [j for j in leads if j <= h.n]
     for t, j in enumerate(primaries, start=1):
         pivot = h.entry(t, j)
         if canonical_associate(pivot)[1] != pivot:
@@ -298,35 +302,36 @@ def decompose_unit(u: Matrix) -> list[ElemOp]:
         raise NotAUnit("only square matrices can be units")
     if not determinant.det(u).is_unit():
         raise NotAUnit("determinant is not a unit")
-    n = u.m
-    work = u.rows()
+    n, ring = u.m, u.ring
+    zero = RAW_OPS[ring][2]
+    work = u.raw_rows()
     word: list[ElemOp] = []
 
     def apply(op: ElemOp):
         _apply_rows(op, work)
         word.append(op)
 
+    def entry(i: int, j: int) -> Elem:
+        return _mk(ring, work[i - 1][j - 1])
+
     for j in range(1, n + 1):
-        while True:
-            hot = [i for i in range(j, n + 1) if not work[i - 1][j - 1].is_zero()]
-            if len(hot) <= 1:
-                break
-            hot.sort(key=lambda i: valuation(work[i - 1][j - 1]))
+        # U is a unit, so column j is nonzero below row j - 1
+        while len(hot := [i for i in range(j, n + 1) if work[i - 1][j - 1] != zero]) > 1:
+            hot.sort(key=lambda i: valuation(entry(i, j)))
             t = hot[0]
             for i in hot[1:]:
-                q, _ = divmod(work[i - 1][j - 1], work[t - 1][j - 1])
+                q, _ = divmod(entry(i, j), entry(t, j))
                 if not q.is_zero():
                     apply(row_addmul(i, -q, t))
-        t = next(i for i in range(j, n + 1) if not work[i - 1][j - 1].is_zero())
-        if t != j:
-            apply(row_swap(j, t))
+        if hot[0] != j:
+            apply(row_swap(j, hot[0]))
     for j in range(1, n + 1):
-        d = work[j - 1][j - 1]
+        d = entry(j, j)
         if not d.is_one():
             apply(row_scale(j, d.unit_inverse()))
     for j in range(2, n + 1):
         for i in range(1, j):
-            c = work[i - 1][j - 1]
+            c = entry(i, j)
             if not c.is_zero():
                 apply(row_addmul(i, -c, j))
     return [op.inverted() for op in reversed(word)]
@@ -336,19 +341,7 @@ def stabilizer_shape(p: Matrix, r: int) -> bool:
     """True iff P = [[I_r, arbitrary], [0, unit block]]."""
     if not p.is_square() or not 0 <= r <= p.m:
         return False
-    n = p.m
-    ident = Matrix.identity(p.ring, n)
-    for i in range(1, n + 1):
-        for j in range(1, r + 1):
-            if i <= r:
-                if p.entry(i, j) != ident.entry(i, j):
-                    return False
-            elif not p.entry(i, j).is_zero():
-                return False
-    if r == n:
-        return True
-    trailing = Matrix.from_rows(
-        p.ring,
-        [[p.entry(i, j) for j in range(r + 1, n + 1)] for i in range(r + 1, n + 1)],
-    )
-    return determinant.det(trailing).is_unit()
+    ident, rest = Matrix.identity(p.ring, p.m), range(r + 1, p.m + 1)
+    if any(p.col(j) != ident.col(j) for j in range(1, r + 1)):
+        return False
+    return r == p.m or determinant.det(submatrix(p, rest, rest)).is_unit()

@@ -2,7 +2,9 @@
 calculus, direct sums, and the text file format.
 
 Indices in the public API are 1-based throughout; the row-major entry
-tuple is an internal detail.
+tuple is an internal detail.  `raw_rows` and `from_raw` move a matrix to
+and from lists of rows of raw values (see domain), which the elimination
+kernels and `multiply` work on; `from_raw` wraps each entry once.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import domain
-from .domain import Elem, Ring, coerce, format_scalar, parse_scalar
+from .domain import RAW_OPS, Elem, Ring, _mk, coerce, format_scalar, parse_scalar
 from .errors import (
     BadIndexSet,
     EmptyResult,
@@ -48,6 +50,12 @@ class Matrix:
         return Matrix(ring, m, n, entries)
 
     @staticmethod
+    def from_raw(ring: Ring, rows: Sequence[Sequence]) -> "Matrix":
+        """The matrix of rows of raw values already in ring's form."""
+        return Matrix(ring, len(rows), len(rows[0]) if rows else 0,
+                      tuple(_mk(ring, v) for row in rows for v in row))
+
+    @staticmethod
     def identity(ring: Ring, size: int) -> "Matrix":
         one, zero = Elem.one(ring), Elem.zero(ring)
         return Matrix(
@@ -74,6 +82,10 @@ class Matrix:
 
     def rows(self) -> list[list[Elem]]:
         return [list(self.row(i)) for i in range(1, self.m + 1)]
+
+    def raw_rows(self) -> list[list]:
+        raw, n = [e.raw for e in self.entries], self.n
+        return [raw[k:k + n] for k in range(0, len(raw), n)]
 
     def is_square(self) -> bool:
         return self.m == self.n
@@ -130,22 +142,19 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
     a._check_ring(b)
     if a.n != b.m:
         raise ShapeMismatch(f"{a.m}x{a.n} times {b.m}x{b.n}")
-    zero = Elem.zero(a.ring)
-    brows = [b.row(k + 1) for k in range(b.m)]
+    add, mul, zero = RAW_OPS[a.ring]
+    brows = b.raw_rows()
     out = []
-    for i in range(a.m):
-        arow = a.row(i + 1)
+    for arow in a.raw_rows():
         acc = [zero] * b.n
-        for k in range(a.n):
-            aik = arow[k]
-            if aik.is_zero():
+        for aik, brow in zip(arow, brows):
+            if aik == zero:
                 continue
-            brow = brows[k]
-            for j in range(b.n):
-                if not brow[j].is_zero():
-                    acc[j] = acc[j] + aik * brow[j]
-        out.extend(acc)
-    return Matrix(a.ring, a.m, b.n, tuple(out))
+            for j, bkj in enumerate(brow):
+                if bkj != zero:
+                    acc[j] = add(acc[j], mul(aik, bkj))
+        out.append(acc)
+    return Matrix.from_raw(a.ring, out)
 
 
 def submatrix(x: Matrix, f: Sequence[int], g: Sequence[int]) -> Matrix:

@@ -3,13 +3,14 @@ unimodular witnesses verified by replay on every call.
 
 P and Q come only from row operations on the rows of P and of Q^T in
 place: `diagonalize` runs `hermite._canonicalize` on them, each 2x2 chain
-step `hermite._apply_2x2_rows`.  No transform is multiplied out.
+step `hermite._apply_2x2_rows`.  No transform is multiplied out.  The
+working rows hold raw values (see domain), the chain's diagonal Elems.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import Elem, brief, canonical_associate, egcd, valuation
+from .domain import RAW_OPS, Elem, Ring, brief, canonical_associate, egcd, valuation
 from .errors import CertificateFailed, ZeroArgument
 from .matrix import Matrix
 from .hermite import _apply_2x2_rows, _canonicalize
@@ -26,9 +27,19 @@ class SmithResult:
     rank: int
 
 
-def _is_diagonal(rows) -> bool:
-    return all(v.is_zero() for i, row in enumerate(rows)
+def _is_diagonal(rows, zero) -> bool:
+    return all(v == zero for i, row in enumerate(rows)
                for j, v in enumerate(row) if i != j)
+
+
+def _largest(ring: Ring, rows) -> str:
+    """The size of the largest raw entry, for an error message: its bit
+    length on Z, its degree and coefficient bits on Q and Q[x]."""
+    if ring is Ring.Z:
+        return f"{max(abs(v).bit_length() for row in rows for v in row)} bits"
+    deg, bits = max((len(nums) - 1, max(abs(c).bit_length() for c in nums + (den,)))
+                    for row in rows for nums, den in row)
+    return f"degree {deg} with {bits}-bit coefficients"
 
 
 def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -41,25 +52,27 @@ def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     diagonal has, by its echelon shape, the nonzero entries packed into
     the leading slots and the pivots canonical.
 
-    D, P and Q^T are lists of rows updated in place: a column pass
+    D, P and Q^T are lists of raw rows updated in place: a column pass
     canonicalizes D^T along with Q^T, a row pass D along with P.
     """
-    d, p = a.rows(), Matrix.identity(a.ring, a.m).rows()
-    qt = Matrix.identity(a.ring, a.n).rows()
+    ring, zero = a.ring, RAW_OPS[a.ring][2]
+    d, p = a.raw_rows(), Matrix.identity(ring, a.m).raw_rows()
+    qt = Matrix.identity(ring, a.n).raw_rows()
     for _ in range(_ALTERNATION_CAP):
         dt = [list(col) for col in zip(*d)]
-        _canonicalize(dt, qt)
+        _canonicalize(ring, dt, qt)
         d = [list(row) for row in zip(*dt)]
-        if _is_diagonal(d):
+        if _is_diagonal(d, zero):
             break
-        _canonicalize(d, p)
-        if _is_diagonal(d):
+        _canonicalize(ring, d, p)
+        if _is_diagonal(d, zero):
             break
     else:
         raise CertificateFailed(
-            f"diagonalize found no diagonal form within {_ALTERNATION_CAP} passes")
-    return (Matrix.from_rows(a.ring, p), Matrix.from_rows(a.ring, qt).transpose(),
-            Matrix.from_rows(a.ring, d))
+            f"diagonalize found no diagonal form within {_ALTERNATION_CAP} passes; "
+            f"the largest working entry has {_largest(ring, d)}")
+    return (Matrix.from_raw(ring, p), Matrix.from_raw(ring, qt).transpose(),
+            Matrix.from_raw(ring, d))
 
 
 def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
@@ -97,10 +110,8 @@ def _chain_pass(pwork, qtwork, diag, start):
             raise CertificateFailed(
                 f"chain pass variant broken: {brief(delta)} does not shrink "
                 f"{brief(lead)}")
-        s, t = start + 1, other + 1
-        _apply_2x2_rows(s, t, *p2.entries, pwork)
-        q11, q12, q21, q22 = q2.entries
-        _apply_2x2_rows(s, t, q11, q21, q12, q22, qtwork)
+        _apply_2x2_rows(start + 1, other + 1, *p2.entries, pwork)
+        _apply_2x2_rows(start + 1, other + 1, *q2.transpose().entries, qtwork)
         diag[start], diag[other] = delta, lam
 
 
@@ -111,13 +122,13 @@ def smith(a: Matrix) -> SmithResult:
     diag = [d.entry(i, i) for i in range(1, min(d.m, d.n) + 1)
             if not d.entry(i, i).is_zero()]
     r = len(diag)
-    pwork, qtwork = p.rows(), q.transpose().rows()
+    pwork, qtwork = p.raw_rows(), q.transpose().raw_rows()
     # diag starts canonical (the pivots of diagonalize's last pass) and
     # stays so: each chain step writes smith_2x2's canonical delta and lam
     for start in range(r - 1):
         _chain_pass(pwork, qtwork, diag, start)
-    p = Matrix.from_rows(a.ring, pwork)
-    q = Matrix.from_rows(a.ring, qtwork).transpose()
+    p = Matrix.from_raw(a.ring, pwork)
+    q = Matrix.from_raw(a.ring, qtwork).transpose()
     zero = Elem.zero(a.ring)
     d = Matrix.from_rows(a.ring, [[diag[i] if i == j and i < r else zero
                                    for j in range(a.n)] for i in range(a.m)])

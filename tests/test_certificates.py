@@ -10,7 +10,8 @@ import pytest
 
 from canonform.cli import main
 from canonform.errors import CertificateFailed
-from canonform.matrix import Matrix, format_matrix, mat_q, mat_z
+from canonform.hermite import hermite_canonical
+from canonform.matrix import Matrix, format_matrix, mat_q, mat_qx, mat_z
 from canonform.similarity import SimilarityCertificate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -149,6 +150,28 @@ def test_diagonalize_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
     path.write_text(format_matrix(mat_z([[2, 4], [6, 8]])))
     assert main(["smith", str(path)]) == 1
     assert "CertificateFailed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a,after_one_pass,size", [
+    (mat_z([[-5, 5], [3, -5]]), mat_z([[1, 2], [0, 10]]), "4 bits"),
+    (mat_qx([["3*x-1", "0"], ["3", "-2*x+2"]]),
+     mat_qx([["1", "x-1"], ["0", "x^2-4/3*x+1/3"]]), "degree 2 with 3-bit coefficients"),
+], ids=["Z", "Q[x]"])
+def test_diagonalize_cap_names_passes_and_largest_entry(monkeypatch, a, after_one_pass, size):
+    """Both inputs need a second pass.  After the first (a column and a
+    row canonicalization) the largest working entry is 10, of 4 bits, on
+    Z, and (3x^2 - 4x + 1)/3 on Q[x]: degree 2, numerators and common
+    denominator of at most 3 bits."""
+    import importlib
+    sm = importlib.import_module("canonform.smith")
+    assert hermite_canonical(
+        hermite_canonical(a.transpose()).h.transpose()).h == after_one_pass
+    monkeypatch.setattr(sm, "_ALTERNATION_CAP", 1)
+    with pytest.raises(CertificateFailed,
+                       match=f"within 1 passes; the largest working entry has {size}$"):
+        sm.diagonalize(a)
+    monkeypatch.setattr(sm, "_ALTERNATION_CAP", 2)
+    sm.diagonalize(a)
 
 
 def test_verify_returns_false_on_shape_mismatch():

@@ -5,7 +5,9 @@ A certificate is replayed by an explicit check that raises, never by an
 a class of canonform.errors, so the CLI can map it to an exit code.  A
 bare `raise` re-raises, and FrozenInstanceError is Elem's documented
 immutability contract.  Arithmetic is exact: no true division `/` (which
-makes a float of two ints) and no float(...) call.
+makes a float of two ints) and no float(...) call.  Ring dispatch on raw
+values lives in one table, domain.RAW_OPS: no other module names the raw
+Q and Q[x] kernels.
 """
 import ast
 from pathlib import Path
@@ -74,3 +76,38 @@ def test_no_true_division_or_float_call(path):
 @pytest.mark.parametrize("code", ["a / b", "a /= b", "float(a)"])
 def test_float_rule_sees(code):
     assert any(_makes_float(node) for node in ast.walk(ast.parse(code)))
+
+
+RAW_KERNELS = {"_qadd", "_qmul", "_qdivmod", "_qnorm"}
+
+
+def _raw_kernel_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """Every name, attribute or import of a raw Q and Q[x] kernel."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in RAW_KERNELS:
+            found.append((getattr(node, "lineno", 0), name))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_raw_kernels_are_named_only_in_domain(path):
+    found = _raw_kernel_names(_tree(path))
+    if path.name == "domain.py":
+        assert {name for _, name in found} == RAW_KERNELS
+    else:
+        assert found == [], f"{path.name}: names raw kernels {found}"
+
+
+@pytest.mark.parametrize("code", ["from .domain import _qadd", "domain._qmul(a, b)",
+                                  "_qnorm(nums, 1)", "f = _qdivmod"])
+def test_raw_kernel_rule_sees(code):
+    assert _raw_kernel_names(ast.parse(code))
