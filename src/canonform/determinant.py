@@ -2,7 +2,8 @@
 restricted sums, adjugate, Cramer solving, Cauchy-Binet checks, rank by
 minors, and inversion over the ring.
 
-`det` runs Bareiss on raw values (domain.RAW_OPS), dividing with Elem.exact_div.
+`det` runs Bareiss on raw values (domain.RAW_OPS), dividing by the raw
+divmod of domain.RAW_EUCLID; a nonzero remainder raises ExactDivisionError.
 A unit matrix is inverted through its Hermite canonical form, which is the
 identity, so the row transform is the inverse; no adjugate is formed.
 `inverse` is public API with no caller in the library: the similarity
@@ -13,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable
 
-from .domain import RAW_OPS, Elem, Ring, _mk, brief, gcd
+from .domain import RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, gcd
 from .errors import (
     BadIndexSet,
     CertificateFailed,
@@ -63,10 +64,10 @@ def det(a: Matrix) -> Elem:
     ring, agrees with det_expansion."""
     _require_square(a)
     n, ring = a.m, a.ring
-    add, mul, zero = RAW_OPS[ring]
+    (add, mul, zero), (divmod_, neg, _) = RAW_OPS[ring], RAW_EUCLID[ring]
     w = a.raw_rows()
     sign_flip = False
-    prev = Elem.one(ring)
+    prev = Elem.one(ring).raw
     for k in range(n - 1):
         if w[k][k] == zero:
             for t in range(k + 1, n):
@@ -78,11 +79,14 @@ def det(a: Matrix) -> Elem:
                 return Elem.zero(ring)
         pivot, wk = w[k][k], w[k]
         for i in range(k + 1, n):
-            wi, neg = w[i], (-_mk(ring, w[i][k])).raw
+            wi, c = w[i], neg(w[i][k])
             for j in range(k + 1, n):
-                num = _mk(ring, add(mul(pivot, wi[j]), mul(neg, wk[j])))
-                wi[j] = num.exact_div(prev).raw
-        prev = _mk(ring, pivot)
+                wi[j], r = divmod_(add(mul(pivot, wi[j]), mul(c, wk[j])), prev)
+                if r != zero:
+                    raise ExactDivisionError(
+                        f"Bareiss step {k + 1}: division by {brief(_mk(ring, prev))} "
+                        f"leaves {brief(_mk(ring, r))}")
+        prev = pivot
     result = _mk(ring, w[n - 1][n - 1])
     return -result if sign_flip else result
 

@@ -11,9 +11,12 @@ tuple of Fraction coefficients on Q[x]), built from the raw value on each
 read.
 All values are immutable; every operation is a pure function.
 
-RAW_OPS maps each ring to the (add, mul, zero) of its raw values: the
-matrix kernels in hermite, smith, matrix and determinant work on raw
-entries through it, so only this module dispatches on the raw form.
+RAW_OPS maps each ring to the (add, mul, zero) of its raw values,
+RAW_EUCLID to their (divmod, neg, canonical associate), and raw_egcd is
+the one extended Euclid loop, on either table.  The matrix kernels in
+hermite, smith, matrix and determinant work on raw entries through
+these, and Elem's division, egcd, gcd and canonical_associate wrap
+them, so only this module dispatches on the raw form.
 """
 from __future__ import annotations
 
@@ -54,9 +57,9 @@ class Ring(Enum):
 _Z, _Q, _QX = Ring.Z, Ring.Q, Ring.QX
 
 # ---------------------------------------------------------------------------
-# raw Q and Q[x] kernels on (nums, den) pairs, see the module docstring
+# raw kernels on ints (Z) and (nums, den) pairs (Q, Q[x]), see the module docstring
 
-_QZERO = ((), 1)
+_QZERO, _QONE = ((), 1), ((1,), 1)
 
 
 def _qnorm(nums, den: int) -> tuple:
@@ -124,7 +127,7 @@ def _qdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     scale factor s (a product of lead(b)'s) with s*A = Q*B + R."""
     (an, ad), (bn, bd) = a, b
     if not bn:
-        raise DivisionByZero("polynomial division by zero")
+        raise DivisionByZero("division by zero")
     db = len(bn) - 1
     if len(an) <= db:
         return _QZERO, a
@@ -147,8 +150,56 @@ def _qderiv(a: tuple) -> tuple:
     return _qnorm([i * c for i, c in enumerate(nums)][1:], den)
 
 
+def _qneg(a: tuple) -> tuple:
+    return tuple(-c for c in a[0]), a[1]
+
+
+def _qassoc(a: tuple) -> tuple[tuple, tuple]:
+    """(u, c) with c = u*a canonical: zero or with leading coefficient 1."""
+    nums, den = a
+    if not nums or nums[-1] == den:
+        return _QONE, a
+    u = _qnorm((den,), nums[-1])
+    return u, (_QONE if len(nums) == 1 else _qmul(u, a))
+
+
+def _zdivmod(a: int, b: int) -> tuple[int, int]:
+    """Division with the residue convention 0 <= r < |b|."""
+    if not b:
+        raise DivisionByZero("division by zero")
+    q, r = divmod(a, b)
+    if r < 0:  # python gives r the divisor's sign; shift into [0, |b|)
+        return q + 1, r - b
+    return q, r
+
+
+def _zassoc(a: int) -> tuple[int, int]:
+    return (-1, -a) if a < 0 else (1, a)
+
+
 RAW_OPS = {_Z: (operator.add, operator.mul, 0),
            _Q: (_qadd, _qmul, _QZERO), _QX: (_qadd, _qmul, _QZERO)}
+RAW_EUCLID = {_Z: (_zdivmod, operator.neg, _zassoc),
+              _Q: (_qdivmod, _qneg, _qassoc), _QX: (_qdivmod, _qneg, _qassoc)}
+# Raw maps into a larger ring; a Q pair already is a degree-0 Q[x] pair.
+RAW_LIFT = {(_Z, _Q): lambda v: _qnorm((v,), 1), (_Z, _QX): lambda v: _qnorm((v,), 1),
+            (_Q, _QX): lambda v: v}
+
+
+def raw_egcd(ring: Ring, a, b) -> tuple:
+    """Extended Euclid on raw values by RAW_EUCLID's divmod: (d, s, t) with
+    s*a + t*b = d, d the canonical gcd; (0, 1, 0) for a = b = 0."""
+    (add, mul, zero), (divmod_, neg, associate) = RAW_OPS[ring], RAW_EUCLID[ring]
+    s0, s1, t0, t1 = _ONE[ring].raw, zero, zero, _ONE[ring].raw
+    while b != zero:
+        q, r = divmod_(a, b)
+        q = neg(q)
+        a, b = b, r
+        s0, s1 = s1, add(s0, mul(q, s1))
+        t0, t1 = t1, add(t0, mul(q, t1))
+    u, d = associate(a)
+    return d, mul(u, s0), mul(u, t0)
+
 
 Value = Union[int, Fraction, tuple]
 
@@ -236,10 +287,7 @@ class Elem:
     def unit_inverse(self) -> "Elem":
         if not self.is_unit():
             raise NotAUnit(f"{brief(self)} is not a unit of {self.ring}")
-        if self.ring is _Z:
-            return self
-        (c,), den = self.raw
-        return _mk(self.ring, _qnorm((den,), c))
+        return _mk(self.ring, RAW_EUCLID[self.ring][2](self.raw)[0])
 
     def degree(self) -> int:
         if self.ring is not _QX:
@@ -266,10 +314,7 @@ class Elem:
     __radd__ = __add__
 
     def __neg__(self) -> "Elem":
-        if self.ring is _Z:
-            return _mk(_Z, -self.raw)
-        nums, den = self.raw
-        return _mk(self.ring, (tuple(-c for c in nums), den))
+        return _mk(self.ring, -self.raw if self.ring is _Z else _qneg(self.raw))
 
     def __sub__(self, other) -> "Elem":
         return self + (-self._coerced(other))
@@ -292,23 +337,15 @@ class Elem:
         Q[x] has deg(r) < deg(b).
         """
         other = self._coerced(other)
-        if other.is_zero():
-            raise DivisionByZero("division by zero")
-        if self.ring is _Z:
-            q, r = divmod(self.raw, other.raw)
-            if r < 0:  # python gives r the divisor's sign; shift into [0, |b|)
-                r -= other.raw
-                q += 1
-            return _mk(_Z, q), _mk(_Z, r)
-        q, r = _qdivmod(self.raw, other.raw)
+        q, r = RAW_EUCLID[self.ring][0](self.raw, other.raw)
         return _mk(self.ring, q), _mk(self.ring, r)
 
     def exact_div(self, other) -> "Elem":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ExactDivisionError(
-                f"{brief(self)} is not divisible by {brief(self._coerced(other))}")
-        return q
+        other = self._coerced(other)
+        q, r = RAW_EUCLID[self.ring][0](self.raw, other.raw)
+        if r != RAW_OPS[self.ring][2]:
+            raise ExactDivisionError(f"{brief(self)} is not divisible by {brief(other)}")
+        return _mk(self.ring, q)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -326,7 +363,7 @@ def _mk(ring: Ring, raw) -> Elem:
 
 
 _ZERO = {_Z: _mk(_Z, 0), _Q: _mk(_Q, _QZERO), _QX: _mk(_QX, _QZERO)}
-_ONE = {_Z: _mk(_Z, 1), _Q: _mk(_Q, ((1,), 1)), _QX: _mk(_QX, ((1,), 1))}
+_ONE = {_Z: _mk(_Z, 1), _Q: _mk(_Q, _QONE), _QX: _mk(_QX, _QONE)}
 
 
 def power(base, e: int, one, mul):
@@ -394,18 +431,8 @@ def valuation(a: Elem) -> int:
 def canonical_associate(a: Elem) -> tuple[Elem, Elem]:
     """Return (u, c) with c = u*a, u a unit and c the SDR representative:
     nonnegative on Z, 0 or 1 on Q, zero-or-monic on Q[x]."""
-    one = _ONE[a.ring]
-    if a.is_zero():
-        return one, a
-    if a.ring is _Z:
-        if a.raw < 0:
-            return _mk(_Z, -1), _mk(_Z, -a.raw)
-        return one, a
-    nums, den = a.raw
-    if nums[-1] == den:  # leading coefficient 1
-        return one, a
-    u = _mk(a.ring, _qnorm((den,), nums[-1]))
-    return u, (one if a.ring is _Q else u * a)  # on Q, u * a is 1
+    u, c = RAW_EUCLID[a.ring][2](a.raw)
+    return _mk(a.ring, u), _mk(a.ring, c)
 
 
 def canonical(a: Elem) -> Elem:
@@ -427,9 +454,7 @@ def gcd(a: Elem, b: Elem) -> Elem:
     gcd(0, 0) = 0."""
     if b.ring is not a.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return canonical(a)
+    return _mk(a.ring, raw_egcd(a.ring, a.raw, b.raw)[0])
 
 
 def lcm(a: Elem, b: Elem) -> Elem:
@@ -446,17 +471,8 @@ def egcd(a: Elem, b: Elem) -> tuple[Elem, Elem, Elem]:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
     if a.is_zero() and b.is_zero():
         raise ZeroArgument("egcd(0, 0) is undefined")
-    one, zero = Elem.one(a.ring), Elem.zero(a.ring)
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    u, d = canonical_associate(r0)
-    return d, u * s0, u * t0
+    d, s, t = raw_egcd(a.ring, a.raw, b.raw)
+    return _mk(a.ring, d), _mk(a.ring, s), _mk(a.ring, t)
 
 
 # Rational-root candidates one _rational_root_split call may test; past

@@ -2,13 +2,14 @@
 transforms; Hermite (row echelon) forms, canonical normalization,
 exact linear solving, and unit-matrix decomposition.
 
-All row operations run through two in-place kernels: `_apply_rows` (one
-`ElemOp`) and `_apply_2x2_rows` (one det-1 block on two rows).  A column
-operation is a row operation on the transposed working list; the passes
-`_echelon` and `_canonicalize` act in place on lists of rows.  Working
-rows hold raw values (see domain) and the kernels do their arithmetic
-through domain.RAW_OPS; an Elem is built only for a pivot decision
-(egcd, divmod, canonical_associate) and for the coefficient of an op.
+All row operations run through two in-place kernels: `_row_op` (one
+scaling or addmul; `_apply_rows` applies an `ElemOp` with it) and
+`_apply_2x2_rows` (one det-1 block on two rows).  A column operation is
+a row operation on the transposed working list; the passes `_echelon`
+and `_canonicalize` act in place on lists of rows of raw values (see
+domain).  The elimination builds no Elem: the kernels compute through
+domain.RAW_OPS and every pivot decision is raw (domain.raw_egcd and
+RAW_EUCLID's divmod and associate), the ring's functions bound per pass.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 
 from . import determinant
 from .domain import (
+    RAW_EUCLID,
     RAW_OPS,
     Elem,
     Ring,
@@ -24,12 +26,13 @@ from .domain import (
     brief,
     canonical_associate,
     canonical_residue,
-    egcd,
+    raw_egcd,
     valuation,
 )
 from .errors import (
     AllZeroColumn,
     BadOperation,
+    ExactDivisionError,
     IndexOutOfRange,
     NotAUnit,
     RingMismatch,
@@ -80,27 +83,32 @@ def row_scale(i: int, unit: Elem) -> ElemOp:
 
 def _apply_rows(op: ElemOp, *mats: list[list]):
     """Apply one row op in place to each working list of raw rows."""
-    i, j = op.i - 1, op.j - 1
     if op.kind == "swap":
         for rows in mats:
-            rows[i], rows[j] = rows[j], rows[i]
-        return
-    add, mul, _ = RAW_OPS[op.coeff.ring]
-    c = op.coeff.raw
+            rows[op.i - 1], rows[op.j - 1] = rows[op.j - 1], rows[op.i - 1]
+    else:
+        _row_op(RAW_OPS[op.coeff.ring], op.i, op.coeff.raw,
+                op.j if op.kind == "addmul" else 0, *mats)
+
+
+def _row_op(ops, i: int, c, j: int, *mats: list[list]):
+    """rows[i] <- rows[i] + c*rows[j], or c*rows[i] when j is 0, in each
+    working list of raw rows, for a raw c and the ring's RAW_OPS."""
+    add, mul, _ = ops
+    i -= 1
     for rows in mats:
-        if op.kind == "addmul":
-            rows[i] = [add(t, mul(c, s)) for t, s in zip(rows[i], rows[j])]
+        if j:
+            rows[i] = [add(t, mul(c, s)) for t, s in zip(rows[i], rows[j - 1])]
         else:
             rows[i] = [mul(c, v) for v in rows[i]]
 
 
-def _apply_2x2_rows(s, t, m11, m12, m21, m22, *mats: list[list]):
+def _apply_2x2_rows(ops, s, t, m11, m12, m21, m22, *mats: list[list]):
     """rows[s], rows[t] <- (m11*rows[s] + m12*rows[t],
                             m21*rows[s] + m22*rows[t]) in each working
-    list of raw rows, for Elems m11..m22 of a det-1 block, so a product
-    of type I/II operations."""
-    add, mul, _ = RAW_OPS[m11.ring]
-    m11, m12, m21, m22 = m11.raw, m12.raw, m21.raw, m22.raw
+    list of raw rows, for raw m11..m22 of a det-1 block, so a product of
+    type I/II operations, and the ring's RAW_OPS."""
+    add, mul, _ = ops
     for rows in mats:
         rs, rt = rows[s - 1], rows[t - 1]
         rows[s - 1] = [add(mul(m11, a), mul(m12, b)) for a, b in zip(rs, rt)]
@@ -129,8 +137,10 @@ def op_matrix(op: ElemOp, size: int, ring: Ring) -> Matrix:
 
 def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
     """Fold column j of each row in `others` into row s by det-1 gcd
-    blocks (a swap when the pivot is zero), applied to work and q alike."""
-    zero = RAW_OPS[ring][2]
+    blocks (a swap when the pivot is zero), applied to work and q alike.
+    The gcd must divide both entries exactly, else ExactDivisionError."""
+    ops, (divmod_, neg, _) = RAW_OPS[ring], RAW_EUCLID[ring]
+    zero = ops[2]
     for t in others:
         pivot = work[s - 1][j - 1]
         other = work[t - 1][j - 1]
@@ -139,9 +149,13 @@ def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
         if pivot == zero:
             _apply_rows(row_swap(s, t), work, q)
             continue
-        pivot, other = _mk(ring, pivot), _mk(ring, other)
-        d, x, y = egcd(pivot, other)
-        _apply_2x2_rows(s, t, x, y, -other.exact_div(d), pivot.exact_div(d), work, q)
+        d, x, y = raw_egcd(ring, pivot, other)
+        (e1, r1), (e2, r2) = divmod_(other, d), divmod_(pivot, d)
+        if r1 != zero or r2 != zero:
+            raise ExactDivisionError(
+                f"gcd {brief(_mk(ring, d))} does not divide {brief(_mk(ring, pivot))} "
+                f"and {brief(_mk(ring, other))}")
+        _apply_2x2_rows(ops, s, t, x, y, neg(e1), e2, work, q)
 
 
 def clear_column(
@@ -200,14 +214,16 @@ def _canonicalize(ring: Ring, work, q) -> list[int]:
     pivot to residues by the quotient of one divmod.  Acts on work and q
     in place; returns the primary columns."""
     primary = _echelon(ring, work, q)
+    ops, (divmod_, neg, associate) = RAW_OPS[ring], RAW_EUCLID[ring]
+    zero, one = ops[2], Elem.one(ring).raw
     for t, j in enumerate(primary, start=1):
-        u, pivot = canonical_associate(_mk(ring, work[t - 1][j - 1]))
-        if not u.is_one():
-            _apply_rows(row_scale(t, u), work, q)
+        u, pivot = associate(work[t - 1][j - 1])
+        if u != one:
+            _row_op(ops, t, u, 0, work, q)
         for i in range(1, t):
-            c, _ = divmod(_mk(ring, work[i - 1][j - 1]), pivot)
-            if not c.is_zero():
-                _apply_rows(row_addmul(i, -c, t), work, q)
+            c = divmod_(work[i - 1][j - 1], pivot)[0]
+            if c != zero:
+                _row_op(ops, i, neg(c), t, work, q)
     return primary
 
 

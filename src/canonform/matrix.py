@@ -222,10 +222,10 @@ def lift(a: Matrix, ring: Ring) -> Matrix:
     """Embed a matrix into a larger ring (Z -> Q, Z/Q -> Q[x])."""
     if a.ring is ring:
         return a
-    if (a.ring, ring) in ((Ring.Z, Ring.Q), (Ring.Z, Ring.QX), (Ring.Q, Ring.QX)):
-        return Matrix.from_rows(ring, [[e.value for e in a.row(i)]
-                                       for i in range(1, a.m + 1)])
-    raise RingMismatch(f"cannot lift {a.ring} into {ring}")
+    to_raw = domain.RAW_LIFT.get((a.ring, ring))
+    if to_raw is None:
+        raise RingMismatch(f"cannot lift {a.ring} into {ring}")
+    return Matrix(ring, a.m, a.n, tuple(_mk(ring, to_raw(e.raw)) for e in a.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,7 @@ def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
 def _chain_pass(pwork, qtwork, diag, start):
     """Make diag[start] divide every later entry: each 2x2 step acts on
     rows (start, other) of P and of Q transposed."""
+    ops = RAW_OPS[diag[start].ring]
     for other in range(start + 1, len(diag)):
         lead, cur = diag[start], diag[other]
         if divmod(cur, lead)[1].is_zero():
@@ -110,8 +111,9 @@ def _chain_pass(pwork, qtwork, diag, start):
             raise CertificateFailed(
                 f"chain pass variant broken: {brief(delta)} does not shrink "
                 f"{brief(lead)}")
-        _apply_2x2_rows(start + 1, other + 1, *p2.entries, pwork)
-        _apply_2x2_rows(start + 1, other + 1, *q2.transpose().entries, qtwork)
+        _apply_2x2_rows(ops, start + 1, other + 1, *(e.raw for e in p2.entries), pwork)
+        _apply_2x2_rows(ops, start + 1, other + 1,
+                        *(e.raw for e in q2.transpose().entries), qtwork)
         diag[start], diag[other] = delta, lam
 
 

@@ -140,6 +140,57 @@ def test_corrupted_factor_raises_under_dash_o():
     assert out.stdout.strip() == "caught"
 
 
+# The extended Euclid that hermite binds returns 2*gcd on Z, which divides
+# neither entry it folds: smith, hermite_canonical and `canonform smith
+# --verify` must each stop with a canonform error under -O (the exact
+# quotients are checked), not a bare Python exception or a wrong answer.
+CORRUPTED_EUCLID = textwrap.dedent("""\
+    import contextlib, importlib, io, sys, tempfile
+    from pathlib import Path
+    from canonform.errors import CertificateFailed, ExactDivisionError
+    from canonform.matrix import format_matrix, mat_z
+
+    if __debug__:
+        sys.exit("expected to run under python -O")
+    herm = importlib.import_module("canonform.hermite")
+    sm = importlib.import_module("canonform.smith")
+    cli = importlib.import_module("canonform.cli")
+
+    orig = herm.raw_egcd
+    def doubled(ring, a, b):
+        d, s, t = orig(ring, a, b)
+        return 2 * d, s, t
+    herm.raw_egcd = doubled
+    a = mat_z([[2, 4], [6, 8]])
+    for call in (sm.smith, herm.hermite_canonical):
+        try:
+            call(a)
+            sys.exit(f"corrupted Euclid in {call.__name__} was not caught")
+        except (ExactDivisionError, CertificateFailed):
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.mtx"
+        path.write_text(format_matrix(a))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["smith", str(path), "--verify"])
+    if code != 1 or not err.getvalue().startswith(
+            ("error: ExactDivisionError", "error: CertificateFailed")):
+        sys.exit(f"corrupted Euclid in the CLI gave exit {code}: {err.getvalue()!r}")
+    print("caught")
+""")
+
+
+def test_corrupted_euclid_raises_under_dash_o():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_EUCLID],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "caught"
+
+
 def test_diagonalize_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
     import importlib
     sm = importlib.import_module("canonform.smith")

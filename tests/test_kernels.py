@@ -1,25 +1,31 @@
-"""The raw-value kernels against plain Elem arithmetic.
+"""The raw-value kernels against plain Elem arithmetic and references.
 
 `hermite._apply_rows`, `hermite._apply_2x2_rows`, `matrix.multiply` and
 `determinant.det` keep their working entries raw (an int on Z, a
 (nums, den) pair on Q and Q[x]) and compute through `domain.RAW_OPS`.
 Each property here redoes the computation on Elems, on Z, Q and Q[x],
 with zero rows and with Q[x] coefficients whose denominator is not 1.
-The guard at the end checks that every entry the public calls return is
+The guard after them checks that every entry the public calls return is
 in canonical raw form, as a kernel that skipped `_qnorm` would not be.
+The last properties check the raw pivot decisions, `domain.raw_egcd`
+and the divmod, negation and associate of `domain.RAW_EUCLID`, against
+a reference Euclid on Fractions (`test_domain.ref_egcd`) and on ints.
 """
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canonform.determinant import det, det_expansion
-from canonform.domain import Elem, Ring
+from canonform.domain import RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, raw_egcd
+from canonform.errors import DivisionByZero
 from canonform.hermite import ElemOp, _apply_2x2_rows, _apply_rows, hermite_canonical
 from canonform.matrix import Matrix, multiply
 from canonform.smith import smith
 from conftest import random_matrix
+from test_domain import ref_egcd
 
 RINGS = [Ring.Z, Ring.Q, Ring.QX]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -83,7 +89,7 @@ def test_apply_2x2_rows_matches_elem_arithmetic(ring, data):
     s, t = data.draw(st.permutations(range(1, m + 1)))[:2]
     m11, m12, m21, m22 = (data.draw(elems(ring)) for _ in range(4))
     work = a.raw_rows()
-    _apply_2x2_rows(s, t, m11, m12, m21, m22, work)
+    _apply_2x2_rows(RAW_OPS[ring], s, t, m11.raw, m12.raw, m21.raw, m22.raw, work)
     rows = a.rows()
     rs, rt = rows[s - 1], rows[t - 1]
     rows[s - 1] = [m11 * x + m12 * y for x, y in zip(rs, rt)]
@@ -131,3 +137,84 @@ def test_results_hold_canonical_raw_values(ring):
         assert all(_canonical(e) for e in res.diag)
         sq = random_matrix(rng, ring, n, n)
         assert _canonical(det(sq))
+
+
+def ref_zegcd(a, b):
+    """Extended Euclid on ints with remainders in [0, |b|), then d >= 0;
+    (0, 1, 0) for a = b = 0."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        r = r0 % abs(r1)
+        q = (r0 - r) // r1
+        r0, r1, s0, s1, t0, t1 = r1, r, s1, s0 - q * s1, t1, t0 - q * t1
+    sign = -1 if r0 < 0 else 1
+    return sign * r0, sign * s0, sign * t0
+
+
+def fractions_of(v):
+    """A raw pair as ref_egcd's tuple of Fraction coefficients."""
+    nums, den = v
+    return tuple(Fraction(c, den) for c in nums)
+
+
+maybe_zero = {ring: st.one_of(st.just(Elem.zero(ring)), elems(ring)) for ring in RINGS}
+
+
+@SETTINGS
+@example(a=-60, b=-45)
+@example(a=0, b=-4)
+@example(a=-4, b=0)
+@example(a=0, b=0)
+@given(a=st.integers(-100, 100), b=st.integers(-100, 100))
+def test_raw_egcd_matches_the_reference_on_z(a, b):
+    assert raw_egcd(Ring.Z, a, b) == ref_zegcd(a, b)
+    assert raw_egcd(Ring.Z, a, b)[0] == math.gcd(a, b)
+
+
+@pytest.mark.parametrize("ring", [Ring.Q, Ring.QX], ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_raw_egcd_matches_the_reference(ring, data):
+    a, b = data.draw(maybe_zero[ring]), data.draw(maybe_zero[ring])
+    got = tuple(fractions_of(v) for v in raw_egcd(ring, a.raw, b.raw))
+    if a.is_zero() and b.is_zero():
+        assert got == ((), (Fraction(1),), ())
+    else:
+        assert got == ref_egcd(fractions_of(a.raw), fractions_of(b.raw))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_raw_divmod_neg_and_associate_match_elem_arithmetic(ring, data):
+    divmod_, neg, associate = RAW_EUCLID[ring]
+    a = data.draw(maybe_zero[ring])
+    b = data.draw(elems(ring).filter(lambda e: not e.is_zero()))
+    q, r = (_mk(ring, v) for v in divmod_(a.raw, b.raw))
+    assert b * q + r == a and _canonical(q) and _canonical(r)
+    if ring is Ring.Z:
+        assert 0 <= r.raw < abs(b.raw)
+    elif ring is Ring.Q:
+        assert r.is_zero()
+    else:
+        assert r.is_zero() or r.degree() < b.degree()
+    assert a + _mk(ring, neg(a.raw)) == Elem.zero(ring)
+    u, c = (_mk(ring, v) for v in associate(a.raw))
+    assert u.is_unit() and u * a == c and _canonical(c)
+    if not c.is_zero():
+        assert c.raw > 0 if ring is Ring.Z else c.raw[0][-1] == c.raw[1]
+
+
+@SETTINGS
+@given(a=st.integers(-10**30, 10**30), b=st.integers(-10**6, 10**6).filter(bool))
+def test_raw_z_divmod_keeps_the_residue_convention(a, b):
+    q, r = RAW_EUCLID[Ring.Z][0](a, b)
+    assert a == q * b + r and 0 <= r < abs(b)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_raw_division_by_zero_is_a_named_error(ring):
+    divmod_, zero = RAW_EUCLID[ring][0], Elem.zero(ring).raw
+    for a in (zero, Elem.one(ring).raw, RAW_EUCLID[ring][1](Elem.one(ring).raw)):
+        with pytest.raises(DivisionByZero, match="^division by zero$"):
+            divmod_(a, zero)

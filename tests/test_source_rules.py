@@ -6,8 +6,8 @@ a class of canonform.errors, so the CLI can map it to an exit code.  A
 bare `raise` re-raises, and FrozenInstanceError is Elem's documented
 immutability contract.  Arithmetic is exact: no true division `/` (which
 makes a float of two ints) and no float(...) call.  Ring dispatch on raw
-values lives in one table, domain.RAW_OPS: no other module names the raw
-Q and Q[x] kernels.
+values lives in domain, in its tables RAW_OPS, RAW_EUCLID and RAW_LIFT
+and in raw_egcd: no other module names the raw Z, Q and Q[x] kernels.
 """
 import ast
 from pathlib import Path
@@ -78,11 +78,12 @@ def test_float_rule_sees(code):
     assert any(_makes_float(node) for node in ast.walk(ast.parse(code)))
 
 
-RAW_KERNELS = {"_qadd", "_qmul", "_qdivmod", "_qnorm"}
+RAW_KERNELS = {"_qadd", "_qmul", "_qdivmod", "_qnorm", "_qneg", "_qassoc",
+               "_zdivmod", "_zassoc"}
 
 
 def _raw_kernel_names(tree: ast.AST) -> list[tuple[int, str]]:
-    """Every name, attribute or import of a raw Q and Q[x] kernel."""
+    """Every name, attribute or import of a raw Z, Q and Q[x] kernel."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -108,6 +109,8 @@ def test_raw_kernels_are_named_only_in_domain(path):
 
 
 @pytest.mark.parametrize("code", ["from .domain import _qadd", "domain._qmul(a, b)",
-                                  "_qnorm(nums, 1)", "f = _qdivmod"])
+                                  "_qnorm(nums, 1)", "f = _qdivmod",
+                                  "q, r = domain._zdivmod(a, b)",
+                                  "from .domain import _qneg, _zassoc"])
 def test_raw_kernel_rule_sees(code):
     assert _raw_kernel_names(ast.parse(code))
