@@ -13,8 +13,9 @@ All values are immutable; every operation is a pure function.
 
 RAW_OPS maps each ring to the (add, mul, zero) of its raw values,
 RAW_EUCLID to their (divmod, neg, canonical associate), and raw_egcd is
-the one extended Euclid loop, on either table.  The matrix kernels in
-hermite, smith, matrix and determinant work on raw entries through
+the one extended Euclid loop, on either table; raw_layers splits raw
+Q[x] rows into raw Q coefficient rows.  The matrix kernels in hermite,
+smith, matrix, determinant and similarity work on raw entries through
 these, and Elem's division, egcd, gcd and canonical_associate wrap
 them, so only this module dispatches on the raw form.
 """
@@ -48,6 +49,8 @@ class Ring(Enum):
     Z = "Z"
     Q = "Q"
     QX = "Q[x]"
+
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ is slow
 
     def __str__(self) -> str:
         return self.value
@@ -111,6 +114,8 @@ def _qmul(a: tuple, b: tuple) -> tuple:
     (an, ad), (bn, bd) = a, b
     if not an or not bn:
         return _QZERO
+    if len(bn) == 1:
+        an, bn = bn, an
     if len(an) == 1:
         x = an[0]
         return _qnorm([x * y for y in bn], ad * bd)
@@ -199,6 +204,13 @@ def raw_egcd(ring: Ring, a, b) -> tuple:
         t0, t1 = t1, add(t0, mul(q, t1))
     u, d = associate(a)
     return d, mul(u, s0), mul(u, t0)
+
+
+def raw_layers(rows) -> list:
+    """Raw Q[x] rows P = sum P_k x^k as the raw Q rows P_0..P_m (P_0 alone for P = 0)."""
+    top = max(len(v[0]) for row in rows for v in row)
+    return [[[_qnorm((v[0][k],), v[1]) if k < len(v[0]) else _QZERO for v in row]
+             for row in rows] for k in range(max(1, top))]
 
 
 Value = Union[int, Fraction, tuple]
@@ -454,7 +466,11 @@ def gcd(a: Elem, b: Elem) -> Elem:
     gcd(0, 0) = 0."""
     if b.ring is not a.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
-    return _mk(a.ring, raw_egcd(a.ring, a.raw, b.raw)[0])
+    ring, x, y = a.ring, a.raw, b.raw
+    (divmod_, _, associate), zero = RAW_EUCLID[ring], RAW_OPS[ring][2]
+    while y != zero:  # raw_egcd's remainder sequence, without its cofactors
+        x, y = y, divmod_(x, y)[1]
+    return _mk(ring, associate(x)[1])
 
 
 def lcm(a: Elem, b: Elem) -> Elem:

@@ -4,7 +4,8 @@ calculus, direct sums, and the text file format.
 Indices in the public API are 1-based throughout; the row-major entry
 tuple is an internal detail.  `raw_rows` and `from_raw` move a matrix to
 and from lists of rows of raw values (see domain), which the elimination
-kernels and `multiply` work on; `from_raw` wraps each entry once.
+kernels work on, as does `raw_multiply`, the one product loop, which
+`multiply` (the `@` of Matrix) wraps; `from_raw` wraps each entry once.
 """
 from __future__ import annotations
 
@@ -140,13 +141,18 @@ class Matrix:
 def multiply(a: Matrix, b: Matrix) -> Matrix:
     """Exact product: D(i,j) = sum_k A(i,k) B(k,j)."""
     a._check_ring(b)
-    if a.n != b.m:
-        raise ShapeMismatch(f"{a.m}x{a.n} times {b.m}x{b.n}")
-    add, mul, zero = RAW_OPS[a.ring]
-    brows = b.raw_rows()
+    return Matrix.from_raw(a.ring, raw_multiply(a.ring, a.raw_rows(), b.raw_rows()))
+
+
+def raw_multiply(ring: Ring, arows: Sequence, brows: Sequence) -> list:
+    """The product of two lists of raw rows over ring, as raw rows."""
+    if len(arows[0]) != len(brows):
+        raise ShapeMismatch(f"{len(arows)}x{len(arows[0])} times "
+                            f"{len(brows)}x{len(brows[0])}")
+    add, mul, zero = RAW_OPS[ring]
     out = []
-    for arow in a.raw_rows():
-        acc = [zero] * b.n
+    for arow in arows:
+        acc = [zero] * len(brows[0])
         for aik, brow in zip(arow, brows):
             if aik == zero:
                 continue
@@ -154,7 +160,7 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
                 if bkj != zero:
                     acc[j] = add(acc[j], mul(aik, bkj))
         out.append(acc)
-    return Matrix.from_raw(a.ring, out)
+    return out
 
 
 def submatrix(x: Matrix, f: Sequence[int], g: Sequence[int]) -> Matrix:
@@ -301,8 +307,3 @@ def mat_qx(rows: Sequence[Sequence]) -> Matrix:
 
 def vector(ring: Ring, values: Sequence) -> Matrix:
     return Matrix.from_rows(ring, [[v] for v in values])
-
-
-def x_identity(size: int) -> Matrix:
-    """x * I_n over Q[x]."""
-    return Matrix.identity(Ring.QX, size).scale(domain.X)

@@ -6,7 +6,8 @@ Constant matrices live over Q (Z inputs are lifted); polynomial matrices
 over Q[x].  `rcf` and `jordan` compute the Smith form of xI - A once and
 reuse it both for the elementary divisors and for the conjugator
 S = rho_B(Q_A D_B^-1 P_B (xI - B)), read off the two replayed Smith
-identities: no matrix is inverted.
+identities: no matrix is inverted.  From xI - A to S the path runs on
+raw rows (see domain) by `matrix.raw_multiply`, wrapping each result once.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import determinant
-from .domain import Elem, Ring, brief, polynomial, valuation
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, polynomial, raw_layers,
+                     valuation)
 from .errors import (
     CertificateFailed,
     Error,
@@ -26,7 +28,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .invariants import elementary_divisors
-from .matrix import Matrix, direct_sum, lift, x_identity
+from .matrix import Matrix, direct_sum, lift, raw_multiply
 from .smith import SmithResult, smith
 
 
@@ -39,9 +41,11 @@ def _as_rational_square(a: Matrix) -> Matrix:
 
 
 def char_matrix(a: Matrix) -> Matrix:
-    """xI - A over Q[x]."""
-    a = _as_rational_square(a)
-    return x_identity(a.m) - lift(a, Ring.QX)
+    """xI - A over Q[x], built on raw rows: a Q pair is a degree-0 Q[x] pair."""
+    add, neg = RAW_OPS[Ring.QX][0], RAW_EUCLID[Ring.QX][1]
+    return Matrix.from_raw(Ring.QX, [
+        [add(X.raw, neg(v)) if i == j else neg(v) for j, v in enumerate(row)]
+        for i, row in enumerate(_as_rational_square(a).raw_rows())])
 
 
 def char_poly(a: Matrix) -> Elem:
@@ -83,11 +87,14 @@ def _horner(p: Matrix, a: Matrix, left: bool) -> Matrix:
     a = _as_rational_square(a)
     if p.m != a.m or p.n != a.n:
         raise ShapeMismatch("evaluation needs conformable square matrices")
-    layers = canonical_presentation(p).coeffs
-    out = layers[-1]
-    for pk in reversed(layers[:-1]):
-        out = (a @ out if left else out @ a) + pk
-    return out
+    if p.ring is not Ring.QX:
+        raise RingMismatch("evaluation needs a Q[x] matrix")
+    add, arows = RAW_OPS[Ring.Q][0], a.raw_rows()
+    *layers, out = raw_layers(p.raw_rows())
+    for pk in reversed(layers):
+        out = raw_multiply(Ring.Q, *((arows, out) if left else (out, arows)))
+        out = [[add(u, v) for u, v in zip(urow, vrow)] for urow, vrow in zip(out, pk)]
+    return Matrix.from_raw(Ring.Q, out)
 
 
 def right_eval(p: Matrix, a: Matrix) -> Matrix:
@@ -172,9 +179,11 @@ class SimilarityCertificate:
         S^-1 A S = target, without inverting S.  False when a check fails
         or raises a canonform.errors.Error (another ring, unequal shapes)."""
         try:
-            a = _as_rational_square(a)
-            return (not determinant.det(self.s).is_zero()
-                    and a @ self.s == self.s @ self.target)
+            a, s, t = _as_rational_square(a), self.s, self.target
+            srows = s.raw_rows()
+            return (s.ring is t.ring is Ring.Q and not determinant.det(s).is_zero()
+                    and raw_multiply(Ring.Q, a.raw_rows(), srows)
+                    == raw_multiply(Ring.Q, srows, t.raw_rows()))
         except Error:
             return False
 
@@ -201,13 +210,15 @@ def _conjugator(a: Matrix, res_a: SmithResult, b: Matrix,
     inverse.  The certificate is replayed by its own verify."""
     if res_a.diag != res_b.diag:
         return None
-    rows = (res_b.p @ char_matrix(b)).rows()  # D_B Q_B^-1
+    divmod_, zero = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2]
+    # D_B Q_B^-1 = P_B (xI - B), then exact division of row i by D_B's d_i
+    rows = raw_multiply(Ring.QX, res_b.p.raw_rows(), char_matrix(b).raw_rows())
     for i, d in enumerate(res_b.diag):
-        rows[i], rems = zip(*(divmod(v, d) for v in rows[i]))
-        if any(not r.is_zero() for r in rems):
+        rows[i], rems = zip(*(divmod_(v, d.raw) for v in rows[i]))
+        if any(r != zero for r in rems):
             raise CertificateFailed(f"Q_B^-1 row {i + 1} is not polynomial")
-    cert = SimilarityCertificate(
-        right_eval(res_a.q @ Matrix.from_rows(Ring.QX, rows), b), b)
+    q_ab = Matrix.from_raw(Ring.QX, raw_multiply(Ring.QX, res_a.q.raw_rows(), rows))
+    cert = SimilarityCertificate(right_eval(q_ab, b), b)
     if not cert.verify(a):
         raise CertificateFailed("similarity certificate replay S^-1 A S = B failed")
     return cert

@@ -5,6 +5,8 @@ P and Q come only from row operations on the rows of P and of Q^T in
 place: `diagonalize` runs `hermite._canonicalize` on them, each 2x2 chain
 step `hermite._apply_2x2_rows`.  No transform is multiplied out.  The
 working rows hold raw values (see domain), the chain's diagonal Elems.
+`smith` replays P A Q = D on raw rows by `matrix.raw_multiply`, then wraps
+P, Q and D once; `smith_2x2` replays its four entries from P2's and Q2's.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .domain import RAW_OPS, Elem, Ring, brief, canonical_associate, egcd, valuation
 from .errors import CertificateFailed, ZeroArgument
-from .matrix import Matrix
+from .matrix import Matrix, raw_multiply
 from .hermite import _apply_2x2_rows, _canonicalize
 
 _ALTERNATION_CAP = 200
@@ -83,15 +85,18 @@ def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
     ring = d1.ring
     delta, s, t = egcd(d1, d2)
     e1, e2 = d1.exact_div(delta), d2.exact_div(delta)
-    q2 = Matrix.from_rows(ring, [[s, -e2], [t, e1]])
-    one, zero = Elem.one(ring), Elem.zero(ring)
+    q2 = Matrix(ring, 2, 2, (s, -e2, t, e1))
+    one = Elem.one(ring)
     # R_[2]-c[1] folded into [[1,1],[0,1]] clears the td2 left behind
     # below; the second row is then scaled by the unit u making lcm canonical
     c = t * e2
     u, lam = canonical_associate(d1 * e2)
-    p2 = Matrix.from_rows(ring, [[one, one], [-c * u, (one - c) * u]])
-    check = p2 @ Matrix.from_rows(ring, [[d1, zero], [zero, d2]]) @ q2
-    if check != Matrix.from_rows(ring, [[delta, zero], [zero, lam]]):
+    p2 = Matrix(ring, 2, 2, (one, one, -c * u, (one - c) * u))
+    # entry (i, j) of P2 diag(d1, d2) Q2, from the raw entries returned
+    (add, mul, zero), x1, x2 = RAW_OPS[ring], d1.raw, d2.raw
+    p, q = [e.raw for e in p2.entries], [e.raw for e in q2.entries]
+    if [add(mul(mul(p[i], x1), q[j]), mul(mul(p[i + 1], x2), q[j + 2]))
+            for i in (0, 2) for j in (0, 1)] != [delta.raw, zero, zero, lam.raw]:
         raise CertificateFailed(
             f"smith_2x2 certificate failed on ({brief(d1)}, {brief(d2)})")
     return p2, q2, delta, lam
@@ -120,6 +125,7 @@ def _chain_pass(pwork, qtwork, diag, start):
 def smith(a: Matrix) -> SmithResult:
     """Smith canonical form P A Q = D: a full divisibility chain of
     canonical associates; the witness product is replayed exactly."""
+    ring, zero = a.ring, RAW_OPS[a.ring][2]
     p, q, d = diagonalize(a)
     diag = [d.entry(i, i) for i in range(1, min(d.m, d.n) + 1)
             if not d.entry(i, i).is_zero()]
@@ -129,16 +135,15 @@ def smith(a: Matrix) -> SmithResult:
     # stays so: each chain step writes smith_2x2's canonical delta and lam
     for start in range(r - 1):
         _chain_pass(pwork, qtwork, diag, start)
-    p = Matrix.from_raw(a.ring, pwork)
-    q = Matrix.from_raw(a.ring, qtwork).transpose()
-    zero = Elem.zero(a.ring)
-    d = Matrix.from_rows(a.ring, [[diag[i] if i == j and i < r else zero
-                                   for j in range(a.n)] for i in range(a.m)])
-    if p @ a @ q != d:
+    qwork = [list(col) for col in zip(*qtwork)]
+    dwork = [[diag[i].raw if i == j and i < r else zero for j in range(a.n)]
+             for i in range(a.m)]
+    if raw_multiply(ring, raw_multiply(ring, pwork, a.raw_rows()), qwork) != dwork:
         raise CertificateFailed("Smith certificate P A Q = D failed")
     for t in range(r - 1):
         if not divmod(diag[t + 1], diag[t])[1].is_zero():
             raise CertificateFailed(
                 f"divisibility chain broken: {brief(diag[t])} does not divide "
                 f"{brief(diag[t + 1])}")
-    return SmithResult(p, q, d, tuple(diag), r)
+    return SmithResult(Matrix.from_raw(ring, pwork), Matrix.from_raw(ring, qwork),
+                       Matrix.from_raw(ring, dwork), tuple(diag), r)

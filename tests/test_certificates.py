@@ -16,13 +16,15 @@ from canonform.similarity import SimilarityCertificate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Corrupts smith_2x2's associate and diagonalize's P in smith, two ways
+# Corrupts smith_2x2's associate and its Euclid cofactor s, diagonalize's
+# P and one term of the raw product replaying P A Q = D in smith, two ways
 # the right evaluation in similar, and the P_B that similar reads Q_B^-1
 # off, in a process started with -O; exits 0 only when every corruption
-# raises CertificateFailed (a zero S must not surface as NotAUnit).  P_B
-# gets its first row added to its last: scaling a row of P_B by a unit
-# only multiplies Q_B^-1 by a unit diagonal commuting with D_B, which
-# still gives a valid conjugator.
+# raises CertificateFailed (a zero S must not surface as NotAUnit), the
+# smith_2x2 and P A Q = D corruptions from their own replays.  P_B gets its
+# first row added to its last: scaling a row of P_B by a unit only
+# multiplies Q_B^-1 by a unit diagonal commuting with D_B, which still
+# gives a valid conjugator.
 CORRUPTED_STEPS = textwrap.dedent("""\
     import dataclasses, importlib, sys
     from canonform.errors import CertificateFailed
@@ -44,6 +46,33 @@ CORRUPTED_STEPS = textwrap.dedent("""\
     except CertificateFailed:
         pass
     sm.canonical_associate = orig
+
+    orig_egcd = sm.egcd
+    def shifted_s(a, b):
+        d, s, t = orig_egcd(a, b)
+        return d, s + 1, t
+    sm.egcd = shifted_s
+    try:
+        sm.smith(mat_z([[6, 0], [0, 4]]))
+        sys.exit("corrupted egcd in smith_2x2 was not caught")
+    except CertificateFailed as exc:
+        if "smith_2x2 certificate failed" not in str(exc):
+            sys.exit(f"the 2x2 replay did not catch it: {exc}")
+    sm.egcd = orig_egcd
+
+    orig_product = sm.raw_multiply
+    def dropped_term(ring, arows, brows):
+        out = orig_product(ring, arows, brows)
+        out[0][0] -= arows[0][0] * brows[0][0]  # Z: entry (1,1) loses k = 1
+        return out
+    sm.raw_multiply = dropped_term
+    try:
+        sm.smith(mat_z([[2, 4], [6, 8]]))
+        sys.exit("a dropped term in the P A Q replay was not caught")
+    except CertificateFailed as exc:
+        if "P A Q = D" not in str(exc):
+            sys.exit(f"the P A Q replay did not catch it: {exc}")
+    sm.raw_multiply = orig_product
 
     orig_diagonalize = sm.diagonalize
     def negated_p(a):
@@ -223,6 +252,23 @@ def test_diagonalize_cap_names_passes_and_largest_entry(monkeypatch, a, after_on
         sm.diagonalize(a)
     monkeypatch.setattr(sm, "_ALTERNATION_CAP", 2)
     sm.diagonalize(a)
+
+
+@pytest.mark.parametrize("call", ["similar", "rcf", "jordan"])
+def test_similarity_path_never_reaches_canonical_presentation(call, monkeypatch):
+    """Horner splits P into raw coefficient layers itself; the Elem-level
+    canonical_presentation stays public for callers and tests only."""
+    import importlib
+    sim = importlib.import_module("canonform.similarity")
+
+    def forbidden(p):
+        raise AssertionError("canonical_presentation reached")
+
+    monkeypatch.setattr(sim, "canonical_presentation", forbidden)
+    a = mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])
+    out = sim.similar(a, a) if call == "similar" else getattr(sim, call)(a)
+    cert = out if call == "similar" else out[0]
+    assert cert.verify(a)
 
 
 def test_verify_returns_false_on_shape_mismatch():

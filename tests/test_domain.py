@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canonform.domain import (
     _is_prime_mr,
@@ -150,6 +150,7 @@ class TestConstructor:
             e = random_elem(rng, ring)
             back = pickle.loads(pickle.dumps(e))
             assert back == e and type(back.raw) is type(e.raw)
+            assert back.ring is ring and hash(back) == hash(e)
 
 
 class TestDivmod:
@@ -577,6 +578,8 @@ KERNEL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 class TestQxKernels:
     @KERNEL_SETTINGS
+    @example(a=[1, Fraction(1, 2), 3], b=[Fraction(-2, 3)])  # a constant second factor
+    @example(a=[Fraction(-2, 3)], b=[1, Fraction(1, 2), 3])
     @given(a=coefficients, b=coefficients)
     def test_ring_operations(self, a, b):
         ra, rb = ref_trim(a), ref_trim(b)

@@ -1,15 +1,20 @@
 """The raw-value kernels against plain Elem arithmetic and references.
 
-`hermite._apply_rows`, `hermite._apply_2x2_rows`, `matrix.multiply` and
-`determinant.det` keep their working entries raw (an int on Z, a
-(nums, den) pair on Q and Q[x]) and compute through `domain.RAW_OPS`.
+`hermite._apply_rows`, `hermite._apply_2x2_rows`, `matrix.raw_multiply`
+(which `matrix.multiply` wraps) and `determinant.det` keep their working
+entries raw (an int on Z, a (nums, den) pair on Q and Q[x]) and compute
+through `domain.RAW_OPS`.
 Each property here redoes the computation on Elems, on Z, Q and Q[x],
 with zero rows and with Q[x] coefficients whose denominator is not 1.
 The guard after them checks that every entry the public calls return is
 in canonical raw form, as a kernel that skipped `_qnorm` would not be.
 The last properties check the raw pivot decisions, `domain.raw_egcd`
 and the divmod, negation and associate of `domain.RAW_EUCLID`, against
-a reference Euclid on Fractions (`test_domain.ref_egcd`) and on ints.
+a reference Euclid on Fractions (`test_domain.ref_egcd`) and on ints,
+and the cofactor-free `gcd` against `raw_egcd`.  The similarity path is
+checked the same way: the raw xI - A of `similarity.char_matrix`, and
+the Horner of `right_eval` and `left_eval` on `domain.raw_layers`,
+against the same computations on Elem matrices.
 """
 import math
 import random
@@ -19,10 +24,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from canonform.determinant import det, det_expansion
-from canonform.domain import RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, raw_egcd
-from canonform.errors import DivisionByZero
+from canonform.domain import RAW_EUCLID, RAW_OPS, X, Elem, Ring, _mk, gcd, raw_egcd
+from canonform.errors import DivisionByZero, ShapeMismatch
 from canonform.hermite import ElemOp, _apply_2x2_rows, _apply_rows, hermite_canonical
-from canonform.matrix import Matrix, multiply
+from canonform.matrix import Matrix, lift, multiply, raw_multiply
+from canonform.similarity import canonical_presentation, char_matrix, left_eval, right_eval
 from canonform.smith import smith
 from conftest import random_matrix
 from test_domain import ref_egcd
@@ -105,7 +111,8 @@ def test_multiply_matches_elem_arithmetic(ring, data):
     a, b = data.draw(matrices(ring, m, k)), data.draw(matrices(ring, k, n))
     expected = [[sum((a.entry(i, h) * b.entry(h, j) for h in range(1, k + 1)),
                      Elem.zero(ring)) for j in range(1, n + 1)] for i in range(1, m + 1)]
-    assert multiply(a, b).raw_rows() == raw(expected)
+    got = raw_multiply(ring, a.raw_rows(), b.raw_rows())
+    assert got == multiply(a, b).raw_rows() == raw(expected)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -218,3 +225,45 @@ def test_raw_division_by_zero_is_a_named_error(ring):
     for a in (zero, Elem.one(ring).raw, RAW_EUCLID[ring][1](Elem.one(ring).raw)):
         with pytest.raises(DivisionByZero, match="^division by zero$"):
             divmod_(a, zero)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_raw_multiply_rejects_unconformable_rows(ring):
+    zero = Elem.zero(ring).raw
+    with pytest.raises(ShapeMismatch, match="^2x3 times 2x1$"):
+        raw_multiply(ring, [[zero] * 3] * 2, [[zero]] * 2)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_raw_char_matrix_matches_elem_arithmetic(data):
+    n = data.draw(st.integers(1, 6))
+    a = data.draw(matrices(Ring.Q, n, n))
+    assert char_matrix(a) == Matrix.identity(Ring.QX, n).scale(X) - lift(a, Ring.QX)
+
+
+def _elem_horner(p, a, left):
+    """sum P_k A^k (sum A^k P_k when left) on Matrix arithmetic over the
+    layers of canonical_presentation."""
+    layers = canonical_presentation(p).coeffs
+    out = layers[-1]
+    for pk in reversed(layers[:-1]):
+        out = (a @ out if left else out @ a) + pk
+    return out
+
+
+@SETTINGS
+@given(data=st.data())
+def test_raw_horner_matches_the_canonical_presentation(data):
+    n = data.draw(st.integers(1, 6))
+    p, a = data.draw(matrices(Ring.QX, n, n)), data.draw(matrices(Ring.Q, n, n))
+    assert right_eval(p, a) == _elem_horner(p, a, left=False)
+    assert left_eval(p, a) == _elem_horner(p, a, left=True)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_gcd_is_the_canonical_gcd_of_raw_egcd(ring, data):
+    a, b = data.draw(maybe_zero[ring]), data.draw(maybe_zero[ring])
+    assert gcd(a, b).raw == raw_egcd(ring, a.raw, b.raw)[0]

@@ -542,12 +542,13 @@ class TestVerifyReplay:
                                      lift(a, Ring.Q)).verify(a) is True
 
     def test_replay_inverts_nothing(self, monkeypatch):
+        # the two products A S and S target run on raw rows
         import canonform.determinant as det_mod
         import canonform.hermite as herm_mod
-        import canonform.matrix as mat_mod
+        import canonform.similarity as sim
         cert = similar(self.A, self.J)
         calls = {"det": 0, "multiply": 0}
-        orig_det, orig_multiply = det_mod.det, mat_mod.multiply
+        orig_det, orig_multiply = det_mod.det, sim.raw_multiply
 
         def forbidden(*args):
             raise AssertionError("a matrix was inverted during the replay")
@@ -561,7 +562,7 @@ class TestVerifyReplay:
         monkeypatch.setattr(det_mod, "inverse", forbidden)
         monkeypatch.setattr(herm_mod, "hermite_canonical", forbidden)
         monkeypatch.setattr(det_mod, "det", counted("det", orig_det))
-        monkeypatch.setattr(mat_mod, "multiply", counted("multiply", orig_multiply))
+        monkeypatch.setattr(sim, "raw_multiply", counted("multiply", orig_multiply))
         assert cert.verify(self.A) is True
         assert calls == {"det": 1, "multiply": 2}
 
