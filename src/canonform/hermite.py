@@ -8,8 +8,15 @@ scaling or addmul; `_apply_rows` applies an `ElemOp` with it) and
 a row operation on the transposed working list; the passes `_echelon`
 and `_canonicalize` act in place on lists of rows of raw values (see
 domain).  The elimination builds no Elem: the kernels compute through
-domain.RAW_OPS and every pivot decision is raw (domain.raw_egcd and
-RAW_EUCLID's divmod and associate), the ring's functions bound per pass.
+domain.RAW_OPS and every pivot decision is raw (RAW_EUCLID's divmod and
+associate, and domain.raw_egcd), the ring's functions bound per pass.
+
+`_gcd_combine` clears a column: on Z and Q by Euclidean remainders, each
+row reduced by the quotient of one divmod by the least entry (type II
+operations only, so no extended-gcd cofactors enter the rows), and on
+Q[x] by det-1 egcd blocks, which keep its rows smaller there.  Either
+way the entry left in the pivot row is a gcd up to a unit; only
+`_canonicalize` makes it canonical.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ from .domain import (
 from .errors import (
     AllZeroColumn,
     BadOperation,
+    CertificateFailed,
     ExactDivisionError,
     IndexOutOfRange,
     NotAUnit,
@@ -136,11 +144,41 @@ def op_matrix(op: ElemOp, size: int, ring: Ring) -> Matrix:
 
 
 def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
-    """Fold column j of each row in `others` into row s by det-1 gcd
-    blocks (a swap when the pivot is zero), applied to work and q alike.
-    The gcd must divide both entries exactly, else ExactDivisionError."""
+    """Leave a gcd (up to a unit) of column j over row s and `others` at
+    row s and zeros at `others`, by type I/II operations on work and q
+    alike.
+
+    On Z and Q by Euclidean remainders: the live row of least entry (by
+    abs on Z; on Q every nonzero entry ties, so the first) reduces every
+    other live row by the quotient of one divmod, a row staying live
+    while its remainder is nonzero; the last live row is swapped into
+    row s.  Each updated entry must equal the divmod's remainder, else
+    CertificateFailed.  On Q[x] each row is folded into row s by a det-1
+    egcd block (a swap when the pivot is zero); the gcd must divide both
+    entries exactly, else ExactDivisionError."""
     ops, (divmod_, neg, _) = RAW_OPS[ring], RAW_EUCLID[ring]
     zero = ops[2]
+    if ring is not Ring.QX:
+        col = j - 1
+        live = [t for t in (s, *others) if work[t - 1][col] != zero]
+        while len(live) > 1:
+            p = live[0]
+            if ring is Ring.Z:
+                p = min(live, key=lambda t: abs(work[t - 1][col]))
+            pivot = work[p - 1][col]
+            for t in live:
+                if t == p:
+                    continue
+                c, r = divmod_(work[t - 1][col], pivot)
+                _row_op(ops, t, neg(c), p, work, q)
+                if work[t - 1][col] != r:
+                    raise CertificateFailed(
+                        f"row {t} holds {brief(_mk(ring, work[t - 1][col]))} in column "
+                        f"{j}, not the remainder {brief(_mk(ring, r))} of its divmod")
+            live = [t for t in live if work[t - 1][col] != zero]
+        if live and live[0] != s:
+            _apply_rows(row_swap(s, live[0]), work, q)
+        return
     for t in others:
         pivot = work[s - 1][j - 1]
         other = work[t - 1][j - 1]
@@ -161,9 +199,10 @@ def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
 def clear_column(
     a: Matrix, j: int, rows_in: Sequence[int], s: int
 ) -> tuple[Matrix, Matrix]:
-    """Drive column j to (0,...,gcd,...,0) on the listed rows, the gcd at
-    row s, touching no other rows.  Returns (Q, A') with A' = Q A and Q a
-    unimodular product of type I/II operations."""
+    """Drive column j to (0,...,gcd,...,0) on the listed rows, the gcd
+    (up to a unit; not normalized) at row s, touching no other rows.
+    Returns (Q, A') with A' = Q A and Q a unimodular product of type I/II
+    operations."""
     if not 1 <= j <= a.n:
         raise IndexOutOfRange(f"column {j} outside 1..{a.n}")
     listed = list(rows_in)
@@ -234,7 +273,9 @@ def _result(ring: Ring, work, q, primary: list[int]) -> HermiteResult:
 
 def hermite_form(a: Matrix) -> HermiteResult:
     """A row echelon (Hermite) form QA = H without the canonical
-    normalization phases."""
+    normalization phases: each pivot is a gcd of its column up to a unit,
+    not its canonical associate, and the entries above it are not
+    reduced."""
     work, q = a.raw_rows(), Matrix.identity(a.ring, a.m).raw_rows()
     return _result(a.ring, work, q, _echelon(a.ring, work, q))
 

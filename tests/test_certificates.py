@@ -169,15 +169,21 @@ def test_corrupted_factor_raises_under_dash_o():
     assert out.stdout.strip() == "caught"
 
 
-# The extended Euclid that hermite binds returns 2*gcd on Z, which divides
-# neither entry it folds: smith, hermite_canonical and `canonform smith
-# --verify` must each stop with a canonform error under -O (the exact
-# quotients are checked), not a bare Python exception or a wrong answer.
+# Two corrupted Euclidean steps, each in smith, hermite_canonical and
+# `canonform smith --verify`, which must stop with a canonform error under
+# -O (so from an explicit check), not a bare Python exception or a wrong
+# answer: on Q[x], where column clearing folds rows by egcd blocks, the
+# extended Euclid that hermite binds returns x*gcd, which divides neither
+# entry it folds (the exact quotients are checked); on Z, where it clears
+# by Euclidean remainders, the divmod that hermite reads off RAW_EUCLID
+# returns a quotient one too large (each updated entry is checked against
+# the remainder).
 CORRUPTED_EUCLID = textwrap.dedent("""\
     import contextlib, importlib, io, sys, tempfile
     from pathlib import Path
+    from canonform.domain import Ring
     from canonform.errors import CertificateFailed, ExactDivisionError
-    from canonform.matrix import format_matrix, mat_z
+    from canonform.matrix import format_matrix, mat_qx, mat_z
 
     if __debug__:
         sys.exit("expected to run under python -O")
@@ -185,27 +191,37 @@ CORRUPTED_EUCLID = textwrap.dedent("""\
     sm = importlib.import_module("canonform.smith")
     cli = importlib.import_module("canonform.cli")
 
-    orig = herm.raw_egcd
-    def doubled(ring, a, b):
-        d, s, t = orig(ring, a, b)
-        return 2 * d, s, t
-    herm.raw_egcd = doubled
-    a = mat_z([[2, 4], [6, 8]])
-    for call in (sm.smith, herm.hermite_canonical):
-        try:
-            call(a)
-            sys.exit(f"corrupted Euclid in {call.__name__} was not caught")
-        except (ExactDivisionError, CertificateFailed):
-            pass
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "a.mtx"
-        path.write_text(format_matrix(a))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["smith", str(path), "--verify"])
-    if code != 1 or not err.getvalue().startswith(
-            ("error: ExactDivisionError", "error: CertificateFailed")):
-        sys.exit(f"corrupted Euclid in the CLI gave exit {code}: {err.getvalue()!r}")
+    def check(what, a, expected):
+        for call in (sm.smith, herm.hermite_canonical):
+            try:
+                call(a)
+                sys.exit(f"corrupted {what} in {call.__name__} was not caught")
+            except expected:
+                pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.mtx"
+            path.write_text(format_matrix(a))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["smith", str(path), "--verify"])
+        if code != 1 or not err.getvalue().startswith(f"error: {expected.__name__}"):
+            sys.exit(f"corrupted {what} in the CLI gave exit {code}: {err.getvalue()!r}")
+
+    orig_egcd, mul = herm.raw_egcd, herm.RAW_OPS[Ring.QX][1]
+    x = mat_qx([["x"]]).entry(1, 1).raw
+    def shifted(ring, a, b):
+        d, s, t = orig_egcd(ring, a, b)
+        return mul(x, d), s, t
+    herm.raw_egcd = shifted
+    check("Euclid", mat_qx([["x", "1"], ["x+1", "x"]]), ExactDivisionError)
+    herm.raw_egcd = orig_egcd
+
+    zdivmod, neg, assoc = herm.RAW_EUCLID[Ring.Z]
+    def overshot(a, b):
+        c, r = zdivmod(a, b)
+        return c + 1, r
+    herm.RAW_EUCLID = {**herm.RAW_EUCLID, Ring.Z: (overshot, neg, assoc)}
+    check("divmod", mat_z([[2, 4], [6, 8]]), CertificateFailed)
     print("caught")
 """)
 

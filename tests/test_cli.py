@@ -321,12 +321,13 @@ GOLDEN = {
          "H": [["6", "0"], ["0", "4"]],
          "primary_cols": [1, 2], "rank": 2},
     ),
-    # 3x4 over Z: chain steps on the non-adjacent slots (1, 3), then (2, 3)
+    # 3x4 over Z: chain steps on the non-adjacent slots (1, 3), then (2, 3); the
+    # last column of Q spans the kernel, so its sign follows the clearing order
     "wide": (
         mat_z([[0, -2, 6, 2], [-4, -6, -6, 2], [-1, 0, -9, 0]]),
         {"P": [["1", "0", "1"], ["-2", "1", "0"], ["1", "-1", "0"]],
-         "Q": [["-1", "-2", "-4", "9"], ["1", "2", "5", "-6"],
-               ["0", "0", "0", "-1"], ["1", "1", "3", "-3"]],
+         "Q": [["-1", "-2", "-4", "-9"], ["1", "2", "5", "6"],
+               ["0", "0", "0", "1"], ["1", "1", "3", "3"]],
          "D": [["1", "0", "0", "0"], ["0", "2", "0", "0"], ["0", "0", "4", "0"]],
          "diag": ["1", "2", "4"], "rank": 3},
         {"Q": [["0", "0", "-1"], ["-4", "1", "-4"], ["-3", "1", "-4"]],

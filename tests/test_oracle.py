@@ -132,6 +132,48 @@ def test_hermite_form_z():
         assert rows_of(hermite_canonical(a).h) == want, (k, rows_of(a))
 
 
+@pytest.mark.parametrize("n", [20, 30])
+def test_smith_and_hermite_z_at_scale(n):
+    """Random Z matrices of the sizes where egcd cofactors once grew to
+    thousands of bits: the Smith diagonal against sympy's invariant
+    factors and H against its HNF (mapped as in test_hermite_form_z),
+    each transform replayed and unimodular."""
+    for seed in range(2):
+        a = random_matrix(random.Random(f"oracle-scale/{n}/{seed}"), Ring.Z, n, n)
+        rows = rows_of(a)
+        dm = DomainMatrix([[ZZ(v) for v in row] for row in rows], (n, n), ZZ)
+        s = smith(a)
+        assert [d.value for d in s.diag] == [abs(int(f)) for f in invariant_factors(dm)]
+        assert s.p @ a @ s.q == s.d
+        assert det(s.p).is_unit() and det(s.q).is_unit()
+        j = SMatrix(n, n, lambda r, c: int(r + c == n - 1))
+        want = (j * hermite_normal_form((j * SMatrix(rows) * j).T).T * j).tolist()
+        h = hermite_canonical(a)
+        assert rows_of(h.h) == want
+        assert h.q @ a == h.h and det(h.q).is_unit()
+
+
+@pytest.mark.parametrize("ring,n", [(Ring.Q, 6), (Ring.Z, 10), (Ring.QX, 4)])
+def test_alternation_stays_far_below_its_cap(ring, n, monkeypatch):
+    """The corpus on which plain echelon passes hit the alternation cap:
+    smith needs at most two column-and-row pairs of canonical passes on
+    each of 20 random inputs, where the cap allows 200 pairs."""
+    import importlib
+    sm = importlib.import_module("canonform.smith")
+    calls = []
+    canonicalize = sm._canonicalize
+
+    def counted(*args):
+        calls.append(1)
+        return canonicalize(*args)
+
+    monkeypatch.setattr(sm, "_canonicalize", counted)
+    for k in range(20):
+        calls.clear()
+        sm.smith(random_matrix(random.Random(f"cap/{ring.name}/{n}/{k}"), ring, n, n))
+        assert len(calls) <= 4 < 2 * sm._ALTERNATION_CAP, (k, len(calls))
+
+
 def conjugated_jordan(rng, n) -> tuple[Matrix, list]:
     """U J U^-1 for a Jordan matrix J of random blocks with rational
     eigenvalues, and J's (eigenvalue, size) blocks."""
