@@ -14,8 +14,8 @@ associate, and domain.raw_egcd), the ring's functions bound per pass.
 `_gcd_combine` clears a column: on Z and Q by Euclidean remainders, each
 row reduced by the quotient of one divmod by the least entry (type II
 operations only, so no extended-gcd cofactors enter the rows), and on
-Q[x] by det-1 egcd blocks, which keep its rows smaller there.  Either
-way the entry left in the pivot row is a gcd up to a unit; only
+Q[x] by det-1 egcd blocks, which measured faster there from n = 8 on.
+Either way the entry left in the pivot row is a gcd up to a unit; only
 `_canonicalize` makes it canonical.
 """
 from __future__ import annotations

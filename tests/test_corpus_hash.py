@@ -5,8 +5,9 @@ Hermite canonical H and primary columns, which are unique; and on the
 square nonsingular inputs also Smith's P and Q and the Hermite transform,
 which are unique there too (each canonical pass then has one transform).
 The order in which a column is cleared may move only the transforms of
-singular or non-square inputs.  Run this file as a script to print the
-digest of the current code.
+singular or non-square inputs.  To print the digest of the current code:
+
+    PYTHONPATH=src:tests python3 tests/test_corpus_hash.py
 """
 import hashlib
 import random
