@@ -177,13 +177,10 @@ def cramer_solve(a: Matrix, y: Matrix) -> Matrix:
     d = det(a)
     if d.is_zero():
         raise SingularMatrix("coefficient matrix is singular")
-    sol = []
-    for i in range(1, a.n + 1):
-        grid = [
-            [y.entry(r, 1) if c == i else a.entry(r, c) for c in range(1, a.n + 1)]
-            for r in range(1, a.m + 1)
-        ]
-        di = det(Matrix.from_rows(a.ring, grid))
+    sol, arows, ys = [], a.raw_rows(), [row[0] for row in y.raw_rows()]
+    for i in range(a.n):
+        grid = [row[:i] + [v] + row[i + 1:] for row, v in zip(arows, ys)]
+        di = det(Matrix.from_raw(a.ring, grid))
         if a.ring is Ring.QX:
             try:
                 sol.append([di.exact_div(d)])

@@ -216,6 +216,17 @@ def raw_layers(rows) -> list:
 Value = Union[int, Fraction, tuple]
 
 
+def _raw_of(ring: Ring, value: Value):
+    """The raw value of a public value, as Elem(ring, value) takes it."""
+    if ring is _Z and isinstance(value, int):
+        return int(value)  # a bool is stored as 0 or 1
+    if ring is _QX and isinstance(value, (list, tuple)):
+        return _qfrom(value)
+    if ring is not _Z and isinstance(value, (int, Fraction)):
+        return _qfrom((value,))
+    raise RingMismatch(f"cannot coerce {brief(value)} into {ring}")
+
+
 class Elem:
     """A scalar tagged by its ring; arithmetic requires matching tags.
 
@@ -231,14 +242,7 @@ class Elem:
     __slots__ = ("ring", "raw")
 
     def __init__(self, ring: Ring, value: Value):
-        if ring is _Z and isinstance(value, int):
-            raw = int(value)  # a bool is stored as 0 or 1
-        elif ring is _QX and isinstance(value, (list, tuple)):
-            raw = _qfrom(value)
-        elif ring is not _Z and isinstance(value, (int, Fraction)):
-            raw = _qfrom((value,))
-        else:
-            raise RingMismatch(f"cannot coerce {brief(value)} into {ring}")
+        raw = _raw_of(ring, value)
         _set_ring(self, ring)
         _set_raw(self, raw)
 
@@ -402,6 +406,13 @@ def coerce(ring: Ring, v) -> Elem:
     if isinstance(v, str):
         return parse_scalar(v, ring)
     return Elem(ring, v)
+
+
+def raw_coerce(ring: Ring, v):
+    """coerce(ring, v).raw, building no Elem for a plain value."""
+    if isinstance(v, (Elem, str)):
+        return coerce(ring, v).raw
+    return _raw_of(ring, v)
 
 
 def integer(n: int) -> Elem:

@@ -210,9 +210,9 @@ def clear_column(
         raise IndexOutOfRange(f"chosen row {s} not among listed rows")
     if any(not 1 <= i <= a.m for i in listed):
         raise IndexOutOfRange("listed row outside matrix")
-    if all(a.entry(i, j).is_zero() for i in listed):
-        raise AllZeroColumn(f"no nonzero entry among rows {listed} of column {j}")
     work, q = a.raw_rows(), Matrix.identity(a.ring, a.m).raw_rows()
+    if all(work[i - 1][j - 1] == RAW_OPS[a.ring][2] for i in listed):
+        raise AllZeroColumn(f"no nonzero entry among rows {listed} of column {j}")
     _gcd_combine(a.ring, work, q, j, s, [t for t in listed if t != s])
     return Matrix.from_raw(a.ring, q), Matrix.from_raw(a.ring, work)
 

@@ -1,19 +1,23 @@
 """Dense matrices over one scalar ring, with the submatrix-selection
 calculus, direct sums, and the text file format.
 
-Indices in the public API are 1-based throughout; the row-major entry
-tuple is an internal detail.  `raw_rows` and `from_raw` move a matrix to
-and from lists of rows of raw values (see domain), which the elimination
-kernels work on, as does `raw_multiply`, the one product loop, which
-`multiply` (the `@` of Matrix) wraps; `from_raw` wraps each entry once.
+Indices in the public API are 1-based throughout.  A Matrix stores one
+flat row-major tuple of raw values (see domain); arithmetic, transpose,
+==, hash, submatrices, direct sums and `lift` work on it, and the Elems
+of `entries` are built on the first read.  `from_raw` stores rows of raw
+values as they are and `raw_rows` returns fresh lists of them, which the
+elimination kernels work on, as does `raw_multiply`, the one product
+loop, which `multiply` (the `@` of Matrix) wraps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from itertools import chain
 from typing import Iterable, Sequence
 
 from . import domain
-from .domain import RAW_OPS, Elem, Ring, _mk, coerce, format_scalar, parse_scalar
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, coerce, format_scalar,
+                     parse_scalar, raw_coerce)
 from .errors import (
     BadIndexSet,
     EmptyResult,
@@ -24,18 +28,51 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Matrix:
+    """An m x n matrix over one ring, immutable: setting or deleting an
+    attribute raises FrozenInstanceError.
+
+    `Matrix(ring, m, n, entries)` takes the row-major Elems of that ring
+    (another value raises RingMismatch) and keeps them.  The state is the
+    flat row-major tuple of their raw values; `entries`, `entry`, `row`
+    and `col` build the Elems of a matrix made from raw values on the
+    first read and keep them.
+    """
+
+    __slots__ = ("ring", "m", "n", "_raw", "_entries")
     ring: Ring
     m: int
     n: int
-    entries: tuple[Elem, ...]
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ShapeMismatch(f"empty {self.m}x{self.n} matrix rejected")
-        if len(self.entries) != self.m * self.n:
-            raise ShapeMismatch("entry count does not match shape")
+    def __init__(self, ring: Ring, m: int, n: int, entries: Sequence[Elem]):
+        entries = tuple(entries)
+        raw = tuple([e.raw for e in entries if e.__class__ is Elem and e.ring is ring])
+        if len(raw) != len(entries):
+            bad = next(e for e in entries if e.__class__ is not Elem or e.ring is not ring)
+            raise RingMismatch(f"entry {brief(bad)} is not an Elem of {ring}")
+        _init(self, ring, m, n, raw, entries)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _matrix, (self.ring, self.m, self.n, self._raw)
+
+    def __repr__(self) -> str:
+        return (f"Matrix(ring={self.ring!r}, m={self.m!r}, n={self.n!r}, "
+                f"entries={self.entries!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return (self.ring is other.ring and self.m == other.m and self.n == other.n
+                and self._raw == other._raw)
+
+    def __hash__(self):
+        return hash((self.ring, self.m, self.n, self._raw))
 
     # -- constructors --------------------------------------------------------
 
@@ -47,28 +84,35 @@ class Matrix:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ShapeMismatch("ragged rows")
-        entries = tuple(coerce(ring, v) for row in rows for v in row)
-        return Matrix(ring, m, n, entries)
+        return _matrix(ring, m, n, tuple([raw_coerce(ring, v) for row in rows for v in row]))
 
     @staticmethod
     def from_raw(ring: Ring, rows: Sequence[Sequence]) -> "Matrix":
         """The matrix of rows of raw values already in ring's form."""
-        return Matrix(ring, len(rows), len(rows[0]) if rows else 0,
-                      tuple(_mk(ring, v) for row in rows for v in row))
+        return _matrix(ring, len(rows), len(rows[0]) if rows else 0,
+                       tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def identity(ring: Ring, size: int) -> "Matrix":
-        one, zero = Elem.one(ring), Elem.zero(ring)
-        return Matrix(
-            ring, size, size,
-            tuple(one if i == j else zero for i in range(size) for j in range(size)),
-        )
+        raw, one = [RAW_OPS[ring][2]] * (size * size), Elem.one(ring).raw
+        for k in range(size):
+            raw[k * (size + 1)] = one
+        return _matrix(ring, size, size, tuple(raw))
 
     @staticmethod
     def zeros(ring: Ring, m: int, n: int) -> "Matrix":
-        return Matrix(ring, m, n, (Elem.zero(ring),) * (m * n))
+        return _matrix(ring, m, n, (RAW_OPS[ring][2],) * (m * n))
 
     # -- access ---------------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[Elem, ...]:
+        entries = self._entries
+        if entries is None:
+            ring = self.ring
+            entries = tuple([_mk(ring, v) for v in self._raw])
+            _set_entries(self, entries)
+        return entries
 
     def entry(self, i: int, j: int) -> Elem:
         if not (1 <= i <= self.m and 1 <= j <= self.n):
@@ -85,14 +129,16 @@ class Matrix:
         return [list(self.row(i)) for i in range(1, self.m + 1)]
 
     def raw_rows(self) -> list[list]:
-        raw, n = [e.raw for e in self.entries], self.n
-        return [raw[k:k + n] for k in range(0, len(raw), n)]
+        """Fresh lists of the rows' raw values, free to update in place."""
+        raw, n = self._raw, self.n
+        return [list(raw[k:k + n]) for k in range(0, len(raw), n)]
 
     def is_square(self) -> bool:
         return self.m == self.n
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        zero = RAW_OPS[self.ring][2]
+        return all(v == zero for v in self._raw)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -104,30 +150,27 @@ class Matrix:
         self._check_ring(other)
         if (self.m, self.n) != (other.m, other.n):
             raise ShapeMismatch("addition needs equal shapes")
-        return Matrix(
-            self.ring, self.m, self.n,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        add = RAW_OPS[self.ring][0]
+        return _matrix(self.ring, self.m, self.n, tuple(map(add, self._raw, other._raw)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ring, self.m, self.n, tuple(-a for a in self.entries))
+        neg = RAW_EUCLID[self.ring][1]
+        return _matrix(self.ring, self.m, self.n, tuple(map(neg, self._raw)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return multiply(self, other)
 
     def scale(self, c: Elem) -> "Matrix":
-        c = coerce(self.ring, c)
-        return Matrix(self.ring, self.m, self.n, tuple(c * a for a in self.entries))
+        c, mul = coerce(self.ring, c).raw, RAW_OPS[self.ring][1]
+        return _matrix(self.ring, self.m, self.n, tuple([mul(c, v) for v in self._raw]))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring, self.n, self.m,
-            tuple(self.entries[i * self.n + j]
-                  for j in range(self.n) for i in range(self.m)),
-        )
+        raw, n = self._raw, self.n
+        return _matrix(self.ring, n, self.m,
+                       tuple(chain.from_iterable(raw[j::n] for j in range(n))))
 
     def power(self, e: int) -> "Matrix":
         if not self.is_square():
@@ -136,6 +179,30 @@ class Matrix:
 
     def __str__(self) -> str:
         return format_matrix(self)
+
+
+_set_ring, _set_m, _set_n, _set_raw, _set_entries = (
+    Matrix.__dict__[name].__set__ for name in Matrix.__slots__)
+
+
+def _init(a: Matrix, ring: Ring, m: int, n: int, raw: tuple, entries):
+    if m < 1 or n < 1:
+        raise ShapeMismatch(f"empty {m}x{n} matrix rejected")
+    if len(raw) != m * n:
+        raise ShapeMismatch("entry count does not match shape")
+    _set_ring(a, ring)
+    _set_m(a, m)
+    _set_n(a, n)
+    _set_raw(a, raw)
+    _set_entries(a, entries)
+
+
+def _matrix(ring: Ring, m: int, n: int, raw: tuple) -> Matrix:
+    """The m x n Matrix of a flat row-major tuple of raw values already in
+    ring's form; its Elems are built when first read."""
+    a = object.__new__(Matrix)
+    _init(a, ring, m, n, raw, None)
+    return a
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
@@ -170,8 +237,9 @@ def submatrix(x: Matrix, f: Sequence[int], g: Sequence[int]) -> Matrix:
         raise BadIndexSet("selectors must be nonempty")
     if any(not 1 <= i <= x.m for i in f) or any(not 1 <= j <= x.n for j in g):
         raise IndexOutOfRange("selector outside matrix bounds")
-    entries = tuple(x.entry(i, j) for i in f for j in g)
-    return Matrix(x.ring, len(f), len(g), entries)
+    raw, n = x._raw, x.n
+    return _matrix(x.ring, len(f), len(g),
+                   tuple([raw[(i - 1) * n + j - 1] for i in f for j in g]))
 
 
 def submatrix_sets(
@@ -213,15 +281,12 @@ def general_direct_sum(
         raise BadIndexSet(f"index sets must lie in 1..{size}")
     xcomp = [i for i in range(1, size + 1) if i not in xs]
     ycomp = [j for j in range(1, size + 1) if j not in ys]
-    zero = Elem.zero(b.ring)
-    grid = [[zero] * size for _ in range(size)]
-    for p, i in enumerate(xs):
-        for q, j in enumerate(ys):
-            grid[i - 1][j - 1] = b.entry(p + 1, q + 1)
-    for p, i in enumerate(xcomp):
-        for q, j in enumerate(ycomp):
-            grid[i - 1][j - 1] = c.entry(p + 1, q + 1)
-    return Matrix(b.ring, size, size, tuple(v for row in grid for v in row))
+    grid = Matrix.zeros(b.ring, size, size).raw_rows()
+    for block, rows, cols in ((b, xs, ys), (c, xcomp, ycomp)):
+        for i, brow in zip(rows, block.raw_rows()):
+            for j, v in zip(cols, brow):
+                grid[i - 1][j - 1] = v
+    return Matrix.from_raw(b.ring, grid)
 
 
 def lift(a: Matrix, ring: Ring) -> Matrix:
@@ -231,7 +296,7 @@ def lift(a: Matrix, ring: Ring) -> Matrix:
     to_raw = domain.RAW_LIFT.get((a.ring, ring))
     if to_raw is None:
         raise RingMismatch(f"cannot lift {a.ring} into {ring}")
-    return Matrix(ring, a.m, a.n, tuple(_mk(ring, to_raw(e.raw)) for e in a.entries))
+    return _matrix(ring, a.m, a.n, tuple(map(to_raw, a._raw)))
 
 
 # ---------------------------------------------------------------------------

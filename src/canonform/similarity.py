@@ -7,7 +7,9 @@ over Q[x].  `rcf` and `jordan` compute the Smith form of xI - A once and
 reuse it both for the elementary divisors and for the conjugator
 S = rho_B(Q_A D_B^-1 P_B (xI - B)), read off the two replayed Smith
 identities: no matrix is inverted.  From xI - A to S the path runs on
-raw rows (see domain) by `matrix.raw_multiply`, wrapping each result once.
+raw rows (see domain) by `matrix.raw_multiply`; the Matrices handed from
+step to step hold raw values, so no Elem of them is built unless a
+caller reads an entry.
 """
 from __future__ import annotations
 

@@ -4,15 +4,20 @@ unimodular witnesses verified by replay on every call.
 P and Q come only from row operations on the rows of P and of Q^T in
 place: `diagonalize` runs `hermite._canonicalize` on them, each 2x2 chain
 step `hermite._apply_2x2_rows`.  No transform is multiplied out.  The
-working rows hold raw values (see domain), the chain's diagonal Elems.
-`smith` replays P A Q = D on raw rows by `matrix.raw_multiply`, then wraps
-P, Q and D once; `smith_2x2` replays its four entries from P2's and Q2's.
+working rows hold raw values (see domain), and so do the Matrices that
+`diagonalize` returns and `smith` reads back by `raw_rows`; only the
+chain's O(n) diagonal entries are Elems, tested for divisibility on their
+raw values.  `smith` replays P A Q = D on raw rows by `matrix.raw_multiply`
+and returns P, Q and D as Matrices of raw values, whose Elems are built
+when a caller reads them; `smith_2x2` replays its four entries from P2's
+and Q2's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import RAW_OPS, Elem, Ring, brief, canonical_associate, egcd, valuation
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, canonical_associate, egcd,
+                     valuation)
 from .errors import CertificateFailed, ZeroArgument
 from .matrix import Matrix, raw_multiply
 from .hermite import _apply_2x2_rows, _canonicalize
@@ -104,11 +109,15 @@ def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
 
 def _chain_pass(pwork, qtwork, diag, start):
     """Make diag[start] divide every later entry: each 2x2 step acts on
-    rows (start, other) of P and of Q transposed."""
-    ops = RAW_OPS[diag[start].ring]
+    rows (start, other) of P and of Q transposed.  A unit lead divides
+    them all, so the pass ends there."""
+    ring = diag[start].ring
+    ops, divmod_ = RAW_OPS[ring], RAW_EUCLID[ring][0]
     for other in range(start + 1, len(diag)):
         lead, cur = diag[start], diag[other]
-        if divmod(cur, lead)[1].is_zero():
+        if lead.is_unit():
+            return
+        if divmod_(cur.raw, lead.raw)[1] == ops[2]:
             continue
         p2, q2, delta, lam = smith_2x2(lead, cur)
         # loop variant: the leading slot's valuation strictly decreases
@@ -116,19 +125,20 @@ def _chain_pass(pwork, qtwork, diag, start):
             raise CertificateFailed(
                 f"chain pass variant broken: {brief(delta)} does not shrink "
                 f"{brief(lead)}")
-        _apply_2x2_rows(ops, start + 1, other + 1, *(e.raw for e in p2.entries), pwork)
-        _apply_2x2_rows(ops, start + 1, other + 1,
-                        *(e.raw for e in q2.transpose().entries), qtwork)
+        (p11, p12), (p21, p22) = p2.raw_rows()
+        (q11, q12), (q21, q22) = q2.raw_rows()
+        _apply_2x2_rows(ops, start + 1, other + 1, p11, p12, p21, p22, pwork)
+        _apply_2x2_rows(ops, start + 1, other + 1, q11, q21, q12, q22, qtwork)
         diag[start], diag[other] = delta, lam
 
 
 def smith(a: Matrix) -> SmithResult:
     """Smith canonical form P A Q = D: a full divisibility chain of
     canonical associates; the witness product is replayed exactly."""
-    ring, zero = a.ring, RAW_OPS[a.ring][2]
+    ring, zero, divmod_ = a.ring, RAW_OPS[a.ring][2], RAW_EUCLID[a.ring][0]
     p, q, d = diagonalize(a)
-    diag = [d.entry(i, i) for i in range(1, min(d.m, d.n) + 1)
-            if not d.entry(i, i).is_zero()]
+    drows = d.raw_rows()
+    diag = [_mk(ring, drows[i][i]) for i in range(min(d.m, d.n)) if drows[i][i] != zero]
     r = len(diag)
     pwork, qtwork = p.raw_rows(), q.transpose().raw_rows()
     # diag starts canonical (the pivots of diagonalize's last pass) and
@@ -141,7 +151,7 @@ def smith(a: Matrix) -> SmithResult:
     if raw_multiply(ring, raw_multiply(ring, pwork, a.raw_rows()), qwork) != dwork:
         raise CertificateFailed("Smith certificate P A Q = D failed")
     for t in range(r - 1):
-        if not divmod(diag[t + 1], diag[t])[1].is_zero():
+        if divmod_(diag[t + 1].raw, diag[t].raw)[1] != zero:
             raise CertificateFailed(
                 f"divisibility chain broken: {brief(diag[t])} does not divide "
                 f"{brief(diag[t + 1])}")

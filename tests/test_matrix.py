@@ -1,8 +1,13 @@
+import pickle
 import random
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from canonform.domain import Elem, Ring, integer
+from canonform import matrix
+from canonform.domain import Elem, Ring, integer, polynomial, rational
 from canonform.errors import (
     BadIndexSet,
     EmptyResult,
@@ -27,7 +32,10 @@ from canonform.matrix import (
     vector,
 )
 
-from conftest import random_matrix
+from canonform.invariants import invariant_report
+from canonform.similarity import minimal_poly
+from conftest import random_matrix, random_unimodular
+from test_kernels import SETTINGS, elems
 
 RINGS = [Ring.Z, Ring.Q, Ring.QX]
 
@@ -270,6 +278,93 @@ def test_empty_matrices_rejected():
 def test_mixed_entry_rings_rejected():
     with pytest.raises(RingMismatch):
         mat_z([[integer(1), mat_q([[1]]).entry(1, 1)]])
+
+
+@pytest.mark.parametrize("ring,entry", [
+    (Ring.Q, integer(3)),
+    (Ring.Z, rational(3)),
+    (Ring.QX, rational(1, 2)),
+    (Ring.Z, 3),
+    (Ring.Q, Fraction(1, 2)),
+    (Ring.QX, (Fraction(1),)),
+], ids=["Z-in-Q", "Q-in-Z", "Q-in-Q[x]", "int", "Fraction", "tuple"])
+def test_constructor_rejects_entries_of_another_ring(ring, entry):
+    """The constructor stores raw values, so an entry that is not an Elem
+    of the matrix's ring would be misread later; it is refused at once."""
+    good = Elem.one(ring)
+    with pytest.raises(RingMismatch):
+        Matrix(ring, 1, 2, (good, entry))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_raw_backed_matrix_keeps_the_matrix_contract(ring, data):
+    shape = data.draw(st.sampled_from(["1xn", "mx1", "mxn"]))
+    m = 1 if shape == "1xn" else data.draw(st.integers(1, 4))
+    n = 1 if shape == "mx1" else data.draw(st.integers(1, 4))
+    rows = [data.draw(st.lists(elems(ring), min_size=n, max_size=n)) for _ in range(m)]
+    flat = tuple(e for row in rows for e in row)
+    a = Matrix.from_rows(ring, rows)
+    b = Matrix.from_raw(ring, a.raw_rows())  # no entry of b read yet
+    assert b == a and hash(b) == hash(a)
+    back = pickle.loads(pickle.dumps(b))
+    assert back == b and hash(back) == hash(b) and back.ring is ring
+    assert back.entries == flat
+    assert repr(b) == f"Matrix(ring={ring!r}, m={m!r}, n={n!r}, entries={flat!r})"
+    assert pickle.loads(pickle.dumps(b)) == a  # once read as well
+    for name in ("ring", "m", "n", "entries", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(b, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del b.m
+    t = Matrix.from_raw(ring, a.raw_rows()).transpose()
+    assert (t.m, t.n) == (n, m) and t.transpose() == a
+    assert all(t.entry(j, i) == a.entry(i, j)
+               for i in range(1, m + 1) for j in range(1, n + 1))
+    raw = b.raw_rows()
+    raw[0][0] = Elem.one(ring).raw if a.entry(1, 1).is_zero() else Elem.zero(ring).raw
+    raw[-1].append(raw[0][0])
+    raw.append(list(raw[0]))
+    assert b == a and b.raw_rows() == a.raw_rows() and b.entries == flat
+
+
+@pytest.fixture
+def matrix_wraps(monkeypatch):
+    """The number of Elems matrix.py builds, counted from now on."""
+    made = []
+    build = matrix._mk
+
+    def counted(ring, raw):
+        made.append(raw)
+        return build(ring, raw)
+
+    monkeypatch.setattr(matrix, "_mk", counted)
+    return made
+
+
+def test_invariant_report_wraps_no_matrix(matrix_wraps):
+    """smith's P, Q and D pass between layers as raw values: none of the
+    n^2 entries of a 12x12 input is wrapped when only the diagonal is read."""
+    rng, n = random.Random(18), 12
+    d = [1] * (n - 3) + [2, 6, 12]
+    diag = Matrix.from_rows(Ring.Z, [[d[i] if i == j else 0 for j in range(n)]
+                                     for i in range(n)])
+    a = random_unimodular(rng, Ring.Z, n) @ diag @ random_unimodular(rng, Ring.Z, n)
+    matrix_wraps.clear()
+    rep = invariant_report(a)
+    assert [q.value for q in rep.invariant_factors] == d
+    assert len(matrix_wraps) < n * n
+
+
+def test_minimal_poly_wraps_no_matrix(matrix_wraps):
+    """xI - A, its Smith transforms and D stay raw on the way to the
+    minimal polynomial of a 6x6 Q matrix."""
+    n = 6
+    a = random_matrix(random.Random(18), Ring.Q, n, n, bound=3)
+    matrix_wraps.clear()
+    assert minimal_poly(a).degree() <= n
+    assert len(matrix_wraps) < n * n
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

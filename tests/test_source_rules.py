@@ -3,8 +3,8 @@
 A certificate is replayed by an explicit check that raises, never by an
 `assert` (which `python -O` strips), and every error the library raises is
 a class of canonform.errors, so the CLI can map it to an exit code.  A
-bare `raise` re-raises, and FrozenInstanceError is Elem's documented
-immutability contract.  Arithmetic is exact: no true division `/` (which
+bare `raise` re-raises, and FrozenInstanceError is the documented
+immutability contract of Elem and Matrix.  Arithmetic is exact: no true division `/` (which
 makes a float of two ints) and no float(...) call.  Ring dispatch on raw
 values lives in domain, in its tables RAW_OPS, RAW_EUCLID and RAW_LIFT
 and in raw_egcd: no other module names the raw Z, Q and Q[x] kernels.
