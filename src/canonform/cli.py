@@ -13,7 +13,7 @@ import sys
 from . import perm
 from .determinant import det as compute_det
 from .determinant import is_unimodular
-from .domain import brief, format_scalar
+from .domain import brief, format_raw, format_scalar
 from .errors import Error, ParseError
 from .hermite import hermite_canonical, hermite_form, solve
 from .invariants import elementary_divisor_values, invariant_report
@@ -23,7 +23,7 @@ from .smith import smith
 
 
 def _matrix_strings(a: Matrix) -> list[list[str]]:
-    return [[format_scalar(e) for e in a.row(i)] for i in range(1, a.m + 1)]
+    return [[format_raw(a.ring, v) for v in row] for row in a.raw_rows()]
 
 
 def _envelope(verb: str, *, form=None, rank=None, diag=None,

@@ -17,7 +17,8 @@ the one extended Euclid loop, on either table; raw_layers splits raw
 Q[x] rows into raw Q coefficient rows.  The matrix kernels in hermite,
 smith, matrix, determinant and similarity work on raw entries through
 these, and Elem's division, egcd, gcd and canonical_associate wrap
-them, so only this module dispatches on the raw form.
+them, so only this module dispatches on the raw form.  format_raw is the
+one printer, on raw values; format_scalar prints an Elem through it.
 """
 from __future__ import annotations
 
@@ -819,40 +820,37 @@ def parse_scalar(text: str, ring: Ring) -> Elem:
     return polynomial([coeffs.get(i, Fraction(0)) for i in range(size)])
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def format_scalar(a: Elem) -> str:
-    """Print a scalar in the grammar; parse_scalar inverts this exactly.
-    A number of more digits than str() converts (4300, as the parser)
-    raises OutputTooLarge."""
+    """Print a scalar in the grammar; parse_scalar inverts this exactly."""
+    return format_raw(a.ring, a.raw)
+
+
+def format_raw(ring: Ring, raw) -> str:
+    """Print a raw value of ring as format_scalar prints its Elem: each
+    coefficient of a (nums, den) pair reduced against den.  A number of
+    more digits than str() converts (4300, as the parser) raises
+    OutputTooLarge naming the longest one."""
     try:
-        if a.ring is _Z:
-            return str(a.raw)
-        if a.ring is _Q:
-            return _format_fraction(a.value)
-        cs = a.value
-        if not cs:
-            return "0"
+        if ring is _Z:
+            return str(raw)
+        nums, den = raw
         parts = []
-        for k in range(len(cs) - 1, -1, -1):
-            c = cs[k]
-            if c == 0:
+        for k in range(len(nums) - 1, -1, -1):
+            c = nums[k]
+            if not c:
                 continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if k == 0:
-                body = _format_fraction(mag)
-            else:
+            g = math.gcd(c, den)
+            num, d = abs(c) // g, den // g
+            body = str(num) if d == 1 else f"{num}/{d}"
+            if k:
                 xs = "x" if k == 1 else f"x^{k}"
-                body = xs if mag == 1 else f"{_format_fraction(mag)}*{xs}"
-            parts.append(sign + body)
-        return "".join(parts)
+                body = xs if num == d == 1 else f"{body}*{xs}"
+            parts.append(("-" if c < 0 else "+" if parts else "") + body)
+        return "".join(parts) or "0"
     except ValueError:  # str() refused an int: name the longest one
-        cs = a.value if a.ring is _QX else (a.value,)
-        digits = max(_digit_count(abs(n)) for c in cs
-                     for n in (c.numerator, c.denominator) if n)
+        nums, den = ((raw,), 1) if ring is _Z else raw
+        gs = [(c, math.gcd(c, den)) for c in nums if c]
+        digits = max(_digit_count(n) for c, g in gs for n in (abs(c) // g, den // g))
         raise OutputTooLarge(f"a {digits}-digit number is too long to print") from None
 
 

@@ -1,22 +1,25 @@
 """Dense matrices over one scalar ring, with the submatrix-selection
 calculus, direct sums, and the text file format.
 
-Indices in the public API are 1-based throughout.  A Matrix stores one
-flat row-major tuple of raw values (see domain); arithmetic, transpose,
-==, hash, submatrices, direct sums and `lift` work on it, and the Elems
-of `entries` are built on the first read.  `from_raw` stores rows of raw
-values as they are and `raw_rows` returns fresh lists of them, which the
-elimination kernels work on, as does `raw_multiply`, the one product
-loop, which `multiply` (the `@` of Matrix) wraps.
+Indices in the public API are 1-based throughout.  A Matrix is a frozen
+dataclass of its ring, shape and one flat row-major tuple of raw values
+(see domain), so ==, hash, pickling and copying are the generated ones;
+arithmetic, transpose, submatrices, direct sums, `lift` and the text
+format work on the raw tuple, and the Elems of `entries` are built on
+the first read.  `from_raw` stores rows of raw values as they are and
+`raw_rows` returns fresh lists of them, which the elimination kernels
+work on, as does `raw_multiply`, the one product loop, which `multiply`
+(the `@` of Matrix) wraps.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
 from . import domain
-from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, coerce, format_scalar,
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, coerce, format_raw,
                      parse_scalar, raw_coerce)
 from .errors import (
     BadIndexSet,
@@ -28,6 +31,7 @@ from .errors import (
 )
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Matrix:
     """An m x n matrix over one ring, immutable: setting or deleting an
     attribute raises FrozenInstanceError.
@@ -39,10 +43,10 @@ class Matrix:
     first read and keep them.
     """
 
-    __slots__ = ("ring", "m", "n", "_raw", "_entries")
     ring: Ring
     m: int
     n: int
+    _raw: tuple
 
     def __init__(self, ring: Ring, m: int, n: int, entries: Sequence[Elem]):
         entries = tuple(entries)
@@ -50,29 +54,12 @@ class Matrix:
         if len(raw) != len(entries):
             bad = next(e for e in entries if e.__class__ is not Elem or e.ring is not ring)
             raise RingMismatch(f"entry {brief(bad)} is not an Elem of {ring}")
-        _init(self, ring, m, n, raw, entries)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return _matrix, (self.ring, self.m, self.n, self._raw)
+        _init(self, ring, m, n, raw)
+        self.__dict__["entries"] = entries
 
     def __repr__(self) -> str:
         return (f"Matrix(ring={self.ring!r}, m={self.m!r}, n={self.n!r}, "
                 f"entries={self.entries!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not Matrix:
-            return NotImplemented
-        return (self.ring is other.ring and self.m == other.m and self.n == other.n
-                and self._raw == other._raw)
-
-    def __hash__(self):
-        return hash((self.ring, self.m, self.n, self._raw))
 
     # -- constructors --------------------------------------------------------
 
@@ -105,14 +92,10 @@ class Matrix:
 
     # -- access ---------------------------------------------------------------
 
-    @property
+    @cached_property
     def entries(self) -> tuple[Elem, ...]:
-        entries = self._entries
-        if entries is None:
-            ring = self.ring
-            entries = tuple([_mk(ring, v) for v in self._raw])
-            _set_entries(self, entries)
-        return entries
+        ring = self.ring
+        return tuple([_mk(ring, v) for v in self._raw])
 
     def entry(self, i: int, j: int) -> Elem:
         if not (1 <= i <= self.m and 1 <= j <= self.n):
@@ -181,27 +164,19 @@ class Matrix:
         return format_matrix(self)
 
 
-_set_ring, _set_m, _set_n, _set_raw, _set_entries = (
-    Matrix.__dict__[name].__set__ for name in Matrix.__slots__)
-
-
-def _init(a: Matrix, ring: Ring, m: int, n: int, raw: tuple, entries):
+def _init(a: Matrix, ring: Ring, m: int, n: int, raw: tuple):
     if m < 1 or n < 1:
         raise ShapeMismatch(f"empty {m}x{n} matrix rejected")
     if len(raw) != m * n:
         raise ShapeMismatch("entry count does not match shape")
-    _set_ring(a, ring)
-    _set_m(a, m)
-    _set_n(a, n)
-    _set_raw(a, raw)
-    _set_entries(a, entries)
+    a.__dict__.update(ring=ring, m=m, n=n, _raw=raw)
 
 
 def _matrix(ring: Ring, m: int, n: int, raw: tuple) -> Matrix:
     """The m x n Matrix of a flat row-major tuple of raw values already in
     ring's form; its Elems are built when first read."""
     a = object.__new__(Matrix)
-    _init(a, ring, m, n, raw, None)
+    _init(a, ring, m, n, raw)
     return a
 
 
@@ -307,8 +282,9 @@ _RING_TOKENS = {r.value: r for r in Ring}
 
 def format_matrix(a: Matrix) -> str:
     lines = [f"ring {a.ring.value}", f"rows {a.m}", f"cols {a.n}"]
-    for i in range(1, a.m + 1):
-        lines.append(" ".join(format_scalar(e) for e in a.row(i)))
+    ring = a.ring
+    for row in a.raw_rows():
+        lines.append(" ".join([format_raw(ring, v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

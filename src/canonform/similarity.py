@@ -75,13 +75,8 @@ def canonical_presentation(p: Matrix) -> CanonicalPresentation:
     """Split a polynomial matrix into its coefficient matrices."""
     if p.ring is not Ring.QX:
         raise RingMismatch("canonical presentation needs a Q[x] matrix")
-    values = [e.value for e in p.entries]
-    layers = []
-    for k in range(max(1, *map(len, values))):
-        layer = [v[k] if len(v) > k else Fraction(0) for v in values]
-        layers.append(Matrix.from_rows(
-            Ring.Q, [layer[i * p.n:(i + 1) * p.n] for i in range(p.m)]))
-    return CanonicalPresentation(tuple(layers))
+    return CanonicalPresentation(tuple(
+        Matrix.from_raw(Ring.Q, layer) for layer in raw_layers(p.raw_rows())))
 
 
 def _horner(p: Matrix, a: Matrix, left: bool) -> Matrix:

@@ -716,6 +716,66 @@ def test_format_scalar_digit_limit():
             format_scalar(a)
 
 
+def test_format_scalar_names_the_longest_coefficient():
+    """The highest term is printed first and fails first, but the message
+    names the 5001-digit constant term."""
+    p = polynomial([Fraction(10**5000, 3), 10**4300, 1])
+    with pytest.raises(OutputTooLarge, match="a 5001-digit number"):
+        format_scalar(p)
+
+
+def ref_format_fraction(f):
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def ref_format_scalar(a):
+    """format_scalar through the Fractions of Elem.value."""
+    if a.ring is Ring.Z:
+        return str(a.value)
+    if a.ring is Ring.Q:
+        return ref_format_fraction(a.value)
+    parts = []
+    for k in range(len(a.value) - 1, -1, -1):
+        c = a.value[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if k == 0:
+            body = ref_format_fraction(mag)
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            body = xs if mag == 1 else f"{ref_format_fraction(mag)}*{xs}"
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+# Denominators dividing 12, so coefficients often share factors with the
+# common denominator; +-1 and 0 are drawn often.
+printed_coefficient = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 12])),
+)
+
+
+@KERNEL_SETTINGS
+@example(a=rational(-7, 3))
+@example(a=rational(0))
+@example(a=integer(-5))
+@example(a=integer(0))
+@example(a=polynomial([Fraction(1, 6), Fraction(1, 2), Fraction(2, 3)]))
+@example(a=polynomial([-1, 1, 0, -1]))
+@example(a=polynomial([Fraction(-5, 4), 0, 1]))
+@given(a=st.one_of(
+    st.builds(integer, st.integers(-10**6, 10**6)),
+    st.builds(rational, st.integers(-99, 99), st.integers(1, 60)),
+    st.builds(polynomial, st.lists(printed_coefficient, max_size=6)),
+))
+def test_format_scalar_matches_fraction_reference(a):
+    assert format_scalar(a) == ref_format_scalar(a)
+    assert parse_scalar(format_scalar(a), a.ring) == a
+
+
 def test_lcm_of_zeros_is_zero():
     assert lcm(integer(0), integer(0)) == integer(0)
 

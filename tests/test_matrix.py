@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from canonform import matrix
+from canonform import cli, matrix
 from canonform.domain import Elem, Ring, integer, polynomial, rational
 from canonform.errors import (
     BadIndexSet,
@@ -364,6 +364,31 @@ def test_minimal_poly_wraps_no_matrix(matrix_wraps):
     a = random_matrix(random.Random(18), Ring.Q, n, n, bound=3)
     matrix_wraps.clear()
     assert minimal_poly(a).degree() <= n
+    assert len(matrix_wraps) < n * n
+
+
+@pytest.mark.parametrize("argv", [["smith", "--verify", "--json"],
+                                  ["hermite", "--canonical", "--verify", "--json"]],
+                         ids=["smith", "hermite"])
+def test_cli_prints_without_wrapping(argv, matrix_wraps, tmp_path, capsys):
+    """The CLI prints every entry of P, Q and D (or Q and H) of a 12x12
+    input from raw values; cli.py builds no Elem of its own."""
+    rng, n = random.Random(19), 12
+    a = random_unimodular(rng, Ring.Z, n) @ random_matrix(rng, Ring.Z, n, n, bound=3)
+    path = tmp_path / "a.mtx"
+    path.write_text(format_matrix(a))
+    matrix_wraps.clear()
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert '"verified": true' in capsys.readouterr().out
+    assert len(matrix_wraps) < n * n
+
+
+def test_format_matrix_wraps_no_entry(matrix_wraps):
+    n = 6
+    a = random_matrix(random.Random(19), Ring.QX, n, n, bound=3)
+    b = Matrix.from_raw(Ring.QX, a.raw_rows())  # no entry of b read yet
+    matrix_wraps.clear()
+    assert parse_matrix(format_matrix(b)) == a
     assert len(matrix_wraps) < n * n
 
 
