@@ -14,18 +14,20 @@ All values are immutable; every operation is a pure function.
 RAW_OPS maps each ring to the (add, mul, zero) of its raw values,
 RAW_EUCLID to their (divmod, neg, canonical associate), and raw_egcd is
 the one extended Euclid loop, on either table; raw_layers splits raw
-Q[x] rows into raw Q coefficient rows.  The matrix kernels in hermite,
-smith, matrix, determinant and similarity work on raw entries through
-these, and Elem's division, egcd, gcd and canonical_associate wrap
-them, so only this module dispatches on the raw form.  format_raw is the
-one printer, on raw values; format_scalar prints an Elem through it.
+Q[x] rows into raw Q coefficient rows, and largest_raw sizes raw rows for
+an error message.  The matrix kernels in hermite, smith (its 2x2 chain
+step included), matrix, determinant and similarity work on raw entries
+through these, and Elem's + - *, division, egcd, gcd and
+canonical_associate wrap them, so only this module dispatches on the raw
+form.  format_raw is the one printer, on raw values; format_scalar
+prints an Elem through it.
 """
 from __future__ import annotations
 
 import math
 import operator
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -207,6 +209,16 @@ def raw_egcd(ring: Ring, a, b) -> tuple:
     return d, mul(u, s0), mul(u, t0)
 
 
+def largest_raw(ring: Ring, rows) -> str:
+    """The size of the largest entry of raw rows, for an error message: its
+    bit length on Z, its degree and coefficient bits on Q and Q[x]."""
+    if ring is _Z:
+        return f"{max(abs(v).bit_length() for row in rows for v in row)} bits"
+    deg, bits = max((len(nums) - 1, max(abs(c).bit_length() for c in nums + (den,)))
+                    for row in rows for nums, den in row)
+    return f"degree {deg} with {bits}-bit coefficients"
+
+
 def raw_layers(rows) -> list:
     """Raw Q[x] rows P = sum P_k x^k as the raw Q rows P_0..P_m (P_0 alone for P = 0)."""
     top = max(len(v[0]) for row in rows for v in row)
@@ -228,6 +240,7 @@ def _raw_of(ring: Ring, value: Value):
     raise RingMismatch(f"cannot coerce {brief(value)} into {ring}")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Elem:
     """A scalar tagged by its ring; arithmetic requires matching tags.
 
@@ -236,22 +249,20 @@ class Elem:
     `Elem(ring, value)` takes an int on Z; an int or Fraction on Q; an
     int, Fraction, or list or tuple of int and Fraction coefficients on
     Q[x]; anything else raises RingMismatch.  Arithmetic passes every
-    non-Elem operand through it.  An Elem is immutable: setting or
-    deleting an attribute raises FrozenInstanceError.
+    non-Elem operand through it.  An Elem is a frozen dataclass of its
+    two slots, so ==, hash and FrozenInstanceError are the generated ones;
+    pickling goes through _mk, since a frozen instance cannot be restored
+    by setattr.
     """
 
     __slots__ = ("ring", "raw")
+    ring: Ring
+    raw: object
 
     def __init__(self, ring: Ring, value: Value):
         raw = _raw_of(ring, value)
         _set_ring(self, ring)
         _set_raw(self, raw)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return _mk, (self.ring, self.raw)
@@ -266,14 +277,6 @@ class Elem:
         if self.ring is _QX:
             return tuple(Fraction(c, den) for c in nums)
         return Fraction(nums[0] if nums else 0, den)
-
-    def __eq__(self, other):
-        if other.__class__ is not Elem:
-            return NotImplemented
-        return self.ring is other.ring and self.raw == other.raw
-
-    def __hash__(self):
-        return hash((self.ring, self.raw))
 
     def __repr__(self) -> str:
         return f"Elem(ring={self.ring!r}, value={self.value!r})"
@@ -324,23 +327,19 @@ class Elem:
 
     def __add__(self, other) -> "Elem":
         other = self._coerced(other)
-        if self.ring is _Z:
-            return _mk(_Z, self.raw + other.raw)
-        return _mk(self.ring, _qadd(self.raw, other.raw))
+        return _mk(self.ring, RAW_OPS[self.ring][0](self.raw, other.raw))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Elem":
-        return _mk(self.ring, -self.raw if self.ring is _Z else _qneg(self.raw))
+        return _mk(self.ring, RAW_EUCLID[self.ring][1](self.raw))
 
     def __sub__(self, other) -> "Elem":
         return self + (-self._coerced(other))
 
     def __mul__(self, other) -> "Elem":
         other = self._coerced(other)
-        if self.ring is _Z:
-            return _mk(_Z, self.raw * other.raw)
-        return _mk(self.ring, _qmul(self.raw, other.raw))
+        return _mk(self.ring, RAW_OPS[self.ring][1](self.raw, other.raw))
 
     __rmul__ = __mul__
 

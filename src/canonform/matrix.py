@@ -3,7 +3,8 @@ calculus, direct sums, and the text file format.
 
 Indices in the public API are 1-based throughout.  A Matrix is a frozen
 dataclass of its ring, shape and one flat row-major tuple of raw values
-(see domain), so ==, hash, pickling and copying are the generated ones;
+(see domain), so ==, hash, pickling and copying are the generated ones
+(a pickle or copy leaves out the cached Elems of `entries`);
 arithmetic, transpose, submatrices, direct sums, `lift` and the text
 format work on the raw tuple, and the Elems of `entries` are built on
 the first read.  `from_raw` stores rows of raw values as they are and
@@ -60,6 +61,10 @@ class Matrix:
     def __repr__(self) -> str:
         return (f"Matrix(ring={self.ring!r}, m={self.m!r}, n={self.n!r}, "
                 f"entries={self.entries!r})")
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickle or copy leaves out the cached Elems."""
+        return {k: v for k, v in self.__dict__.items() if k != "entries"}
 
     # -- constructors --------------------------------------------------------
 

@@ -7,18 +7,19 @@ step `hermite._apply_2x2_rows`.  No transform is multiplied out.  The
 working rows hold raw values (see domain), and so do the Matrices that
 `diagonalize` returns and `smith` reads back by `raw_rows`; only the
 chain's O(n) diagonal entries are Elems, tested for divisibility on their
-raw values.  `smith` replays P A Q = D on raw rows by `matrix.raw_multiply`
-and returns P, Q and D as Matrices of raw values, whose Elems are built
-when a caller reads them; `smith_2x2` replays its four entries from P2's
-and Q2's.
+raw values.  `smith_2x2` computes on the raw values of its two entries
+through `domain.raw_egcd` and the raw tables, checks that both quotients
+by the gcd are exact and replays its four entries from P2's and Q2's.
+`smith` replays P A Q = D on raw rows by `matrix.raw_multiply` and
+returns P, Q and D as Matrices of raw values, whose Elems are built when
+a caller reads them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, canonical_associate, egcd,
-                     valuation)
-from .errors import CertificateFailed, ZeroArgument
+from .domain import RAW_EUCLID, RAW_OPS, Elem, _mk, brief, largest_raw, raw_egcd, valuation
+from .errors import CertificateFailed, RingMismatch, ZeroArgument
 from .matrix import Matrix, raw_multiply
 from .hermite import _apply_2x2_rows, _canonicalize
 
@@ -37,16 +38,6 @@ class SmithResult:
 def _is_diagonal(rows, zero) -> bool:
     return all(v == zero for i, row in enumerate(rows)
                for j, v in enumerate(row) if i != j)
-
-
-def _largest(ring: Ring, rows) -> str:
-    """The size of the largest raw entry, for an error message: its bit
-    length on Z, its degree and coefficient bits on Q and Q[x]."""
-    if ring is Ring.Z:
-        return f"{max(abs(v).bit_length() for row in rows for v in row)} bits"
-    deg, bits = max((len(nums) - 1, max(abs(c).bit_length() for c in nums + (den,)))
-                    for row in rows for nums, den in row)
-    return f"degree {deg} with {bits}-bit coefficients"
 
 
 def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -77,7 +68,7 @@ def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     else:
         raise CertificateFailed(
             f"diagonalize found no diagonal form within {_ALTERNATION_CAP} passes; "
-            f"the largest working entry has {_largest(ring, d)}")
+            f"the largest working entry has {largest_raw(ring, d)}")
     return (Matrix.from_raw(ring, p), Matrix.from_raw(ring, qt).transpose(),
             Matrix.from_raw(ring, d))
 
@@ -87,24 +78,27 @@ def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
     P2 diag(d1,d2) Q2 = diag(gcd, lcm), both canonical."""
     if d1.is_zero() or d2.is_zero():
         raise ZeroArgument("smith_2x2 needs nonzero diagonal entries")
-    ring = d1.ring
-    delta, s, t = egcd(d1, d2)
-    e1, e2 = d1.exact_div(delta), d2.exact_div(delta)
-    q2 = Matrix(ring, 2, 2, (s, -e2, t, e1))
-    one = Elem.one(ring)
-    # R_[2]-c[1] folded into [[1,1],[0,1]] clears the td2 left behind
-    # below; the second row is then scaled by the unit u making lcm canonical
-    c = t * e2
-    u, lam = canonical_associate(d1 * e2)
-    p2 = Matrix(ring, 2, 2, (one, one, -c * u, (one - c) * u))
-    # entry (i, j) of P2 diag(d1, d2) Q2, from the raw entries returned
-    (add, mul, zero), x1, x2 = RAW_OPS[ring], d1.raw, d2.raw
-    p, q = [e.raw for e in p2.entries], [e.raw for e in q2.entries]
-    if [add(mul(mul(p[i], x1), q[j]), mul(mul(p[i + 1], x2), q[j + 2]))
-            for i in (0, 2) for j in (0, 1)] != [delta.raw, zero, zero, lam.raw]:
+    if d2.ring is not d1.ring:
+        raise RingMismatch(f"{d1.ring} vs {d2.ring}")
+    ring, x1, x2 = d1.ring, d1.raw, d2.raw
+    (add, mul, zero), (divmod_, neg, associate) = RAW_OPS[ring], RAW_EUCLID[ring]
+    one = Elem.one(ring).raw
+    delta, s, t = raw_egcd(ring, x1, x2)
+    (e1, r1), (e2, r2) = divmod_(x1, delta), divmod_(x2, delta)
+    # R_[2]+c[1], c = -t e2, folded into [[1,1],[0,1]] clears the td2 left
+    # behind below; the second row is then scaled by the unit u making lcm canonical
+    c = neg(mul(t, e2))
+    u, lam = associate(mul(x1, e2))
+    p = (one, one, mul(c, u), mul(add(one, c), u))
+    q = (s, neg(e2), t, e1)
+    # entry (i, j) of P2 diag(d1, d2) Q2; e1 and e2 must be exact quotients
+    if r1 != zero or r2 != zero or [
+            add(mul(mul(p[i], x1), q[j]), mul(mul(p[i + 1], x2), q[j + 2]))
+            for i in (0, 2) for j in (0, 1)] != [delta, zero, zero, lam]:
         raise CertificateFailed(
             f"smith_2x2 certificate failed on ({brief(d1)}, {brief(d2)})")
-    return p2, q2, delta, lam
+    return (Matrix.from_raw(ring, (p[:2], p[2:])), Matrix.from_raw(ring, (q[:2], q[2:])),
+            _mk(ring, delta), _mk(ring, lam))
 
 
 def _chain_pass(pwork, qtwork, diag, start):

@@ -27,6 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # gives a valid conjugator.
 CORRUPTED_STEPS = textwrap.dedent("""\
     import dataclasses, importlib, sys
+    from canonform.domain import Ring
     from canonform.errors import CertificateFailed
     from canonform.matrix import Matrix, mat_q, mat_z
 
@@ -35,30 +36,32 @@ CORRUPTED_STEPS = textwrap.dedent("""\
     sm = importlib.import_module("canonform.smith")
     sim = importlib.import_module("canonform.similarity")
 
-    orig = sm.canonical_associate
+    orig_euclid = sm.RAW_EUCLID
+    zdivmod, neg, assoc = orig_euclid[Ring.Z]
     def doubled(x):
-        u, c = orig(x)
+        u, c = assoc(x)
         return u, c + c
-    sm.canonical_associate = doubled
+    sm.RAW_EUCLID = {**orig_euclid, Ring.Z: (zdivmod, neg, doubled)}
     try:
         sm.smith(mat_z([[6, 0], [0, 4]]))
         sys.exit("corrupted smith_2x2 was not caught")
-    except CertificateFailed:
-        pass
-    sm.canonical_associate = orig
+    except CertificateFailed as exc:
+        if "smith_2x2 certificate failed" not in str(exc):
+            sys.exit(f"the 2x2 replay did not catch the associate: {exc}")
+    sm.RAW_EUCLID = orig_euclid
 
-    orig_egcd = sm.egcd
-    def shifted_s(a, b):
-        d, s, t = orig_egcd(a, b)
+    orig_egcd = sm.raw_egcd
+    def shifted_s(ring, a, b):
+        d, s, t = orig_egcd(ring, a, b)
         return d, s + 1, t
-    sm.egcd = shifted_s
+    sm.raw_egcd = shifted_s
     try:
         sm.smith(mat_z([[6, 0], [0, 4]]))
         sys.exit("corrupted egcd in smith_2x2 was not caught")
     except CertificateFailed as exc:
         if "smith_2x2 certificate failed" not in str(exc):
             sys.exit(f"the 2x2 replay did not catch it: {exc}")
-    sm.egcd = orig_egcd
+    sm.raw_egcd = orig_egcd
 
     orig_product = sm.raw_multiply
     def dropped_term(ring, arows, brows):

@@ -308,11 +308,16 @@ def test_raw_backed_matrix_keeps_the_matrix_contract(ring, data):
     a = Matrix.from_rows(ring, rows)
     b = Matrix.from_raw(ring, a.raw_rows())  # no entry of b read yet
     assert b == a and hash(b) == hash(a)
-    back = pickle.loads(pickle.dumps(b))
+    unread = pickle.dumps(b)
+    back = pickle.loads(unread)
     assert back == b and hash(back) == hash(b) and back.ring is ring
     assert back.entries == flat
     assert repr(b) == f"Matrix(ring={ring!r}, m={m!r}, n={n!r}, entries={flat!r})"
     assert pickle.loads(pickle.dumps(b)) == a  # once read as well
+    # the cached Elems stay out of a pickle, also when the constructor kept them
+    assert len(pickle.dumps(b)) == len(unread)
+    c = Matrix(ring, m, n, b.entries)
+    assert len(pickle.dumps(c)) == len(pickle.dumps(Matrix.from_raw(ring, c.raw_rows())))
     for name in ("ring", "m", "n", "entries", "other"):
         with pytest.raises(FrozenInstanceError):
             setattr(b, name, None)

@@ -10,8 +10,9 @@ from canonform.domain import (
     integer,
     lcm,
     polynomial,
+    rational,
 )
-from canonform.errors import ZeroArgument
+from canonform.errors import CertificateFailed, RingMismatch, ZeroArgument
 from canonform.invariants import det_divisors_by_minors
 from canonform.matrix import Matrix, mat_qx, mat_z
 from canonform.smith import diagonalize, smith, smith_2x2
@@ -123,6 +124,22 @@ class TestSmith2x2:
     def test_zero_rejected(self):
         with pytest.raises(ZeroArgument):
             smith_2x2(integer(0), integer(3))
+
+    def test_mixed_rings_rejected(self):
+        with pytest.raises(RingMismatch, match="Z vs Q"):
+            smith_2x2(integer(2), rational(3))
+        with pytest.raises(RingMismatch, match=r"Q\[x\] vs Z"):
+            smith_2x2(polynomial([1, 1]), integer(3))
+
+    def test_inexact_quotient_fails_the_certificate(self, monkeypatch):
+        """12 = 2*6 + 0*4 divides neither entry of (6, 4), yet with the
+        quotients 0 it passes the four-entry replay (P2 = [[1,1],[0,1]],
+        Q2 = [[2,0],[0,0]], lam = 0): only the remainder check catches it."""
+        import importlib
+        sm = importlib.import_module("canonform.smith")
+        monkeypatch.setattr(sm, "raw_egcd", lambda ring, a, b: (12, 2, 0))
+        with pytest.raises(CertificateFailed, match="smith_2x2 certificate failed on"):
+            smith_2x2(integer(6), integer(4))
 
 
 class TestSmith:
