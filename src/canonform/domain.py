@@ -30,7 +30,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Union
 
 from .errors import (
@@ -502,80 +501,68 @@ def egcd(a: Elem, b: Elem) -> tuple[Elem, Elem, Elem]:
     return _mk(a.ring, d), _mk(a.ring, s), _mk(a.ring, t)
 
 
-# Rational-root candidates one _rational_root_split call may test; past
-# it no survivor can be proved rootless, so the split gives up.
-_ROOT_SEARCH_LIMIT = 100_000
+def _eval_mod(ints: list, x: int, m: int) -> int:
+    """sum ints[k] x^k mod m, by Horner's rule."""
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _root_candidates(c0: int, cn: int):
-    """The numerators and denominators (+-n, d) with n | c0, d | cn and
-    gcd(n, d) = 1, for nonzero c0 and cn.  They come from factor(), so
-    its budget bounds the search."""
-    f0 = {p.raw: e for p, e in factor(_mk(_Z, c0))[1]}
-    fn = {p.raw: e for p, e in factor(_mk(_Z, cn))[1]}
-    choices = [[(p ** i, 1) for i in range(f0.get(p, 0) + 1)]
-               + [(1, p ** j) for j in range(1, fn.get(p, 0) + 1)]
-               for p in sorted(f0.keys() | fn.keys())]
-    for combo in product(*choices):
-        n = d = 1
-        for pn, pd in combo:
-            n, d = n * pn, d * pd
-        yield n, d
-        yield -n, d
-
-
-def _rational_root_split(p: Elem) -> tuple[list[Elem], Elem]:
-    """Strip rational roots off a monic polynomial of degree >= 1,
-    returning the linear factors found (monic) and the survivor: linear,
-    or rootless.  A linear survivor is not searched.
-
-    With primitive integer coefficients c_k, a candidate a/b in lowest
-    terms is a root iff sum c_k a^k b^(n-k) = 0.
+def _rational_roots(ints: list) -> list[Fraction]:
+    """The rational roots of a squarefree primitive integer polynomial
+    f = sum ints[k] x^k by one p-adic lift, Zassenhaus's method (1969) in
+    degree 1 (Knuth, TAOCP vol. 2, 4.6.2).  p is the least prime not
+    dividing lead = ints[-1] at which every root mod p is simple; as f is
+    squarefree, only finitely many primes fail.  Newton's iteration lifts
+    each root mod p to r mod m > 2|lead c0|.  A root a/b in lowest terms
+    has b | lead and a | c0, so lead a/b is the residue y of lead r in
+    (-m/2, m/2]; y/lead is tested exactly: sum ints[k] y^k lead^(n-k) = 0.
     """
-    linear, tests = [], 0
-    while valuation(p) >= 2:
-        nums = p.raw[0]
-        g = math.gcd(*nums)
-        ints = [c // g for c in nums]
-        root = None
-        if ints[0] == 0:
-            root = Fraction(0)
-        else:
-            for a, b in _root_candidates(ints[0], ints[-1]):
-                tests += 1
-                if tests > _ROOT_SEARCH_LIMIT:
-                    raise FactorizationIncomplete(
-                        f"rational-root search on {brief(p)} passed "
-                        f"{_ROOT_SEARCH_LIMIT} candidates")
-                acc, bk = ints[-1], 1
-                for c in reversed(ints[:-1]):
-                    bk *= b
-                    acc = acc * a + c * bk
-                if acc == 0:
-                    root = Fraction(a, b)
-                    break
-        if root is None:
-            break
-        factor_ = polynomial([-root, 1])
-        linear.append(factor_)
-        p = p.exact_div(factor_)
-    return linear, p
+    lead, c0 = ints[-1], ints[0]
+    if not c0:
+        return [Fraction(0)] + _rational_roots(ints[1:])
+    deriv, p = [k * c for k, c in enumerate(ints)][1:], 1
+    while True:
+        p += 1
+        if lead % p and all(p % d for d in range(2, math.isqrt(p) + 1)):
+            cs, ds = [c % p for c in ints], [c % p for c in deriv]
+            roots = [r for r in range(p) if not _eval_mod(cs, r, p)]
+            if all(_eval_mod(ds, r, p) for r in roots):
+                break
+    found = []
+    for r in roots:
+        m = p
+        while m <= 2 * abs(lead * c0):
+            m *= m
+            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        y = lead * r % m
+        y = y - m if 2 * y > m else y
+        acc, bk = lead, 1
+        for c in reversed(ints[:-1]):
+            bk *= lead
+            acc = acc * y + c * bk
+        if not acc:
+            found.append(Fraction(y, lead))
+    return found
 
 
 def _split_squarefree(p: Elem) -> list[Elem]:
-    """Split a monic squarefree polynomial into monic irreducibles.
-
-    Linear factors come from the rational-root search.  Its survivor is
-    linear, or of degree 2 or 3 with no rational root, hence no linear
-    factor, so it is irreducible; a survivor of degree >= 4 is beyond this
-    factorizer.
-    """
-    if valuation(p) == 0:
-        return []
-    linear, rest = _rational_root_split(p)
+    """Split a monic squarefree polynomial into monic irreducibles: the
+    linear factors of its rational roots, and the rest, which has no
+    linear factor, so is irreducible if of degree 2 or 3 and beyond this
+    factorizer from degree 4.  _rational_roots ends only on squarefree
+    input, so gcd(p, p') = 1 is checked, else CertificateFailed."""
+    if valuation(p) <= 1:  # 1 has no prime factor; a linear p is prime
+        return [p] if valuation(p) else []
+    if not gcd(p, _mk(_QX, _qderiv(p.raw))).is_one():
+        raise CertificateFailed(f"{brief(p)} is not squarefree")
+    g = math.gcd(*p.raw[0])
+    linear = [polynomial([-r, 1]) for r in _rational_roots([c // g for c in p.raw[0]])]
+    rest = p.exact_div(math.prod(linear, start=_ONE[_QX]))
     deg = valuation(rest)
     if deg <= 3:
-        return linear + [rest]
+        return linear + ([rest] if deg else [])
     raise FactorizationIncomplete(
         f"cannot factor degree-{deg} polynomial {brief(rest)} over Q"
     )
@@ -698,10 +685,10 @@ def factor(a: Elem) -> tuple[Elem, tuple[tuple[Elem, int], ...]]:
     by prime_sort_key.  On Z: trial division below _TRIAL_BOUND, then
     deterministic Miller-Rabin proves each cofactor below
     _MILLER_RABIN_BOUND prime, and Pollard-Brent splits the composite ones
-    within _RHO_BUDGET.  Each split and the product of the prime powers
-    are replayed, raising CertificateFailed; a cofactor neither proved
-    prime nor split raises FactorizationIncomplete.  On Q[x]: Yun's
-    squarefree decomposition, then _split_squarefree on each part.
+    within _RHO_BUDGET; a cofactor neither proved prime nor split raises
+    FactorizationIncomplete.  On Q[x]: Yun's squarefree decomposition, then
+    _split_squarefree on each part.  Each split and unit * prod p^e = a
+    are replayed, raising CertificateFailed.
     """
     if a.is_zero():
         raise ZeroArgument("cannot factor zero")
@@ -734,6 +721,9 @@ def factor(a: Elem) -> tuple[Elem, tuple[tuple[Elem, int], ...]]:
     pairs = tuple(
         sorted(powers.items(), key=lambda pe: prime_sort_key(pe[0]))
     )
+    if math.prod((p ** e for p, e in pairs), start=unit) != a:
+        raise CertificateFailed(
+            f"the prime powers of {brief(a)} do not multiply back to it")
     return unit, pairs
 
 

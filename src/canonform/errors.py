@@ -39,9 +39,9 @@ class ExactDivisionError(Error, ArithmeticError):
 
 class FactorizationIncomplete(Error, ArithmeticError):
     """A polynomial factor of degree >= 4 with no rational root survived,
-    the rational-root search ran past its candidate limit, or an integer
-    cofactor was neither proved prime by Miller-Rabin (below its bound
-    3.3 * 10^24) nor split by Pollard-Brent within its step budget."""
+    or an integer cofactor was neither proved prime by Miller-Rabin (below
+    its bound 3.3 * 10^24) nor split by Pollard-Brent within its step
+    budget."""
 
 
 class UnsupportedRing(Error, ValueError):

@@ -130,8 +130,9 @@ def test_corrupted_certificates_raise_under_dash_o():
 
 
 # A Pollard-Brent split that is not a divisor, and prime powers that do not
-# multiply back to the input, each raise CertificateFailed under -O, each
-# from its own replay.
+# multiply back to the input, on Z and (a squarefree split that drops its
+# last factor) on Q[x], each raise CertificateFailed under -O, each from
+# its own replay.
 CORRUPTED_FACTOR = textwrap.dedent("""\
     import importlib, sys
     from canonform.errors import CertificateFailed
@@ -158,6 +159,16 @@ CORRUPTED_FACTOR = textwrap.dedent("""\
     except CertificateFailed as exc:
         if "multiply back" not in str(exc):
             sys.exit(f"the product replay did not catch it: {exc}")
+    dom._factor_int = orig_factor_int
+
+    orig_split = dom._split_squarefree
+    dom._split_squarefree = lambda p: orig_split(p)[:-1]
+    try:
+        dom.factor(dom.polynomial([2, -3, 1]))
+        sys.exit("a dropped Q[x] factor was not caught")
+    except CertificateFailed as exc:
+        if "multiply back" not in str(exc):
+            sys.exit(f"the Q[x] product replay did not catch it: {exc}")
     print("caught")
 """)
 

@@ -282,13 +282,13 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
         assert "FactorizationIncomplete" in capsys.readouterr().err
 
-    def test_unfactorable_root_search_is_1_quickly(self, tmp_path, capsys):
-        # the rational-root candidates divide the semiprime constant term
+    def test_rootless_cubic_with_unsplittable_constant_is_0_quickly(self, tmp_path, capsys):
+        # the rational roots are found without factoring the semiprime constant
         path = write(tmp_path, "cubic.mtx", mat_qx([[f"x^3-{UNSPLITTABLE}"]]))
         start = time.perf_counter()
-        assert main(["invariants", str(path)]) == 1
+        assert main(["invariants", str(path)]) == 0
         assert time.perf_counter() - start < 5.0
-        assert "FactorizationIncomplete" in capsys.readouterr().err
+        assert f"elementary_divisors x^3-{UNSPLITTABLE}" in capsys.readouterr().out
 
     def test_factorization_incomplete_is_1(self, tmp_path, capsys):
         # companion of x^4 + 1: a rootless quartic is beyond the factorizer

@@ -29,6 +29,7 @@ from canonform.domain import (
     valuation,
 )
 from canonform.errors import (
+    CertificateFailed,
     DivisionByZero,
     FactorizationIncomplete,
     NotAUnit,
@@ -357,12 +358,6 @@ class TestFactor:
         assert factor(poly(-998244359987710471, 7)) == (
             poly(7), ((poly(Fraction(-998244359987710471, 7), 1), 1),))
 
-    def test_root_search_budget_is_a_named_error(self, monkeypatch):
-        import canonform.domain as dom
-        monkeypatch.setattr(dom, "_ROOT_SEARCH_LIMIT", 1)
-        with pytest.raises(FactorizationIncomplete, match="passed 1 candidates"):
-            factor(poly(-6, 0, 0, 1))
-
     def test_semiprime_beyond_trial_division_raises_quickly(self):
         # the smaller factor 2^61 - 1 is far beyond the Pollard-Brent budget
         start = time.perf_counter()
@@ -380,6 +375,38 @@ class TestFactor:
         # (x - 2)(x - 998244359987710471), the constant 1000000007 * 998244353 * 2
         p, q = poly(-2, 1), poly(-998244359987710471, 1)
         assert factor(p * q) == (poly(1), ((q, 1), (p, 1)))
+
+    def test_roots_with_unsplittable_numerator_split(self):
+        # (2^61 - 1)(2^89 - 1) is beyond the Z factorizer; no root needs it factored
+        n = (2**61 - 1) * (2**89 - 1)
+        p, q = poly(-2, 1), poly(-n, 1)
+        assert factor(p * q) == (poly(1), ((q, 1), (p, 1)))
+        r = poly(Fraction(-n, 7), 1)
+        assert factor(r * r * poly(-3, 0, 1) * 5) == (poly(5), ((r, 2), (poly(-3, 0, 1), 1)))
+        assert factor(poly(-n, 0, 0, 1)) == (poly(1), ((poly(-n, 0, 0, 1), 1),))
+
+    def test_rootless_quadratic_over_600_primes_is_quick(self):
+        # every prime below the 601st divides the constant, so x^2 has a
+        # double root mod each of them and the root finder passes them all
+        p = poly(-math.prod(sympy.primerange(2, sympy.prime(600) + 1)), 0, 1)
+        start = time.perf_counter()
+        assert factor(p) == (poly(1), ((p, 1),))
+        assert time.perf_counter() - start < 2.0
+
+    def test_qx_factor_factors_no_integer(self, monkeypatch):
+        import canonform.domain as dom
+
+        def refuse(n):
+            raise AssertionError(f"_factor_int({n}) called")
+        monkeypatch.setattr(dom, "_factor_int", refuse)
+        a = poly(-6, 1) * poly(Fraction(1, 2), 1) ** 2 * poly(2, 0, 1) * 720720
+        assert factor(a) == (poly(720720), (
+            (poly(-6, 1), 1), (poly(Fraction(1, 2), 1), 2), (poly(2, 0, 1), 1)))
+
+    def test_split_refuses_a_square(self):
+        import canonform.domain as dom
+        with pytest.raises(CertificateFailed, match="not squarefree"):
+            dom._split_squarefree(poly(-1, 1) ** 2)
 
     def test_rho_budget_is_a_named_error(self, monkeypatch):
         import canonform.domain as dom

@@ -1,6 +1,7 @@
 """Differential tests against sympy on seeded inputs: invariant factors of
 xI - A over Q[x], characteristic polynomials over Q, Smith diagonals and
-Hermite forms over Z, Jordan block sizes, and integer factorizations.
+Hermite forms over Z, Jordan block sizes, integer factorizations, and
+the rational roots of integer polynomials.
 sympy computes each answer independently of canonform.  Then derandomized
 hypothesis properties: the Smith diagonal and the Hermite form are
 invariant under unimodular multipliers, Cayley-Hamilton holds, and factor
@@ -10,13 +11,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import QQ, ZZ, Matrix as SMatrix, factorint, prevprime, symbols
+from sympy import QQ, ZZ, Matrix as SMatrix, Poly, factorint, prevprime, symbols
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices.normalforms import invariant_factors, smith_normal_form
 
 from canonform.determinant import det
-from canonform.domain import Ring, factor, integer, polynomial
+from canonform.domain import Ring, _rational_roots, factor, integer, polynomial
 from canonform.hermite import hermite_canonical
 from canonform.matrix import Matrix, mat_q
 from canonform.similarity import (
@@ -253,13 +254,19 @@ def test_cayley_hamilton(seed, n):
     assert divmod(chi, mu)[1].is_zero()
 
 
+# (2^61 - 1)(2^89 - 1): a semiprime beyond the Z factorizer.
+UNSPLITTABLE = (2**61 - 1) * (2**89 - 1)
+
+
 def planted_factors(rng) -> dict:
     """Distinct monic irreducibles of Q[x] with exponents: linear x - r,
-    quadratics x^2 + bx + c with b^2 < 4c, cubics (x - s)^3 - k with k
-    not a rational cube.  Rootless factors get distinct exponents, so each
-    squarefree part has at most one of them, which factor can split off."""
+    r small or UNSPLITTABLE / 7, quadratics x^2 + bx + c with b^2 < 4c,
+    cubics (x - s)^3 - k with k not a rational cube.  Rootless factors get
+    distinct exponents, so each squarefree part has at most one of them,
+    which factor can split off."""
     out = {}
-    for r in rng.sample([Fraction(v, d) for v in range(-3, 4) for d in (1, 2)], rng.randint(0, 3)):
+    roots = [Fraction(v, d) for v in range(-3, 4) for d in (1, 2)] + [Fraction(UNSPLITTABLE, 7)]
+    for r in rng.sample(roots, rng.randint(0, 3)):
         out[polynomial([-r, 1])] = rng.randint(1, 2)
     rootless = []
     for _ in range(rng.randint(0, 2)):
@@ -287,6 +294,27 @@ def test_factor_replays_planted_products(seed):
         replay = replay * p ** e
     assert replay == a
     assert dict(powers) == planted
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rational_roots_agree_with_ground_roots(seed):
+    # a squarefree primitive integer polynomial: distinct roots a/b up to
+    # 10^12 / 10^6 times at most two rootless quadratics
+    rng = random.Random(seed)
+    f = Poly(rng.choice([1, -2, 3]), X, domain=ZZ)
+    for r in {Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+              for _ in range(rng.randint(0, 5))}:
+        f *= Poly(r.denominator * X - r.numerator, X, domain=ZZ)
+    for _ in range(rng.randint(0, 2)):
+        f *= Poly(X**2 + rng.randint(1, 10**6), X, domain=ZZ)
+    f = f.sqf_part().primitive()[1]
+    if f.degree() < 1:
+        return
+    ints = [int(c) for c in reversed(f.all_coeffs())]
+    want = {to_fraction(r) for r in f.ground_roots()}
+    got = _rational_roots(ints)
+    assert len(got) == len(want) and set(got) == want
 
 
 def certificate_triple(rng, n):

@@ -615,10 +615,20 @@ def test_validation_errors(call, error):
 
 @pytest.mark.parametrize("call", [jordan, rcf])
 def test_diagonal_with_semiprime_entry(call):
-    # the root search factors the constant 2 * 1000000007 * 998244353
+    # both roots are found without factoring 2 * 1000000007 * 998244353
     a = mat_q([[2, 0], [0, 998244359987710471]])
     cert, form = call(a)
     assert form == mat_q([[998244359987710471, 0], [0, 2]])
+    assert cert.verify(a)
+
+
+@pytest.mark.parametrize("call", [jordan, rcf])
+def test_diagonal_with_unsplittable_entry(call):
+    # (2^61 - 1)(2^89 - 1) is beyond the Z factorizer, and no root needs it factored
+    n = (2**61 - 1) * (2**89 - 1)
+    a = mat_q([[2, 0], [0, n]])
+    cert, form = call(a)
+    assert form == mat_q([[n, 0], [0, 2]])
     assert cert.verify(a)
 
 
