@@ -6,8 +6,7 @@ minors, and inversion over the ring.
 divmod of domain.RAW_EUCLID; a nonzero remainder raises ExactDivisionError.
 A unit matrix is inverted through its Hermite canonical form, which is the
 identity, so the row transform is the inverse; no adjugate is formed.
-`inverse` is public API with no caller in the library: the similarity
-code reads Q_B^-1 off smith's replayed identity instead.
+`similarity.similar` calls `inverse` once, on a constant matrix over Q.
 """
 from __future__ import annotations
 

@@ -509,15 +509,34 @@ def _eval_mod(ints: list, x: int, m: int) -> int:
     return acc
 
 
+def _coprime_mod(f: list, g: list, p: int) -> bool:
+    """Whether gcd(f, g) = 1 in GF(p)[x] for integer coefficient lists,
+    lowest degree first, by Euclid's remainder loop."""
+    def reduced(h):
+        h = [c % p for c in h]
+        while h and not h[-1]:
+            h.pop()
+        return h
+    f, g = reduced(f), reduced(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c, shift = f[-1] * inv, len(f) - len(g)
+            f = reduced(f[:shift] + [u - c * v for u, v in zip(f[shift:], g)])
+        f, g = g, f
+    return len(f) == 1
+
+
 def _rational_roots(ints: list) -> list[Fraction]:
     """The rational roots of a squarefree primitive integer polynomial
     f = sum ints[k] x^k by one p-adic lift, Zassenhaus's method (1969) in
     degree 1 (Knuth, TAOCP vol. 2, 4.6.2).  p is the least prime not
-    dividing lead = ints[-1] at which every root mod p is simple; as f is
-    squarefree, only finitely many primes fail.  Newton's iteration lifts
-    each root mod p to r mod m > 2|lead c0|.  A root a/b in lowest terms
-    has b | lead and a | c0, so lead a/b is the residue y of lead r in
-    (-m/2, m/2]; y/lead is tested exactly: sum ints[k] y^k lead^(n-k) = 0.
+    dividing lead = ints[-1] with gcd(f, f') = 1 in GF(p)[x], so every
+    root mod p is simple; as f is squarefree, only finitely many primes
+    fail.  Newton's iteration lifts each root mod p to r mod m > 2|lead c0|.
+    A root a/b in lowest terms has b | lead and a | c0, so lead a/b is the
+    residue y of lead r in (-m/2, m/2]; y/lead is tested exactly:
+    sum ints[k] y^k lead^(n-k) = 0.
     """
     lead, c0 = ints[-1], ints[0]
     if not c0:
@@ -525,11 +544,11 @@ def _rational_roots(ints: list) -> list[Fraction]:
     deriv, p = [k * c for k, c in enumerate(ints)][1:], 1
     while True:
         p += 1
-        if lead % p and all(p % d for d in range(2, math.isqrt(p) + 1)):
-            cs, ds = [c % p for c in ints], [c % p for c in deriv]
-            roots = [r for r in range(p) if not _eval_mod(cs, r, p)]
-            if all(_eval_mod(ds, r, p) for r in roots):
-                break
+        if (lead % p and all(p % d for d in range(2, math.isqrt(p) + 1))
+                and _coprime_mod(ints, deriv, p)):
+            break
+    cs = [c % p for c in ints]
+    roots = [r for r in range(p) if not _eval_mod(cs, r, p)]
     found = []
     for r in roots:
         m = p

@@ -3,27 +3,31 @@ decision with an explicit conjugator, minimal polynomial, and the
 rational (Frobenius) and Jordan canonical forms.
 
 Constant matrices live over Q (Z inputs are lifted); polynomial matrices
-over Q[x].  `rcf` and `jordan` compute the Smith form of xI - A once and
-reuse it both for the elementary divisors and for the conjugator
-S = rho_B(Q_A D_B^-1 P_B (xI - B)), read off the two replayed Smith
-identities: no matrix is inverted.  From xI - A to S the path runs on
-raw rows (see domain) by `matrix.raw_multiply`; the Matrices handed from
-step to step hold raw values, so no Elem of them is built unless a
-caller reads an entry.
+over Q[x].  The Smith form P (xI - A) Q = D splits Q^n, with x acting as
+A, into cyclic summands Q[x]/(d_i), generated by the left evaluations at
+A of the columns of P^-1 = (xI - A) Q D^-1.  `_basis` builds from them
+the S with A S = S T for a direct sum T of companion or Jordan blocks, so
+`rcf` and `jordan` run one Smith form, and `similar` one per matrix and
+S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S the
+path runs on raw rows (see domain) by `matrix.raw_multiply`; the Matrices
+handed from step to step hold raw values, so no Elem of them is built
+unless a caller reads an entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from . import determinant
-from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, polynomial, raw_layers,
-                     valuation)
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, polynomial,
+                     prime_sort_key, raw_layers, valuation)
 from .errors import (
     CertificateFailed,
     Error,
     NonLinearElementaryDivisor,
+    NotAUnit,
     NotMonic,
     NotSquare,
     RingMismatch,
@@ -82,8 +86,8 @@ def canonical_presentation(p: Matrix) -> CanonicalPresentation:
 def _horner(p: Matrix, a: Matrix, left: bool) -> Matrix:
     """sum P_k A^k (sum A^k P_k when left) over the layers of P."""
     a = _as_rational_square(a)
-    if p.m != a.m or p.n != a.n:
-        raise ShapeMismatch("evaluation needs conformable square matrices")
+    if (p.m if left else p.n) != a.m:
+        raise ShapeMismatch(f"{p.m}x{p.n} matrix cannot be evaluated at a {a.m}x{a.m} one")
     if p.ring is not Ring.QX:
         raise RingMismatch("evaluation needs a Q[x] matrix")
     add, arows = RAW_OPS[Ring.Q][0], a.raw_rows()
@@ -188,69 +192,104 @@ class SimilarityCertificate:
 def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     """Decide similarity; on success return S with S^-1 A S = B exactly.
 
-    S is the right evaluation at B of the composed unimodular column
-    witness of the two Smith decompositions of xI-A and xI-B.
+    A and B are similar exactly when xI - A and xI - B have the same
+    invariant factors d_i.  Then A S_A = S_A F and B S_B = S_B F for F the
+    direct sum of the companion matrices of the nonunit d_i, with S_A and
+    S_B from `_basis`, so S = S_A S_B^-1: one inverse of a constant matrix.
     """
     a = _as_rational_square(a)
     b = _as_rational_square(b)
     if a.m != b.m:
         raise ShapeMismatch("similar needs matrices of equal size")
-    return _conjugator(a, _char_smith(a), b, _char_smith(b))
-
-
-def _conjugator(a: Matrix, res_a: SmithResult, b: Matrix,
-                res_b: SmithResult) -> Optional[SimilarityCertificate]:
-    """S = rho_B(Q_A Q_B^-1) with S^-1 A S = B from the Smith forms of
-    xI - A and xI - B, or None when their invariant factors differ.
-    Q_B^-1 = D_B^-1 P_B (xI - B) is read off smith's replayed identity
-    P_B (xI - B) Q_B = D_B: one product and exact row divisions, no
-    inverse.  The certificate is replayed by its own verify."""
+    res_a, res_b = _char_smith(a), _char_smith(b)
     if res_a.diag != res_b.diag:
         return None
-    divmod_, zero = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2]
-    # D_B Q_B^-1 = P_B (xI - B), then exact division of row i by D_B's d_i
-    rows = raw_multiply(Ring.QX, res_b.p.raw_rows(), char_matrix(b).raw_rows())
-    for i, d in enumerate(res_b.diag):
-        rows[i], rems = zip(*(divmod_(v, d.raw) for v in rows[i]))
-        if any(r != zero for r in rems):
-            raise CertificateFailed(f"Q_B^-1 row {i + 1} is not polynomial")
-    q_ab = Matrix.from_raw(Ring.QX, raw_multiply(Ring.QX, res_a.q.raw_rows(), rows))
-    cert = SimilarityCertificate(right_eval(q_ab, b), b)
+    zero = Elem.zero(Ring.QX)
+    blocks = [(i, d, zero) for i, d in enumerate(res_a.diag) if not d.is_one()]
+    s_a, s_b = _basis(a, res_a, blocks), _basis(b, res_b, blocks)
+    try:
+        s_b_inv = determinant.inverse(s_b)
+    except NotAUnit:
+        raise CertificateFailed("the Frobenius basis of B is singular") from None
+    return _certified(a, s_a @ s_b_inv, b)
+
+
+def _basis(a: Matrix, res: SmithResult, blocks) -> Matrix:
+    """S with A S = S (T_1 + ... + T_m) for blocks (i, q, alpha): q divides
+    the invariant factor d_i of res, the Smith form of xI - A, alpha is a
+    constant of Q[x], and T is alpha I plus the companion matrix of
+    q(x + alpha), so companion(q) for alpha = 0 and hypercompanion(alpha, k)
+    for q = (x - alpha)^k.  Column i of (xI - A) Q divided by q evaluates
+    on the left at A to a g with annihilator q (Giesbrecht 1995; Storjohann
+    2000); with q = sum r_j (x - alpha)^j of degree k, the columns
+    c_(k-1) = g and c_(j-1) = (A - alpha I) c_j + r_j g give A S = S T.
+    """
+    divmod_, qx_zero = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2]
+    need = sorted({i for i, _, _ in blocks})
+    qcols = [[row[i] for i in need] for row in res.q.raw_rows()]
+    cols = dict(zip(need, zip(*raw_multiply(Ring.QX, char_matrix(a).raw_rows(), qcols))))
+    quotients = []
+    for i, q, _ in blocks:
+        quots, rems = zip(*(divmod_(v, q.raw) for v in cols[i]))
+        if any(r != qx_zero for r in rems):
+            raise CertificateFailed(f"column {i + 1} of (xI - A) Q is not divisible "
+                                    f"by {brief(q)}")
+        quotients.append(quots)
+    gens = zip(*left_eval(Matrix.from_raw(Ring.QX, list(zip(*quotients))), a).raw_rows())
+    (add, mul, zero), neg = RAW_OPS[Ring.Q], RAW_EUCLID[Ring.Q][1]
+    arows, out = a.raw_rows(), []
+    for (_, q, alpha), g in zip(blocks, gens):
+        r, y = [], X - alpha
+        while not q.is_zero():  # r_0, ..., r_k: a Q[x] constant is a Q pair
+            q, rem = divmod(q, y)
+            r.append(rem.raw)
+        chain, nalpha = [g], neg(alpha.raw)
+        for rj in reversed(r[1:-1]):
+            c = chain[-1]
+            chain.append([add(add(reduce(add, map(mul, arow, c), zero), mul(nalpha, ci)),
+                              mul(rj, gi)) for arow, ci, gi in zip(arows, c, g)])
+        out.extend(reversed(chain))
+    return Matrix.from_raw(Ring.Q, [list(row) for row in zip(*out)])
+
+
+def _certified(a: Matrix, s: Matrix, target: Matrix) -> SimilarityCertificate:
+    """The certificate (S, target), replayed against A by its own verify."""
+    cert = SimilarityCertificate(s, target)
     if not cert.verify(a):
         raise CertificateFailed("similarity certificate replay S^-1 A S = B failed")
     return cert
 
 
-def _assemble(a: Matrix, res_a: SmithResult,
-              blocks: list[Matrix]) -> tuple[SimilarityCertificate, Matrix]:
-    form = blocks[0]
-    for blk in blocks[1:]:
-        form = direct_sum(form, blk)
-    cert = _conjugator(a, res_a, form, _char_smith(form))
-    if cert is None:  # same elementary divisors by construction
-        raise CertificateFailed("canonical form is not similar to its source")
-    return cert, form
+def _primary_blocks(res: SmithResult) -> list[tuple[int, Elem, int]]:
+    """(i, p, e) for each prime power p^e exactly dividing the invariant
+    factor d_i, sorted as elementary_divisors sorts the pairs (p, e)."""
+    out = [(i, p, e) for i, d in enumerate(res.diag) for p, e in elementary_divisors([d])]
+    out.sort(key=lambda ipe: (prime_sort_key(ipe[1]), ipe[2]))
+    return out
 
 
 def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     """Frobenius (rational) canonical form: companion blocks of the
     elementary divisors in display order, with verified conjugator."""
     a = _as_rational_square(a)
-    res_a = _char_smith(a)
-    blocks = [companion(p ** e) for p, e in elementary_divisors(res_a.diag)]
-    return _assemble(a, res_a, blocks)
+    res = _char_smith(a)
+    zero = Elem.zero(Ring.QX)
+    blocks = [(i, p ** e, zero) for i, p, e in _primary_blocks(res)]
+    form = reduce(direct_sum, [companion(q) for _, q, _ in blocks])
+    return _certified(a, _basis(a, res, blocks), form), form
 
 
 def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     """Jordan canonical form: hypercompanion blocks of the elementary
     divisors, which must all be powers of linear factors."""
     a = _as_rational_square(a)
-    res_a = _char_smith(a)
-    eds = elementary_divisors(res_a.diag)
-    for p, _ in eds:
+    res = _char_smith(a)
+    eds = _primary_blocks(res)
+    for _, p, _ in eds:
         if valuation(p) != 1:
             raise NonLinearElementaryDivisor(
                 f"elementary divisor prime {brief(p)} is not linear over Q"
             )
-    blocks = [hypercompanion(-p.value[0], e) for p, e in eds]
-    return _assemble(a, res_a, blocks)
+    form = reduce(direct_sum, [hypercompanion(-p.value[0], e) for _, p, e in eds])
+    blocks = [(i, p ** e, X - p) for i, p, e in eds]
+    return _certified(a, _basis(a, res, blocks), form), form

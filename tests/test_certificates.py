@@ -18,13 +18,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Corrupts smith_2x2's associate and its Euclid cofactor s, diagonalize's
 # P and one term of the raw product replaying P A Q = D in smith, two ways
-# the right evaluation in similar, and the P_B that similar reads Q_B^-1
-# off, in a process started with -O; exits 0 only when every corruption
-# raises CertificateFailed (a zero S must not surface as NotAUnit), the
-# smith_2x2 and P A Q = D corruptions from their own replays.  P_B gets its
-# first row added to its last: scaling a row of P_B by a unit only
-# multiplies Q_B^-1 by a unit diagonal commuting with D_B, which still
-# gives a valid conjugator.
+# the left evaluation that gives similar and rcf their generators, and the
+# Q_B similar reads its generators off, in a process started with -O; exits
+# 0 only when every corruption raises CertificateFailed (a zero S_B must not
+# surface as NotAUnit), the smith_2x2 and P A Q = D corruptions from their
+# own replays.  The generators are swapped between blocks of unequal
+# annihilators: any generator of a block's annihilator, such as a multiple
+# of the true one, still gives a valid conjugator.  Q_B gets its first
+# column added to its last, which (xI - B) Q_B then no longer carries to a
+# multiple of the last invariant factor.
 CORRUPTED_STEPS = textwrap.dedent("""\
     import dataclasses, importlib, sys
     from canonform.domain import Ring
@@ -89,30 +91,36 @@ CORRUPTED_STEPS = textwrap.dedent("""\
         pass
     sm.diagonalize = orig_diagonalize
 
-    def negated_row_1(p, a):
-        s = orig_eval(p, a)
-        return Matrix(s.ring, s.m, s.n, tuple(-e for e in s.row(1)) + s.entries[s.n:])
+    derogatory = mat_q([[3, 1, -1], [-1, 1, 1], [0, 0, 2]])  # x - 2, (x - 2)^2
+    jordan_form = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, 2]])
+    two_primes = mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])  # (x - 2)^2 (x + 1)
 
-    orig_eval = sim.right_eval
-    for corrupted in (negated_row_1, lambda p, a: orig_eval(p, a).scale(0)):
-        sim.right_eval = corrupted
-        try:
-            sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
-            sys.exit("corrupted similar was not caught")
-        except CertificateFailed:
-            pass
-    sim.right_eval = orig_eval
+    def swapped_generators(p, a):
+        return Matrix.from_raw(Ring.Q, [row[::-1] for row in orig_eval(p, a).raw_rows()])
+
+    orig_eval = sim.left_eval
+    for corrupted in (swapped_generators, lambda p, a: orig_eval(p, a).scale(0)):
+        sim.left_eval = corrupted
+        for name, call in (("similar", lambda: sim.similar(derogatory, jordan_form)),
+                           ("rcf", lambda: sim.rcf(two_primes))):
+            try:
+                call()
+                sys.exit(f"corrupted {name} was not caught")
+            except CertificateFailed:
+                pass
+    sim.left_eval = orig_eval
 
     orig_char_smith = sim._char_smith
-    def last_row_plus_first(a):
+    def last_column_plus_first(a):
         res = orig_char_smith(a)
-        rows = res.p.rows()
-        rows[-1] = [u + v for u, v in zip(rows[-1], rows[0])]
-        return dataclasses.replace(res, p=Matrix.from_rows(res.p.ring, rows))
-    sim._char_smith = last_row_plus_first
+        rows = res.q.rows()
+        for row in rows:
+            row[-1] = row[-1] + row[0]
+        return dataclasses.replace(res, q=Matrix.from_rows(res.q.ring, rows))
+    sim._char_smith = last_column_plus_first
     try:
         sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
-        sys.exit("corrupted P_B was not caught")
+        sys.exit("corrupted Q_B was not caught")
     except CertificateFailed:
         pass
     print("caught")

@@ -368,13 +368,13 @@ class TestGoldenTransforms:
 
 
 # Exact S and form of each similarity verb (the key), pinned so that a change to the
-# Smith or inverse code under the similarity layer cannot move them unnoticed.
+# Smith, basis or inverse code under the similarity layer cannot move them unnoticed.
 GOLDEN_CONJUGATORS = {
     # U^-1 (J_2(2) + J_1(-1)) U: one Jordan 2-block
     "jordan": (
         [mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])],
         [["2", "1", "0"], ["0", "2", "0"], ["0", "0", "-1"]],
-        [["-1", "2", "2"], ["1", "-1", "-1"], ["1", "-2", "-1"]],
+        [["3", "-5", "18"], ["-3", "2", "-9"], ["-3", "5", "-9"]],
     ),
     # U^-1 (rotation + J_2(3)) U: an x^2+1 companion block
     "rcf": (
@@ -382,8 +382,8 @@ GOLDEN_CONJUGATORS = {
                 ["5/3", "2/3", "5/3", "1/3"], ["2/3", "2/3", "-4/3", "7/3"]])],
         [["0", "1", "0", "0"], ["-9", "6", "0", "0"],
          ["0", "0", "0", "1"], ["0", "0", "-1", "0"]],
-        [["14/75", "-1/25", "1/75", "2/75"], ["-14/75", "1/25", "7/150", "-1/150"],
-         ["7/75", "-1/50", "-1/75", "-2/75"], ["-73/150", "7/50", "-1/75", "-2/75"]],
+        [["2/3", "0", "4/15", "2/15"], ["-2/3", "0", "1/3", "-1/3"],
+         ["1/3", "0", "-4/15", "-2/15"], ["-11/3", "1", "-4/15", "-2/15"]],
     ),
     "similar": (
         [mat_q([[2, 1, 0], [0, 2, 0], [0, 0, 1]]),

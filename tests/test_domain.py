@@ -344,11 +344,9 @@ class TestFactor:
 
     @pytest.mark.parametrize("c", [720720, 3603600])
     def test_root_search_with_many_divisors_is_quick(self, c):
+        # c x^3 + x + c has no rational root, so it is an irreducible cubic
         start = time.perf_counter()
-        try:
-            factor(poly(c, 1, 0, c))
-        except FactorizationIncomplete:
-            pass
+        assert factor(poly(c, 1, 0, c)) == (poly(c), ((poly(1, Fraction(1, c), 0, 1), 1),))
         assert time.perf_counter() - start < 1.0
 
     def test_linear_factor_constant_is_not_factored(self):
@@ -392,6 +390,15 @@ class TestFactor:
         start = time.perf_counter()
         assert factor(p) == (poly(1), ((p, 1),))
         assert time.perf_counter() - start < 2.0
+
+    def test_rootless_quadratic_over_1200_primes_is_quick(self):
+        # each of the first 1200 primes divides the constant, so x^2 - c is
+        # x^2 modulo it; gcd(f, f') in GF(p)[x] rejects such a p without
+        # scanning its residues
+        p = poly(-math.prod(sympy.primerange(2, sympy.prime(1200) + 1)), 0, 1)
+        start = time.perf_counter()
+        assert factor(p) == (poly(1), ((p, 1),))
+        assert time.perf_counter() - start < 0.5
 
     def test_qx_factor_factors_no_integer(self, monkeypatch):
         import canonform.domain as dom

@@ -404,8 +404,9 @@ class TestDirectSumLaw:
 
 
 class TestSmithReuse:
-    """rcf and jordan reuse the Smith form of xI - A for the conjugator, and
-    unit witnesses are inverted by elimination, not by adjugates."""
+    """rcf and jordan read the conjugator off the Smith form of xI - A they
+    take the elementary divisors from; similar inverts one constant matrix,
+    by elimination, and no polynomial matrix or adjugate."""
 
     A = mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])  # Jordan type (2, 2), (-1, 1)
 
@@ -422,7 +423,7 @@ class TestSmithReuse:
         return calls
 
     @pytest.mark.parametrize("fn,expected", [
-        (rcf, 2), (jordan, 2), (lambda a: similar(a, a), 2), (minimal_poly, 1),
+        (rcf, 1), (jordan, 1), (lambda a: similar(a, a), 2), (minimal_poly, 1),
     ])
     def test_smith_call_count(self, smith_calls, fn, expected):
         fn(self.A)
@@ -440,27 +441,40 @@ class TestSmithReuse:
         assert cert is not None and cert.verify(self.A)
 
     def test_similar_inverts_one_polynomial_matrix(self, monkeypatch):
-        # S comes from one right evaluation; Q_B^-1 is read off smith's
-        # replayed P_B (xI - B) Q_B = D_B, so no matrix is inverted
-        import canonform.determinant as det_mod
-        import canonform.hermite as herm_mod
-        import canonform.similarity as sim
-        evals, orig_eval = [], sim.right_eval
-
-        def counted_eval(p, a):
-            evals.append(p)
-            return orig_eval(p, a)
-
-        def forbidden(*args):
-            raise AssertionError("a matrix was inverted")
-
-        monkeypatch.setattr(sim, "right_eval", counted_eval)
-        monkeypatch.setattr(det_mod, "inverse", forbidden)
-        monkeypatch.setattr(herm_mod, "hermite_canonical", forbidden)
+        # S = S_A S_B^-1 inverts the one constant matrix S_B; no Q[x] matrix
+        # is inverted and no adjugate is formed
         b = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
+        inverted = _watch_inverses(monkeypatch)
         cert = similar(self.A, b)
         assert cert is not None and cert.verify(self.A)
-        assert len(evals) == 1
+        assert inverted == [Ring.Q]
+
+
+def _watch_inverses(monkeypatch) -> list:
+    """The rings of the matrices determinant.inverse is called on; a Q[x]
+    inverse, a Q[x] hermite_canonical or an adjugate raises."""
+    import canonform.determinant as det_mod
+    import canonform.hermite as herm_mod
+    inverted = []
+    orig_inverse, orig_hermite = det_mod.inverse, herm_mod.hermite_canonical
+
+    def over_q(name, fn, log=None):
+        def wrapper(m, *args):
+            if m.ring is Ring.QX:
+                raise AssertionError(f"{name} of a Q[x] matrix")
+            if log is not None:
+                log.append(m.ring)
+            return fn(m, *args)
+        return wrapper
+
+    def forbidden(*args):
+        raise AssertionError("adjugate reached")
+
+    monkeypatch.setattr(det_mod, "inverse", over_q("inverse", orig_inverse, inverted))
+    monkeypatch.setattr(herm_mod, "hermite_canonical",
+                        over_q("hermite_canonical", orig_hermite))
+    monkeypatch.setattr(det_mod, "adjugate", forbidden)
+    return inverted
 
 
 def _conjugated(rng, blocks):
@@ -496,18 +510,62 @@ def _oracle_corpus():
     return cases
 
 
+def _old_conjugator(a, b):
+    """rho_B(Q_A Q_B^-1), the conjugator similar built before S = S_A S_B^-1."""
+    from canonform.similarity import _char_smith
+    return right_eval(_char_smith(a).q @ inverse(_char_smith(b).q), lift(b, Ring.Q))
+
+
+def _form_of(call, a):
+    """The direct sum of the companion (rcf) or Jordan (jordan) blocks of
+    the elementary divisors of xI - A, in display order."""
+    from canonform.invariants import elementary_divisors
+    blocks = [companion(p ** e) if call is rcf else hypercompanion(-p.value[0], e)
+              for p, e in elementary_divisors(similarity_invariants(a))]
+    form = blocks[0]
+    for blk in blocks[1:]:
+        form = direct_sum(form, blk)
+    return form
+
+
 @pytest.mark.parametrize("call,a,b", _oracle_corpus())
 def test_conjugator_matches_inverted_q_b(call, a, b):
-    # Q_B^-1 = D_B^-1 P_B (xI - B) is the unique inverse of Q_B, so S is
-    # the one the former rho_B(Q_A inverse(Q_B)) gave
-    from canonform.similarity import _char_smith
+    # similar's S = S_A S_B^-1 equals the former rho_B(Q_A inverse(Q_B));
+    # rcf and jordan take S from the Smith form of xI - A alone, so their
+    # form and replay are checked
     if b is None:
-        cert, b = call(a)
+        cert, form = call(a)
+        assert form == _form_of(call, a) and cert.target == form
     else:
         cert = call(a, b)
-    reference = right_eval(_char_smith(a).q @ inverse(_char_smith(b).q), lift(b, Ring.Q))
-    assert cert.s == reference
+        assert cert.s == _old_conjugator(a, b)
     assert cert.verify(a)
+
+
+def _derogatory_corpus():
+    """pytest params (A, B), both orders: seeded conjugates of Jordan
+    matrices with repeated equal blocks, and of scalar matrices, n = 2..7."""
+    rng = random.Random(20261019)
+    cases = []
+    for n in range(2, 8):
+        alpha = rational(rng.randint(-3, 3))
+        k = rng.randint(1, n // 2)
+        jblocks = [hypercompanion(alpha, k), hypercompanion(alpha, k)]
+        if n > 2 * k:
+            jblocks.append(hypercompanion(rational(rng.randint(-3, 3)), n - 2 * k))
+        scalar = Matrix.identity(Ring.Q, n).scale(alpha)
+        for name, blocks in (("jordan", jblocks), ("scalar", [scalar])):
+            a, b = _conjugated(rng, blocks)[0], _conjugated(rng, blocks)[0]
+            cases.append(pytest.param(a, b, id=f"{name}-{n}"))
+            cases.append(pytest.param(b, a, id=f"{name}-{n}-swapped"))
+    return cases
+
+
+@pytest.mark.parametrize("a,b", _derogatory_corpus())
+def test_similar_matches_the_old_conjugator_on_derogatory_input(a, b):
+    cert = similar(a, b)
+    assert cert is not None and cert.verify(a)
+    assert cert.s == _old_conjugator(a, b)
 
 
 class TestVerifyReplay:
@@ -566,22 +624,17 @@ class TestVerifyReplay:
         assert cert.verify(self.A) is True
         assert calls == {"det": 1, "multiply": 2}
 
-    @pytest.mark.parametrize("fn", [rcf, jordan, lambda a: similar(a, a)],
+    @pytest.mark.parametrize("fn,expected", [(rcf, []), (jordan, []),
+                                             (lambda a: similar(a, a), [Ring.Q])],
                              ids=["rcf", "jordan", "similar"])
-    def test_one_inverse_per_conjugator_over_qx(self, fn, monkeypatch):
-        # no inverse at all now: neither determinant.inverse nor the
-        # hermite_canonical it would run
-        import canonform.determinant as det_mod
-        import canonform.hermite as herm_mod
-
-        def forbidden(*args):
-            raise AssertionError("a matrix was inverted")
-
-        monkeypatch.setattr(det_mod, "inverse", forbidden)
-        monkeypatch.setattr(herm_mod, "hermite_canonical", forbidden)
+    def test_one_inverse_per_conjugator_over_qx(self, fn, expected, monkeypatch):
+        # no Q[x] matrix is inverted: similar inverts one Q matrix, S_B, and
+        # rcf and jordan none
+        inverted = _watch_inverses(monkeypatch)
         cert = fn(self.A)
         cert = cert[0] if isinstance(cert, tuple) else cert
         assert cert.verify(self.A)
+        assert inverted == expected
 
 
 @pytest.mark.parametrize("alpha", [0.1, "1/2", poly(1, 2)], ids=["float", "str", "Q[x]"])
