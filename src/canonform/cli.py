@@ -87,21 +87,22 @@ def _cmd_hermite(args) -> int:
     verified = None
     if args.verify:
         verified = res.q @ a == res.h and is_unimodular(res.q)
+    h = _matrix_strings(res.h)
     transforms = {
         "Q": _matrix_strings(res.q),
-        "H": _matrix_strings(res.h),
+        "H": h,
         "rank": res.rank,
         "primary_cols": list(res.primary_cols),
     }
     _write_transforms(args.transforms, transforms)
     report = _envelope(
-        "hermite", form=_matrix_strings(res.h), rank=res.rank,
+        "hermite", form=h, rank=res.rank,
         transforms=transforms, verified=verified,
         primary_cols=list(res.primary_cols),
     )
     lines = [f"rank {res.rank}",
              "primary_cols " + ",".join(map(str, res.primary_cols))]
-    lines += [" ".join(row) for row in _matrix_strings(res.h)]
+    lines += [" ".join(row) for row in h]
     return _emit_verified(report, args.json, lines)
 
 
@@ -115,16 +116,16 @@ def _cmd_smith(args) -> int:
             and is_unimodular(res.p)
             and is_unimodular(res.q)
         )
-    diag = [format_scalar(d) for d in res.diag]
+    diag, d = [format_scalar(v) for v in res.diag], _matrix_strings(res.d)
     transforms = {
         "P": _matrix_strings(res.p),
         "Q": _matrix_strings(res.q),
-        "D": _matrix_strings(res.d),
+        "D": d,
         "diag": diag,
         "rank": res.rank,
     }
     _write_transforms(args.transforms, transforms)
-    report = _envelope("smith", form=_matrix_strings(res.d), rank=res.rank,
+    report = _envelope("smith", form=d, rank=res.rank,
                        diag=diag, transforms=transforms, verified=verified)
     lines = [" ".join(diag) if diag else "(empty)", f"rank {res.rank}"]
     return _emit_verified(report, args.json, lines)
@@ -180,17 +181,16 @@ def _cmd_solve(args) -> int:
         report = _envelope("solve", solvable=False)
         _emit(report, args.json, ["inconsistent"])
         return 0
-    particular, basis = out
+    particular, basis = _matrix_strings(out[0]), [_matrix_strings(v) for v in out[1]]
     report = _envelope(
-        "solve", form=_matrix_strings(particular),
+        "solve", form=particular,
         rank=a.n - len(basis), solvable=True,
         nullity=len(basis),
-        nullbasis=[_matrix_strings(v) for v in basis],
+        nullbasis=basis,
     )
-    lines = ["particular " + " ".join(r[0] for r in _matrix_strings(particular)),
+    lines = ["particular " + " ".join(r[0] for r in particular),
              f"nullity {len(basis)}"]
-    for v in basis:
-        lines.append("null " + " ".join(r[0] for r in _matrix_strings(v)))
+    lines += ["null " + " ".join(r[0] for r in v) for v in basis]
     _emit(report, args.json, lines)
     return 0
 

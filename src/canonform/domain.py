@@ -12,12 +12,13 @@ read.
 All values are immutable; every operation is a pure function.
 
 RAW_OPS maps each ring to the (add, mul, zero) of its raw values,
-RAW_EUCLID to their (divmod, neg, canonical associate), and raw_egcd is
-the one extended Euclid loop, on either table; raw_layers splits raw
-Q[x] rows into raw Q coefficient rows, and largest_raw sizes raw rows for
-an error message.  The matrix kernels in hermite, smith (its 2x2 chain
-step included), matrix, determinant and similarity work on raw entries
-through these, and Elem's + - *, division, egcd, gcd and
+RAW_EUCLID to their (divmod, neg, canonical associate) and RAW_SIZE to
+the Euclidean size by which hermite picks a pivot, and raw_egcd is the
+one extended Euclid loop, on either table; raw_layers splits raw Q[x]
+rows into raw Q coefficient rows, and largest_raw sizes raw rows for an
+error message by the same measure.  The matrix kernels in hermite, smith
+(its 2x2 chain step included), matrix, determinant and similarity work
+on raw entries through these, and Elem's + - *, division, egcd, gcd and
 canonical_associate wrap them, so only this module dispatches on the raw
 form.  format_raw is the one printer, on raw values; format_scalar
 prints an Elem through it.
@@ -208,13 +209,23 @@ def raw_egcd(ring: Ring, a, b) -> tuple:
     return d, mul(u, s0), mul(u, t0)
 
 
+def _qsize(a: tuple) -> tuple[int, int]:
+    """(degree, bits of the largest numerator or the denominator) of a pair."""
+    nums, den = a
+    return len(nums) - 1, max(abs(c).bit_length() for c in nums + (den,))
+
+
+# The Euclidean size by which hermite picks a pivot: |v| on Z; on Q every
+# nonzero value is a unit, so all tie; degree, then coefficient bits, on Q[x].
+RAW_SIZE = {_Z: abs, _Q: lambda v: 0, _QX: _qsize}
+
+
 def largest_raw(ring: Ring, rows) -> str:
     """The size of the largest entry of raw rows, for an error message: its
-    bit length on Z, its degree and coefficient bits on Q and Q[x]."""
+    bit length on Z, _qsize on Q and Q[x]."""
     if ring is _Z:
-        return f"{max(abs(v).bit_length() for row in rows for v in row)} bits"
-    deg, bits = max((len(nums) - 1, max(abs(c).bit_length() for c in nums + (den,)))
-                    for row in rows for nums, den in row)
+        return f"{max(abs(v) for row in rows for v in row).bit_length()} bits"
+    deg, bits = max(_qsize(v) for row in rows for v in row)
     return f"degree {deg} with {bits}-bit coefficients"
 
 
@@ -621,38 +632,48 @@ def _is_prime_mr(n: int) -> bool:
     return True
 
 
-def _brent(n: int, c: int, limit: int) -> tuple[int, int]:
+def _brent(n: int, c: int, limit: int, walk: list | None = None) -> tuple[int, int]:
     """Brent's variant of Pollard rho (Brent 1980) on x -> x^2 + c mod n
-    from x = 2, for an odd composite n: a divisor g of n and the steps
-    spent, at most limit and then one batch walked again.  g is 1 when the
-    limit ran out, and n when the cycle closed without a split.
+    from x = 2, for an odd composite n: a divisor g of n and the
+    word-steps spent (a step mod a w-word number costs w), at most limit.
+    g is 1 when the limit ran out, and n when the cycle closed without a
+    split.  A batch whose gcd h with n is not 1 is walked again one step
+    at a time mod h, and g is the first gcd there that is not 1.  walk, if
+    given, is [] for a new walk or its state [y, x, r, k, ys, h]: the
+    point, the point held for the round of r checked steps, the steps
+    checked, and the batch walked again mod h (h = 1 for none).  The call
+    goes on from it and leaves it reduced mod n // g for a call on n // g.
     """
-    y, q, g, r, steps = 2, 1, 1, 1, 0
-    while g == 1:
-        if steps + r > limit:
-            return 1, steps
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        steps += r
-        k = 0
-        while k < r and g == 1:
-            b = min(_RHO_BATCH, r - k)
-            if steps + b > limit:
+    y, x, r, k, ys, h = walk or (2, 2, 0, 0, 0, 1)
+    w, q, steps = (n.bit_length() + 63) // 64, 1, 0
+    while h == 1:
+        if k == r:  # the next round: hold x, walk r steps unchecked, check r
+            r, k = 2 * r or 1, 0
+            if steps + r * w > limit:
                 return 1, steps
-            ys = y
-            for _ in range(b):
+            x = y
+            for _ in range(r):
                 y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = math.gcd(q, n)
-            steps, k = steps + b, k + b
-        r *= 2
-    if g == n:  # the batch passed a split: walk it again one step at a time
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(x - ys, n)
-            steps += 1
+            steps += r * w
+        b = min(_RHO_BATCH, r - k)
+        if steps + b * w > limit:
+            return 1, steps
+        ys = y
+        for _ in range(b):
+            y = (y * y + c) % n
+            q = q * (x - y) % n
+        h = math.gcd(q, n)
+        steps, k = steps + b * w, k + b
+    g, wh = 1, (h.bit_length() + 63) // 64
+    while g == 1:
+        if steps + wh > limit:
+            return 1, steps
+        ys = (ys * ys + c) % h
+        g = math.gcd(x - ys, h)
+        steps += wh
+    if walk is not None and g < n:
+        rest, h = n // g, h // g
+        walk[:] = y % rest, x % rest, r, k, ys % h, h
     return g, steps
 
 
@@ -665,8 +686,9 @@ def _digit_count(n: int) -> int:
 def _factor_int(n: int) -> dict[int, int]:
     """The prime powers {p: e} of n >= 1.  Trial division by 2 and the odd
     d below _TRIAL_BOUND; then each cofactor is proved prime, or split by
-    _brent within one _RHO_BUDGET and both parts taken in turn.  Every
-    split is replayed as g * (m // g) == m."""
+    one _brent walk that goes on mod the cofactor m // g after each split
+    g, all within one _RHO_BUDGET; each g is taken in turn.  Every split is
+    replayed as g * (m // g) == m."""
     powers: dict[int, int] = {}
     d = 2
     while d < _TRIAL_BOUND and d * d <= n:
@@ -677,23 +699,23 @@ def _factor_int(n: int) -> dict[int, int]:
     # no cofactor has a prime factor below d, so one below d^2 is prime
     todo, budget = [n] if n > 1 else [], _RHO_BUDGET
     while todo:
-        m = todo.pop()
-        if m < d * d or (m < _MILLER_RABIN_BOUND and _is_prime_mr(m)):
-            powers[m] = powers.get(m, 0) + 1
-            continue
-        g, c, words = m, 0, (m.bit_length() + 63) // 64
-        while g == m:  # the cycle closed: try the next constant
-            c += 1
-            g, steps = _brent(m, c, budget // words)
-            budget -= steps * words
-        if g == 1:
-            raise FactorizationIncomplete(
-                f"{_digit_count(m)}-digit cofactor was neither proved prime nor "
-                f"split by Pollard-Brent within {_RHO_BUDGET} word-steps")
-        if g * (m // g) != m:
-            raise CertificateFailed(
-                f"rho split {brief(g)} does not divide the cofactor {brief(m)}")
-        todo += [g, m // g]
+        m, c, walk = todo.pop(), 1, []
+        while not (m < d * d or (m < _MILLER_RABIN_BOUND and _is_prime_mr(m))):
+            g, steps = _brent(m, c, budget, walk)
+            budget -= steps
+            if g == 1:
+                raise FactorizationIncomplete(
+                    f"{_digit_count(m)}-digit cofactor was neither proved prime nor "
+                    f"split by Pollard-Brent within {_RHO_BUDGET} word-steps")
+            if g == m:  # the cycle closed: a new walk with the next constant
+                c, walk = c + 1, []
+                continue
+            if g * (m // g) != m:
+                raise CertificateFailed(
+                    f"rho split {brief(g)} does not divide the cofactor {brief(m)}")
+            todo.append(g)
+            m //= g
+        powers[m] = powers.get(m, 0) + 1
     return powers
 
 

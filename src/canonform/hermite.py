@@ -9,14 +9,14 @@ a row operation on the transposed working list; the passes `_echelon`
 and `_canonicalize` act in place on lists of rows of raw values (see
 domain).  The elimination builds no Elem: the kernels compute through
 domain.RAW_OPS and every pivot decision is raw (RAW_EUCLID's divmod and
-associate, and domain.raw_egcd), the ring's functions bound per pass.
+associate, and RAW_SIZE), the ring's functions bound per pass.
 
-`_gcd_combine` clears a column: on Z and Q by Euclidean remainders, each
-row reduced by the quotient of one divmod by the least entry (type II
-operations only, so no extended-gcd cofactors enter the rows), and on
-Q[x] by det-1 egcd blocks, which measured faster there from n = 8 on.
-Either way the entry left in the pivot row is a gcd up to a unit; only
-`_canonicalize` makes it canonical.
+`_gcd_combine` clears a column by Euclidean remainders on every ring:
+the entry least by RAW_SIZE reduces each other row by the quotient of
+one divmod (type II operations only, so no extended-gcd cofactors enter
+the rows).  The entry left in the pivot row is a gcd up to a unit; only
+`_canonicalize` makes it canonical.  `_apply_2x2_rows` serves the Smith
+chain step.
 """
 from __future__ import annotations
 
@@ -27,20 +27,19 @@ from . import determinant
 from .domain import (
     RAW_EUCLID,
     RAW_OPS,
+    RAW_SIZE,
     Elem,
     Ring,
     _mk,
     brief,
     canonical_associate,
     canonical_residue,
-    raw_egcd,
     valuation,
 )
 from .errors import (
     AllZeroColumn,
     BadOperation,
     CertificateFailed,
-    ExactDivisionError,
     IndexOutOfRange,
     NotAUnit,
     RingMismatch,
@@ -148,52 +147,29 @@ def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
     row s and zeros at `others`, by type I/II operations on work and q
     alike.
 
-    On Z and Q by Euclidean remainders: the live row of least entry (by
-    abs on Z; on Q every nonzero entry ties, so the first) reduces every
-    other live row by the quotient of one divmod, a row staying live
-    while its remainder is nonzero; the last live row is swapped into
-    row s.  Each updated entry must equal the divmod's remainder, else
-    CertificateFailed.  On Q[x] each row is folded into row s by a det-1
-    egcd block (a swap when the pivot is zero); the gcd must divide both
-    entries exactly, else ExactDivisionError."""
-    ops, (divmod_, neg, _) = RAW_OPS[ring], RAW_EUCLID[ring]
-    zero = ops[2]
-    if ring is not Ring.QX:
-        col = j - 1
-        live = [t for t in (s, *others) if work[t - 1][col] != zero]
-        while len(live) > 1:
-            p = live[0]
-            if ring is Ring.Z:
-                p = min(live, key=lambda t: abs(work[t - 1][col]))
-            pivot = work[p - 1][col]
-            for t in live:
-                if t == p:
-                    continue
-                c, r = divmod_(work[t - 1][col], pivot)
-                _row_op(ops, t, neg(c), p, work, q)
-                if work[t - 1][col] != r:
-                    raise CertificateFailed(
-                        f"row {t} holds {brief(_mk(ring, work[t - 1][col]))} in column "
-                        f"{j}, not the remainder {brief(_mk(ring, r))} of its divmod")
-            live = [t for t in live if work[t - 1][col] != zero]
-        if live and live[0] != s:
-            _apply_rows(row_swap(s, live[0]), work, q)
-        return
-    for t in others:
-        pivot = work[s - 1][j - 1]
-        other = work[t - 1][j - 1]
-        if other == zero:
-            continue
-        if pivot == zero:
-            _apply_rows(row_swap(s, t), work, q)
-            continue
-        d, x, y = raw_egcd(ring, pivot, other)
-        (e1, r1), (e2, r2) = divmod_(other, d), divmod_(pivot, d)
-        if r1 != zero or r2 != zero:
-            raise ExactDivisionError(
-                f"gcd {brief(_mk(ring, d))} does not divide {brief(_mk(ring, pivot))} "
-                f"and {brief(_mk(ring, other))}")
-        _apply_2x2_rows(ops, s, t, x, y, neg(e1), e2, work, q)
+    The live row whose entry is least by RAW_SIZE (the first among equals)
+    reduces every other live row by the quotient of one divmod, a row
+    staying live while its remainder is nonzero; the last live row is
+    swapped into row s.  Each updated entry must equal the divmod's
+    remainder, else CertificateFailed."""
+    ops, (divmod_, neg, _), size = RAW_OPS[ring], RAW_EUCLID[ring], RAW_SIZE[ring]
+    col, zero = j - 1, ops[2]
+    live = [t for t in (s, *others) if work[t - 1][col] != zero]
+    while len(live) > 1:
+        p = min(live, key=lambda t: size(work[t - 1][col]))
+        pivot = work[p - 1][col]
+        for t in live:
+            if t == p:
+                continue
+            c, r = divmod_(work[t - 1][col], pivot)
+            _row_op(ops, t, neg(c), p, work, q)
+            if work[t - 1][col] != r:
+                raise CertificateFailed(
+                    f"row {t} holds {brief(_mk(ring, work[t - 1][col]))} in column "
+                    f"{j}, not the remainder {brief(_mk(ring, r))} of its divmod")
+        live = [t for t in live if work[t - 1][col] != zero]
+    if live and live[0] != s:
+        _apply_rows(row_swap(s, live[0]), work, q)
 
 
 def clear_column(

@@ -415,6 +415,15 @@ class TestFactor:
         with pytest.raises(CertificateFailed, match="not squarefree"):
             dom._split_squarefree(poly(-1, 1) ** 2)
 
+    def test_product_of_300_primes_below_a_million_factors(self):
+        # each split goes on with the same walk on the cofactor, so the
+        # 1800-digit product fits in one _RHO_BUDGET
+        primes = list(sympy.primerange(2, 10**6))[-300:]
+        start = time.perf_counter()
+        assert factor(integer(math.prod(primes))) == (
+            integer(1), tuple((integer(p), 1) for p in primes))
+        assert time.perf_counter() - start < 2.0
+
     def test_rho_budget_is_a_named_error(self, monkeypatch):
         import canonform.domain as dom
         monkeypatch.setattr(dom, "_RHO_BUDGET", 10)

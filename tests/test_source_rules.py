@@ -6,8 +6,9 @@ a class of canonform.errors, so the CLI can map it to an exit code.  A
 bare `raise` re-raises, and FrozenInstanceError is the documented
 immutability contract of Elem and Matrix.  Arithmetic is exact: no true division `/` (which
 makes a float of two ints) and no float(...) call.  Ring dispatch on raw
-values lives in domain, in its tables RAW_OPS, RAW_EUCLID and RAW_LIFT
-and in raw_egcd: no other module names the raw Z, Q and Q[x] kernels.
+values lives in domain, in its tables RAW_OPS, RAW_EUCLID, RAW_LIFT and
+RAW_SIZE and in raw_egcd: no other module names the raw Z, Q and Q[x]
+kernels.
 """
 import ast
 from pathlib import Path
@@ -79,7 +80,7 @@ def test_float_rule_sees(code):
 
 
 RAW_KERNELS = {"_qadd", "_qmul", "_qdivmod", "_qnorm", "_qneg", "_qassoc",
-               "_zdivmod", "_zassoc"}
+               "_qsize", "_zdivmod", "_zassoc"}
 
 
 def _raw_kernel_names(tree: ast.AST) -> list[tuple[int, str]]:
