@@ -6,9 +6,11 @@ i holding the numerator of the coefficient of x^i, with no trailing zero,
 over one common denominator den > 0 with gcd(den, *nums) = 1; zero is
 ((), 1).  A Q scalar is such a pair of degree <= 0, so Q and Q[x] share
 the _q* kernels.  The form is canonical, so == and hash on it agree with
-equality of values.  `Elem.value` is the public form (int, Fraction, or a
-tuple of Fraction coefficients on Q[x]), built from the raw value on each
-read.
+equality of values.  Constants take a direct path in _qadd, _qmul and
+_qdivmod (one integer sum or product and one gcd, no general
+normalization), and it returns the same canonical pair.  `Elem.value` is
+the public form (int, Fraction, or a tuple of Fraction coefficients on
+Q[x]), built from the raw value on each read.
 All values are immutable; every operation is a pure function.
 
 RAW_OPS maps each ring to the (add, mul, zero) of its raw values,
@@ -80,7 +82,7 @@ def _qnorm(nums, den: int) -> tuple:
     if den != 1:
         g = math.gcd(den, *nums[:n])
         if g != 1:
-            return tuple(c // g for c in nums[:n]), den // g
+            return tuple([c // g for c in nums[:n]]), den // g
     return tuple(nums[:n]), den
 
 
@@ -102,6 +104,12 @@ def _qadd(a: tuple, b: tuple) -> tuple:
         return b
     if not bn:
         return a
+    if len(an) == 1 == len(bn):  # two constants: one sum, one gcd
+        n, d = (an[0] + bn[0], ad) if ad == bd else (an[0] * bd + bn[0] * ad, ad * bd)
+        if not n:
+            return _QZERO
+        g = math.gcd(n, d)
+        return (n // g,), d // g
     if ad != bd:
         g = math.gcd(ad, bd)
         sa, sb = bd // g, ad // g
@@ -120,8 +128,14 @@ def _qmul(a: tuple, b: tuple) -> tuple:
     if len(bn) == 1:
         an, bn = bn, an
     if len(an) == 1:
-        x = an[0]
-        return _qnorm([x * y for y in bn], ad * bd)
+        x, d = an[0], ad * bd
+        if len(bn) == 1:  # two constants: one product, one gcd
+            n = x * bn[0]
+            g = math.gcd(n, d)
+            return (n // g,), d // g
+        if d == 1:  # x != 0 keeps the top coefficient nonzero
+            return tuple([x * y for y in bn]), 1
+        return _qnorm([x * y for y in bn], d)
     out = [0] * (len(an) + len(bn) - 1)
     for i, x in enumerate(an):
         if x:
@@ -137,6 +151,8 @@ def _qdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     if not bn:
         raise DivisionByZero("division by zero")
     db = len(bn) - 1
+    if not db:  # a constant divisor: a * b^-1, remainder zero
+        return _qnorm([x * bd for x in an], ad * bn[0]), _QZERO
     if len(an) <= db:
         return _QZERO, a
     lb, s = bn[-1], 1
@@ -159,7 +175,7 @@ def _qderiv(a: tuple) -> tuple:
 
 
 def _qneg(a: tuple) -> tuple:
-    return tuple(-c for c in a[0]), a[1]
+    return tuple([-c for c in a[0]]), a[1]
 
 
 def _qassoc(a: tuple) -> tuple[tuple, tuple]:

@@ -11,6 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from canonform.domain import (
     _is_prime_mr,
+    _qadd,
+    _qdivmod,
+    _qmul,
+    _qneg,
     Elem,
     Ring,
     canonical_associate,
@@ -616,7 +620,20 @@ coefficient = st.one_of(
 )
 coefficients = st.lists(coefficient, max_size=6)
 nonzero_coefficients = coefficients.filter(lambda cs: any(c != 0 for c in cs))
+# constants half the time: the raw kernels have direct paths for them
+constants_or_coefficients = st.one_of(st.lists(coefficient, max_size=1), coefficients)
 KERNEL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def canonical_value(pair):
+    """The Fraction coefficients of a raw Q[x] pair, after checking that
+    the pair is canonical, which .value alone cannot see: ((2,), 2) reads
+    as 1 too."""
+    nums, den = pair
+    assert type(nums) is tuple and den > 0 and math.gcd(den, *nums) == 1, pair
+    assert not nums or nums[-1] != 0, pair
+    assert nums or den == 1, pair
+    return tuple(Fraction(c, den) for c in nums)
 
 
 class TestQxKernels:
@@ -631,6 +648,28 @@ class TestQxKernels:
         assert (pa - pb).value == ref_add(ra, ref_neg(rb))
         assert (-pa).value == ref_neg(ra)
         assert (pa * pb).value == ref_mul(ra, rb)
+
+    @KERNEL_SETTINGS
+    @example(a=[Fraction(1, 2)], b=[Fraction(3, 2)])  # equal denominators
+    @example(a=[Fraction(2, 3)], b=[Fraction(-5, 6)])  # unequal denominators
+    @example(a=[Fraction(2, 3)], b=[Fraction(-2, 3)])  # a sum that cancels to zero
+    @example(a=[Fraction(2, 3)], b=[Fraction(3, 2)])  # a product reduced to 1
+    @example(a=[-3], b=[1, 0, 2])  # an integer constant times a polynomial
+    @example(a=[1, Fraction(1, 2), 3], b=[-4])  # a negative constant divisor
+    @example(a=[1, Fraction(1, 2), 3], b=[Fraction(2, 3)])  # a fractional one
+    @example(a=[Fraction(-7, 4)], b=[Fraction(-2, 3)])
+    @example(a=[], b=[Fraction(5, 2)])
+    @given(a=constants_or_coefficients, b=constants_or_coefficients)
+    def test_raw_kernels_give_canonical_pairs(self, a, b):
+        ra, rb = ref_trim(a), ref_trim(b)
+        pa, pb = polynomial(a).raw, polynomial(b).raw
+        for x, y, rx, ry in ((pa, pb, ra, rb), (pb, pa, rb, ra)):
+            assert canonical_value(_qadd(x, y)) == ref_add(rx, ry)
+            assert canonical_value(_qmul(x, y)) == ref_mul(rx, ry)
+            assert canonical_value(_qneg(x)) == ref_neg(rx)
+            if ry:
+                q, r = _qdivmod(x, y)
+                assert (canonical_value(q), canonical_value(r)) == ref_divmod(rx, ry)
 
     @KERNEL_SETTINGS
     @given(a=coefficients, b=nonzero_coefficients)
