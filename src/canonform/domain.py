@@ -22,8 +22,8 @@ error message by the same measure.  The matrix kernels in hermite, smith
 (its 2x2 chain step included), matrix, determinant and similarity work
 on raw entries through these, and Elem's + - *, division, egcd, gcd and
 canonical_associate wrap them, so only this module dispatches on the raw
-form.  format_raw is the one printer, on raw values; format_scalar
-prints an Elem through it.
+form.  parse_raw is the one reader and format_raw the one printer, both
+on raw values; parse_scalar and format_scalar wrap them for an Elem.
 """
 from __future__ import annotations
 
@@ -429,16 +429,14 @@ def coerce(ring: Ring, v) -> Elem:
         if v.ring is not ring:
             raise RingMismatch(f"expected {ring}, got {v.ring}")
         return v
-    if isinstance(v, str):
-        return parse_scalar(v, ring)
-    return Elem(ring, v)
+    return _mk(ring, raw_coerce(ring, v))
 
 
 def raw_coerce(ring: Ring, v):
-    """coerce(ring, v).raw, building no Elem for a plain value."""
-    if isinstance(v, (Elem, str)):
+    """coerce(ring, v).raw, building no Elem for a plain value or a string."""
+    if isinstance(v, Elem):
         return coerce(ring, v).raw
-    return _raw_of(ring, v)
+    return parse_raw(v, ring) if isinstance(v, str) else _raw_of(ring, v)
 
 
 def integer(n: int) -> Elem:
@@ -804,6 +802,7 @@ _TERM_RE = re.compile(
     r"^(?:(?P<coeff>[0-9]+(?:/[0-9]+)?)\*)?x(?:\^(?P<pow>[0-9]+))?$"
     r"|^(?P<const>[0-9]+(?:/[0-9]+)?)$"
 )
+_SIGNED_TERM_RE = re.compile(r"[+-]?[^+-]*")
 
 
 def _parse_int(digits: str) -> int:
@@ -814,56 +813,51 @@ def _parse_int(digits: str) -> int:
             f"a {len(digits.lstrip('-'))}-digit number is too long") from None
 
 
-def parse_scalar(text: str, ring: Ring) -> Elem:
-    """Parse one whitespace-free scalar in the domain grammar."""
-    if ring is Ring.Z:
+def parse_raw(text: str, ring: Ring):
+    """Parse one whitespace-free scalar in the domain grammar to its raw
+    value: the one reader, which format_raw inverts exactly."""
+    if ring is _Z:
         if not _INT_RE.match(text):
             raise ParseError(f"bad integer scalar {brief(text)}")
-        return _mk(_Z, _parse_int(text))
-    if ring is Ring.Q:
+        return _parse_int(text)
+    if ring is _Q:
         m = _RAT_RE.match(text)
         if not m:
             raise ParseError(f"bad rational scalar {brief(text)}")
         num, den = _parse_int(m.group(1)), _parse_int(m.group(2) or "1")
         if den == 0:
             raise ParseError(f"zero denominator in {brief(text)}")
-        return _mk(_Q, _qnorm((num,), den))
+        return _qnorm((num,), den)
     if not text or " " in text:
         raise ParseError(f"bad polynomial scalar {brief(text)}")
-    coeffs: dict[int, Fraction] = {}
-    pos = 0
-    while pos < len(text):  # after the first term, pos sits on a sign
-        sign = 1
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos += 1
-        end = pos
-        while end < len(text) and text[end] not in "+-":
-            end += 1
-        m = _TERM_RE.match(text[pos:end])
-        if not m or pos == end:
-            raise ParseError(
-                f"bad polynomial term {brief(text[pos:end])} in {brief(text)}")
+    terms = []  # (degree, signed numerator, denominator); findall ends on an empty match
+    for term in _SIGNED_TERM_RE.findall(text)[:-1]:
+        body = term.lstrip("+-")
+        m = _TERM_RE.match(body)
+        if not m:
+            raise ParseError(f"bad polynomial term {brief(body)} in {brief(text)}")
+        const, coeff, exp = m.group("const", "coeff", "pow")
         try:
-            if m.group("const") is not None:
-                k, c = 0, Fraction(m.group("const"))
-            else:
-                k = int(m.group("pow") or 1)
-                c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {brief(text)}") from None
+            k = 0 if const else int(exp or 1)
+            num, _, den = (const or coeff or "1").partition("/")
+            num, den = int(num), int(den or 1)
         except ValueError:  # more digits than int() converts
-            raise ParseError(
-                f"a number in a {end - pos}-character term is too long"
-            ) from None
+            raise ParseError(f"a number in a {len(body)}-character term is too long") from None
+        if den == 0:
+            raise ParseError(f"zero denominator in {brief(text)}")
         if k > _MAX_PARSE_DEGREE:
-            raise ParseError(
-                f"degree {k} exceeds the parser limit {_MAX_PARSE_DEGREE}"
-            )
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sign * c
-        pos = end
-    size = max(coeffs, default=0) + 1
-    return polynomial([coeffs.get(i, Fraction(0)) for i in range(size)])
+            raise ParseError(f"degree {k} exceeds the parser limit {_MAX_PARSE_DEGREE}")
+        terms.append((k, -num if term[0] == "-" else num, den))
+    degrees, _, dens = zip(*terms)
+    den, nums = math.lcm(*dens), [0] * (max(degrees) + 1)
+    for k, num, d in terms:
+        nums[k] += num * (den // d)
+    return _qnorm(nums, den)
+
+
+def parse_scalar(text: str, ring: Ring) -> Elem:
+    """Parse one whitespace-free scalar in the domain grammar."""
+    return _mk(ring, parse_raw(text, ring))
 
 
 def format_scalar(a: Elem) -> str:

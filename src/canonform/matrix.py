@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from . import domain
 from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, coerce, format_raw,
-                     parse_scalar, raw_coerce)
+                     parse_raw, raw_coerce)
 from .errors import (
     BadIndexSet,
     EmptyResult,
@@ -283,6 +283,9 @@ def lift(a: Matrix, ring: Ring) -> Matrix:
 # text file format
 
 _RING_TOKENS = {r.value: r for r in Ring}
+# Coefficient slots (degree + 1 each) all Q[x] entries of one file may
+# hold, since parsed polynomials are dense: 2**22 slots take about 32 MB.
+_MAX_PARSE_SLOTS = 2**22
 
 
 def format_matrix(a: Matrix) -> str:
@@ -317,23 +320,34 @@ def parse_matrix(text: str) -> Matrix:
         raise ParseError(f"matrix must be at least 1x1, got {m}x{n}")
     if len(lines) != 3 + m:
         raise ParseError(f"expected {m} data lines, found {len(lines) - 3}")
-    rows = []
+    rows, slots = [], 0
+
+    def read_qx(tok: str, ring: Ring) -> tuple:
+        nonlocal slots
+        v = parse_raw(tok, ring)
+        slots += len(v[0])
+        if slots > _MAX_PARSE_SLOTS:
+            raise ParseError(f"Q[x] entries exceed the parser limit of {_MAX_PARSE_SLOTS} "
+                             "coefficient slots")
+        return v
+
+    read = read_qx if ring is Ring.QX else parse_raw
     for r in range(m):
         toks = lines[3 + r].split()
         if len(toks) != n:
             raise ParseError(f"line {4 + r}: expected {n} scalars, found {len(toks)}")
         try:
-            rows.append([parse_scalar(t, ring) for t in toks])
+            rows.append([read(t, ring) for t in toks])
         except ParseError as exc:
             raise ParseError(f"line {4 + r}: {exc}") from None
-    return Matrix.from_rows(ring, rows)
+    return Matrix.from_raw(ring, rows)
 
 
 def parse_matrix_file(path: str) -> Matrix:
-    """parse_matrix of a UTF-8 file; an unreadable or undecodable file
-    raises ParseError."""
+    """parse_matrix of a UTF-8 file, with or without a byte order mark; an
+    unreadable or undecodable file raises ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_matrix(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None

@@ -27,6 +27,7 @@ from canonform.domain import (
     integer,
     lcm,
     monomial,
+    parse_raw,
     parse_scalar,
     polynomial,
     rational,
@@ -552,6 +553,62 @@ class TestGrammar:
     def test_overlong_number_in_term(self, text):
         with pytest.raises(ParseError, match="too long"):
             parse_scalar(text, Ring.QX)
+
+
+def render_term(sign, coeff, k, short):
+    """One Q[x] term as text: coeff is None for an omitted 1, else a
+    (num, den) pair printed unreduced; short picks x over x^1 and a bare
+    constant over *x^0."""
+    c = None if coeff is None else str(coeff[0]) if coeff[1] == 1 else "%d/%d" % coeff
+    if k == 0 and short:
+        return sign + (c or "1")
+    xs = "x" if k == 1 and short else f"x^{k}"
+    return sign + (xs if c is None else f"{c}*{xs}")
+
+
+qx_terms = st.lists(
+    st.tuples(st.sampled_from(["+", "-"]),
+              st.none() | st.tuples(st.integers(0, 60), st.integers(1, 12)),
+              st.integers(0, 12), st.booleans()),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(qx_terms, st.sampled_from(["", "+", "-"]))  # the first term's sign
+@example([("+", None, 1, True)], "+")  # x with an explicit leading +
+@example([("+", (0, 1), 7, False), ("-", (2, 4), 0, True)], "")  # 0*x^7-2/4
+@example([("+", None, 1, False), ("+", None, 0, False), ("-", (3, 1), 1, True)], "")
+@example([("+", (1, 2), 2, False), ("+", (1, 3), 2, False), ("-", (5, 6), 2, False)], "")
+@example([("-", (5, 1), 3, True), ("+", (5, 1), 3, True)], "")  # cancels to zero
+def test_qx_text_parses_to_the_sum_of_its_terms(terms, first_sign):
+    """Terms in any order, repeated degrees, zero coefficients, x, x^1, x^0
+    and constants, the first with or without a sign: the parse is the
+    Fraction sum of the terms."""
+    terms[0] = (first_sign,) + terms[0][1:]
+    want = {}
+    for sign, coeff, k, _ in terms:
+        c = Fraction(*coeff) if coeff else Fraction(1)
+        want[k] = want.get(k, 0) + (-c if sign == "-" else c)
+    expected = polynomial([want.get(i, 0) for i in range(max(want) + 1)])
+    text = "".join([render_term(*t) for t in terms])
+    assert parse_scalar(text, Ring.QX) == expected
+    assert parse_raw(text, Ring.QX) == expected.raw
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(RINGS), st.text(alphabet="0123456789/*x^+- ", max_size=16))
+@example(Ring.QX, "x+1/0")
+@example(Ring.Q, "-6/4")
+@example(Ring.Z, "-0")
+def test_parse_raw_is_the_raw_value_of_parse_scalar(ring, text):
+    try:
+        want = parse_scalar(text, ring).raw
+    except ParseError as exc:
+        with pytest.raises(ParseError) as caught:
+            parse_raw(text, ring)
+        assert str(caught.value) == str(exc)
+    else:
+        assert parse_raw(text, ring) == want
 
 
 def test_monomial_helper():

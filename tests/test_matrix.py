@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from canonform import cli, matrix
-from canonform.domain import Elem, Ring, integer, polynomial, rational
+from canonform.domain import Elem, Ring, integer, parse_scalar, polynomial, rational
 from canonform.errors import (
     BadIndexSet,
     EmptyResult,
@@ -417,6 +418,46 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
     path.write_bytes(b"ring Z\nrows 1\ncols 1\n\xff\n")
     with pytest.raises(ParseError, match="cannot read"):
         parse_matrix_file(str(path))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_parse_matrix_equals_from_rows_of_parsed_elems(ring):
+    rng = random.Random(f"parse/{ring}")
+    for _ in range(50):
+        text = format_matrix(random_matrix(rng, ring, rng.randint(1, 4), rng.randint(1, 4)))
+        elems = [[parse_scalar(t, ring) for t in line.split()]
+                 for line in text.splitlines()[3:]]
+        assert parse_matrix(text) == Matrix.from_rows(ring, elems)
+
+
+def power_file(n: int) -> str:
+    """An n x n Q[x] file whose every entry is x^10000, the degree cap."""
+    return f"ring Q[x]\nrows {n}\ncols {n}\n" + f"{' '.join(['x^10000'] * n)}\n" * n
+
+
+def test_degree_cap_entries_parse_quickly():
+    start = time.perf_counter()
+    a = parse_matrix(power_file(10))
+    assert time.perf_counter() - start < 0.25
+    assert a.entry(10, 10) == polynomial([0] * 10000 + [1])
+
+
+def test_coefficient_slot_budget():
+    """400 entries of degree 10000 hold 4,000,400 slots, under 2**22;
+    441 hold 4,410,441 and stop the parse at the first entry past it."""
+    assert parse_matrix(power_file(20)).entry(20, 20).degree() == 10000
+    with pytest.raises(ParseError, match=r"^line 23: Q\[x\] entries exceed the parser "
+                                         r"limit of 4194304 coefficient slots$"):
+        parse_matrix(power_file(21))
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = "ring Q\nrows 2\ncols 2\n1/2 -3\n0 7/4\n"
+    plain, marked = tmp_path / "plain.mtx", tmp_path / "bom.mtx"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert parse_matrix_file(str(marked)) == parse_matrix_file(str(plain)) == parse_matrix(text)
 
 
 @pytest.mark.parametrize("call,error", [
