@@ -796,11 +796,12 @@ def prime_sort_key(p: Elem):
 # Parsed polynomials are dense coefficient lists, so the degree is capped.
 _MAX_PARSE_DEGREE = 10_000
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
-_RAT_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
+# Each is matched by fullmatch: `$` would also match before a trailing newline.
+_INT_RE = re.compile(r"-?[0-9]+")
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[0-9]+(?:/[0-9]+)?)\*)?x(?:\^(?P<pow>[0-9]+))?$"
-    r"|^(?P<const>[0-9]+(?:/[0-9]+)?)$"
+    r"(?:(?P<coeff>[0-9]+(?:/[0-9]+)?)\*)?x(?:\^(?P<pow>[0-9]+))?"
+    r"|(?P<const>[0-9]+(?:/[0-9]+)?)"
 )
 _SIGNED_TERM_RE = re.compile(r"[+-]?[^+-]*")
 
@@ -817,11 +818,11 @@ def parse_raw(text: str, ring: Ring):
     """Parse one whitespace-free scalar in the domain grammar to its raw
     value: the one reader, which format_raw inverts exactly."""
     if ring is _Z:
-        if not _INT_RE.match(text):
+        if not _INT_RE.fullmatch(text):
             raise ParseError(f"bad integer scalar {brief(text)}")
         return _parse_int(text)
     if ring is _Q:
-        m = _RAT_RE.match(text)
+        m = _RAT_RE.fullmatch(text)
         if not m:
             raise ParseError(f"bad rational scalar {brief(text)}")
         num, den = _parse_int(m.group(1)), _parse_int(m.group(2) or "1")
@@ -833,7 +834,7 @@ def parse_raw(text: str, ring: Ring):
     terms = []  # (degree, signed numerator, denominator); findall ends on an empty match
     for term in _SIGNED_TERM_RE.findall(text)[:-1]:
         body = term.lstrip("+-")
-        m = _TERM_RE.match(body)
+        m = _TERM_RE.fullmatch(body)
         if not m:
             raise ParseError(f"bad polynomial term {brief(body)} in {brief(text)}")
         const, coeff, exp = m.group("const", "coeff", "pow")

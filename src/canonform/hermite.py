@@ -3,20 +3,22 @@ transforms; Hermite (row echelon) forms, canonical normalization,
 exact linear solving, and unit-matrix decomposition.
 
 All row operations run through two in-place kernels: `_row_op` (one
-scaling or addmul; `_apply_rows` applies an `ElemOp` with it) and
-`_apply_2x2_rows` (one det-1 block on two rows).  A column operation is
-a row operation on the transposed working list; the passes `_echelon`
-and `_canonicalize` act in place on lists of rows of raw values (see
-domain).  The elimination builds no Elem: the kernels compute through
-domain.RAW_OPS and every pivot decision is raw (RAW_EUCLID's divmod and
-associate, and RAW_SIZE), the ring's functions bound per pass.
+scaling or addmul) and `_apply_2x2_rows` (one det-1 block on two rows);
+elimination swaps rows by a plain list swap.  A column operation is a
+row operation on the transposed working list; the passes `_echelon` and
+`_canonicalize` act in place on lists of rows of raw values (see
+domain).  The elimination builds no Elem and no ElemOp: the kernels
+compute through domain.RAW_OPS and every pivot decision is raw
+(RAW_EUCLID's divmod and associate, and RAW_SIZE), the ring's functions
+bound per pass.  `ElemOp` and `_apply_rows` serve the public op API
+(`apply_op`, `op_matrix`) and `decompose_unit`.
 
 `_gcd_combine` clears a column by Euclidean remainders on every ring:
 the entry least by RAW_SIZE reduces each other row by the quotient of
 one divmod (type II operations only, so no extended-gcd cofactors enter
-the rows).  The entry left in the pivot row is a gcd up to a unit; only
-`_canonicalize` makes it canonical.  `_apply_2x2_rows` serves the Smith
-chain step.
+the rows).  One call per column leaves a gcd up to a unit in the pivot
+row; only `_canonicalize` makes it canonical.  `_apply_2x2_rows` serves
+the Smith chain step.
 """
 from __future__ import annotations
 
@@ -145,7 +147,7 @@ def op_matrix(op: ElemOp, size: int, ring: Ring) -> Matrix:
 def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
     """Leave a gcd (up to a unit) of column j over row s and `others` at
     row s and zeros at `others`, by type I/II operations on work and q
-    alike.
+    alike; a column zero on all of them is left as it is.
 
     The live row whose entry is least by RAW_SIZE (the first among equals)
     reduces every other live row by the quotient of one divmod, a row
@@ -169,7 +171,8 @@ def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
                     f"{j}, not the remainder {brief(_mk(ring, r))} of its divmod")
         live = [t for t in live if work[t - 1][col] != zero]
     if live and live[0] != s:
-        _apply_rows(row_swap(s, live[0]), work, q)
+        for rows in (work, q):
+            rows[s - 1], rows[live[0] - 1] = rows[live[0] - 1], rows[s - 1]
 
 
 def clear_column(
@@ -202,24 +205,19 @@ class HermiteResult:
 
 
 def _echelon(ring: Ring, work, q) -> list[int]:
-    """Echelon phase on work and q in place, type I/II ops only; returns
-    the primary columns."""
+    """Echelon phase on work and q in place, type I/II ops only: one
+    `_gcd_combine` per column lands its gcd in the pivot row t.  Returns
+    the primary columns, those that leave row t nonzero."""
     zero = RAW_OPS[ring][2]
     m, n = len(work), len(work[0]) if work else 0
     primary = []
-    pivot_row = 1
     for j in range(1, n + 1):
-        if pivot_row > m:
+        t = len(primary) + 1
+        if t > m:
             break
-        hot = [i for i in range(pivot_row, m + 1) if work[i - 1][j - 1] != zero]
-        if not hot:
-            continue
-        s = hot[0]
-        _gcd_combine(ring, work, q, j, s, hot[1:])
-        if s != pivot_row:
-            _apply_rows(row_swap(s, pivot_row), work, q)
-        primary.append(j)
-        pivot_row += 1
+        _gcd_combine(ring, work, q, j, t, range(t + 1, m + 1))
+        if work[t - 1][j - 1] != zero:
+            primary.append(j)
     return primary
 
 

@@ -44,7 +44,7 @@ from canonform.errors import (
     ZeroArgument,
     ZeroModulus,
 )
-from canonform.matrix import format_matrix, mat_z, parse_matrix
+from canonform.matrix import Matrix, format_matrix, mat_z, parse_matrix
 
 from conftest import random_elem, random_nonzero_elem
 
@@ -348,7 +348,7 @@ class TestFactor:
             (poly(Fraction(-1, 2), 1), 1), (poly(1, 0, 1), 1))
 
     @pytest.mark.parametrize("c", [720720, 3603600])
-    def test_root_search_with_many_divisors_is_quick(self, c):
+    def test_padic_lift_finds_no_root_of_highly_composite_cubic(self, c):
         # c x^3 + x + c has no rational root, so it is an irreducible cubic
         start = time.perf_counter()
         assert factor(poly(c, 1, 0, c)) == (poly(c), ((poly(1, Fraction(1, c), 0, 1), 1),))
@@ -374,7 +374,7 @@ class TestFactor:
             integer(-1), ((integer(998244353), 1), (integer(1000000007), 1)))
         assert time.perf_counter() - start < 1.0
 
-    def test_root_search_factors_semiprime_constant(self):
+    def test_padic_lift_splits_semiprime_constant(self):
         # (x - 2)(x - 998244359987710471), the constant 1000000007 * 998244353 * 2
         p, q = poly(-2, 1), poly(-998244359987710471, 1)
         assert factor(p * q) == (poly(1), ((q, 1), (p, 1)))
@@ -532,10 +532,17 @@ class TestGrammar:
         ("x y", Ring.QX),
         ("x^-1", Ring.QX),
         ("", Ring.QX),
+        # the grammar is whitespace-free, a trailing newline included
+        ("5\n", Ring.Z),
+        ("1/2\n", Ring.Q),
+        ("x\n+1", Ring.QX),
+        ("x+1\n", Ring.QX),
     ])
     def test_rejects_garbage(self, text, ring):
         with pytest.raises(ParseError):
             parse_scalar(text, ring)
+        with pytest.raises(ParseError):
+            Matrix.from_rows(ring, [[text]])
 
     def test_degree_cap(self):
         assert parse_scalar("x^10000", Ring.QX).degree() == 10_000

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from canonform.determinant import det, rank_by_minors
+from canonform.determinant import det, inverse, rank_by_minors
 from canonform.domain import Elem, Ring, integer, rational
 from canonform.errors import (
     AllZeroColumn,
@@ -30,6 +30,8 @@ from canonform.hermite import (
     stabilizer_shape,
 )
 from canonform.matrix import Matrix, mat_q, mat_z, vector
+from canonform.similarity import similar
+from canonform.smith import smith
 
 from conftest import random_matrix, random_unimodular
 
@@ -421,3 +423,35 @@ def test_nonzero_row_after_zero_row_is_not_canonical():
 ], ids=["not-square", "r-range", "top-not-identity", "nonzero-below"])
 def test_stabilizer_shape_rejects(p, r):
     assert stabilizer_shape(p, r) is False
+
+
+# column 1 is zero in the pivot row and its gcd survivor lies further down,
+# so the elimination must move that row up
+ZERO_TOP = {
+    Ring.Z: mat_z([[0, 3, 1], [0, 2, 5], [4, 6, 2]]),
+    Ring.QX: Matrix.from_rows(Ring.QX, [["0", "x", "1"], ["x+1", "1", "0"],
+                                        ["x^2-1", "x", "2"]]),
+}
+# unit matrices of the same shape, so `inverse` applies on Z and Q[x]
+ZERO_TOP_UNIT = {
+    Ring.Z: mat_z([[0, 1, 2], [0, 1, 3], [1, 5, 7]]),
+    Ring.QX: Matrix.from_rows(Ring.QX, [["0", "1", "0"], ["1", "x", "0"], ["x", "0", "1"]]),
+}
+
+
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.QX])
+def test_elimination_builds_no_elem_op(ring, monkeypatch):
+    def forbidden(op):
+        raise AssertionError(f"the elimination built an ElemOp {op.kind}")
+
+    monkeypatch.setattr(ElemOp, "__post_init__", forbidden)
+    a, u = ZERO_TOP[ring], ZERO_TOP_UNIT[ring]
+    for run in (hermite_canonical, hermite_form):
+        res = run(a)
+        assert res.q @ a == res.h and det(res.q).is_unit()
+    res = smith(a)
+    assert res.p @ a @ res.q == res.d and det(res.p).is_unit() and det(res.q).is_unit()
+    assert u @ inverse(u) == Matrix.identity(ring, 3)
+    if ring is Ring.Z:
+        cert = similar(a, a)
+        assert cert is not None and cert.verify(a)
