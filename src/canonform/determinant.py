@@ -11,6 +11,7 @@ identity, so the row transform is the inverse; no adjugate is formed.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterable
 
 from .domain import RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, gcd
@@ -29,6 +30,14 @@ from .matrix import Matrix, lift, submatrix, submatrix_sets
 
 _EXPANSION_LIMIT = 8
 _RANK_ORACLE_ENTRIES = 36
+# Determinants or determinant pairs one minor oracle may enumerate
+# (laplace, minor_of_product, gcd_of_minors, invariants.det_divisors_by_minors).
+_MINOR_BUDGET = 5000
+
+
+def _within_minor_budget(count: int) -> None:
+    if count > _MINOR_BUDGET:
+        raise TooLargeForOracle(f"{count} minors exceed the oracle budget")
 
 
 def _require_square(a: Matrix):
@@ -107,6 +116,7 @@ def laplace(a: Matrix, xset: Iterable[int], axis: str = "rows") -> Elem:
         raise BadIndexSet("the fixed set must be a proper subset")
     if axis not in ("rows", "cols"):
         raise BadIndexSet(f"bad axis {axis!r}")
+    _within_minor_budget(comb(n, len(xs)))
     total = Elem.zero(a.ring)
     for ys in combinations(range(1, n + 1), len(xs)):
         total = total + _restricted_term(a, xs, ys, axis)
@@ -205,6 +215,7 @@ def minor_of_product(
     if len(gs) != len(hs):
         raise SizeMismatch("row and column sets must have equal size")
     k = len(gs)
+    _within_minor_budget(comb(a.n, k))
     lhs = det(submatrix(a @ b, gs, hs))
     rhs = Elem.zero(a.ring)
     for fs in combinations(range(1, a.n + 1), k):
@@ -231,6 +242,7 @@ def rank_by_minors(a: Matrix) -> int:
 
 def gcd_of_minors(a: Matrix, k: int) -> Elem:
     """Canonical gcd of all k x k minors (zero when all vanish)."""
+    _within_minor_budget(comb(a.m, k) * comb(a.n, k))
     acc = Elem.zero(a.ring)
     for rows in combinations(range(1, a.m + 1), k):
         for cols in combinations(range(1, a.n + 1), k):

@@ -7,19 +7,16 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .determinant import gcd_of_minors
+from .determinant import _within_minor_budget, gcd_of_minors
 from .domain import Elem, Ring, brief, factor, prime_sort_key
 from .errors import (
     BadExponent,
     RankTooSmall,
     RingMismatch,
     ShapeMismatch,
-    TooLargeForOracle,
 )
 from .matrix import Matrix
 from .smith import smith
-
-_MINOR_BUDGET = 5000
 
 
 @dataclass(frozen=True)
@@ -34,9 +31,7 @@ def det_divisors_by_minors(a: Matrix) -> tuple[Elem, ...]:
     """Oracle f-sequence: f_k = canonical gcd of all k x k minors, up to
     the rank.  Guarded, since it enumerates every minor."""
     kmax = min(a.m, a.n)
-    total = sum(comb(a.m, k) * comb(a.n, k) for k in range(1, kmax + 1))
-    if kmax > 4 and total > _MINOR_BUDGET:
-        raise TooLargeForOracle(f"{total} minors exceed the oracle budget")
+    _within_minor_budget(sum(comb(a.m, k) * comb(a.n, k) for k in range(1, kmax + 1)))
     out = [Elem.one(a.ring)]
     for k in range(1, kmax + 1):
         g = gcd_of_minors(a, k)

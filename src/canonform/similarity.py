@@ -6,8 +6,9 @@ Constant matrices live over Q (Z inputs are lifted); polynomial matrices
 over Q[x].  The Smith form P (xI - A) Q = D splits Q^n, with x acting as
 A, into cyclic summands Q[x]/(d_i), generated by the left evaluations at
 A of the columns of P^-1 = (xI - A) Q D^-1.  `_basis` builds from them
-the S with A S = S T for a direct sum T of companion or Jordan blocks, so
-`rcf` and `jordan` run one Smith form, and `similar` one per matrix and
+the S with A S = S T for a direct sum T of companion or Jordan blocks,
+reading each chain of columns off its own block of T, so `rcf` and
+`jordan` run one Smith form, and `similar` one per matrix and
 S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S the
 path runs on raw rows (see domain) by `matrix.raw_multiply`; the Matrices
 handed from step to step hold raw values, so no Elem of them is built
@@ -16,13 +17,12 @@ unless a caller reads an entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
 from . import determinant
-from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, polynomial,
-                     prime_sort_key, raw_layers, valuation)
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, prime_sort_key,
+                     raw_layers, valuation)
 from .errors import (
     CertificateFailed,
     Error,
@@ -69,10 +69,11 @@ class CanonicalPresentation:
         return len(self.coeffs) - 1
 
     def reconstruct(self) -> Matrix:
-        p0 = self.coeffs[0]
-        return Matrix(Ring.QX, p0.m, p0.n, tuple(
-            polynomial([pk.entries[i].value for pk in self.coeffs])
-            for i in range(len(p0.entries))))
+        """P by Horner's rule, (P_m x + P_(m-1)) x + ..., on the lifted P_k."""
+        *rest, out = [lift(pk, Ring.QX) for pk in self.coeffs]
+        for pk in reversed(rest):
+            out = out.scale(X) + pk
+        return out
 
 
 def canonical_presentation(p: Matrix) -> CanonicalPresentation:
@@ -142,29 +143,19 @@ def companion(q: Elem) -> Matrix:
     k = q.degree()
     if k < 1:
         raise NotMonic("companion needs degree >= 1")
-    bottom = [-c for c in q.value[:-1]]
-    rows = []
-    for i in range(k - 1):
-        rows.append([Fraction(1) if j == i + 1 else Fraction(0) for j in range(k)])
-    rows.append(bottom)
-    return Matrix.from_rows(Ring.Q, rows)
+    shift = [[int(j == i + 1) for j in range(k)] for i in range(k - 1)]
+    return Matrix.from_rows(Ring.Q, shift + [[-c for c in q.value[:-1]]])
 
 
 def hypercompanion(alpha, k: int) -> Matrix:
-    """Jordan block: alpha on the diagonal, ones on the superdiagonal.
-    alpha goes through Elem(Ring.Q, ...), an Elem of Z or Q by its value,
-    so a float, a string or a polynomial raises RingMismatch."""
+    """Jordan block alpha I + companion(x^k): alpha on the diagonal, ones
+    on the superdiagonal.  alpha goes through Elem(Ring.Q, ...), an Elem of
+    Z or Q by its value, so a float, a string or a polynomial raises
+    RingMismatch."""
     if k < 1:
         raise ShapeMismatch("hypercompanion needs k >= 1")
-    alpha = Elem(Ring.Q, alpha.value if isinstance(alpha, Elem) else alpha).value
-    rows = []
-    for i in range(k):
-        row = [Fraction(0)] * k
-        row[i] = alpha
-        if i + 1 < k:
-            row[i + 1] = Fraction(1)
-        rows.append(row)
-    return Matrix.from_rows(Ring.Q, rows)
+    alpha = Elem(Ring.Q, alpha.value if isinstance(alpha, Elem) else alpha)
+    return Matrix.identity(Ring.Q, k).scale(alpha) + companion(X ** k)
 
 
 @dataclass(frozen=True)
@@ -204,8 +195,7 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     res_a, res_b = _char_smith(a), _char_smith(b)
     if res_a.diag != res_b.diag:
         return None
-    zero = Elem.zero(Ring.QX)
-    blocks = [(i, d, zero) for i, d in enumerate(res_a.diag) if not d.is_one()]
+    blocks = [(i, d, companion(d)) for i, d in enumerate(res_a.diag) if not d.is_one()]
     s_a, s_b = _basis(a, res_a, blocks), _basis(b, res_b, blocks)
     try:
         s_b_inv = determinant.inverse(s_b)
@@ -215,14 +205,15 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
 
 
 def _basis(a: Matrix, res: SmithResult, blocks) -> Matrix:
-    """S with A S = S (T_1 + ... + T_m) for blocks (i, q, alpha): q divides
-    the invariant factor d_i of res, the Smith form of xI - A, alpha is a
-    constant of Q[x], and T is alpha I plus the companion matrix of
-    q(x + alpha), so companion(q) for alpha = 0 and hypercompanion(alpha, k)
-    for q = (x - alpha)^k.  Column i of (xI - A) Q divided by q evaluates
-    on the left at A to a g with annihilator q (Giesbrecht 1995; Storjohann
-    2000); with q = sum r_j (x - alpha)^j of degree k, the columns
-    c_(k-1) = g and c_(j-1) = (A - alpha I) c_j + r_j g give A S = S T.
+    """S with A S = S (T_1 + ... + T_m) for blocks (i, q, T): q of degree
+    k divides the invariant factor d_i of res, the Smith form of xI - A,
+    and T is a k x k block of characteristic polynomial q with ones on
+    the superdiagonal and zeros off it, the diagonal and the bottom row:
+    companion(q), or hypercompanion(alpha, k) for q = (x - alpha)^k.
+    Column i of (xI - A) Q divided by q evaluates on the left at A to a
+    g with annihilator q (Giesbrecht 1995; Storjohann 2000).  Column j of
+    A S = S T gives the chain c_0..c_(k-1) from T alone: c_(k-1) = g and
+    c_(j-1) = A c_j - T_jj c_j - T_(k-1)j g, the last term for j < k - 1.
     """
     divmod_, qx_zero = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2]
     need = sorted({i for i, _, _ in blocks})
@@ -238,16 +229,13 @@ def _basis(a: Matrix, res: SmithResult, blocks) -> Matrix:
     gens = zip(*left_eval(Matrix.from_raw(Ring.QX, list(zip(*quotients))), a).raw_rows())
     (add, mul, zero), neg = RAW_OPS[Ring.Q], RAW_EUCLID[Ring.Q][1]
     arows, out = a.raw_rows(), []
-    for (_, q, alpha), g in zip(blocks, gens):
-        r, y = [], X - alpha
-        while not q.is_zero():  # r_0, ..., r_k: a Q[x] constant is a Q pair
-            q, rem = divmod(q, y)
-            r.append(rem.raw)
-        chain, nalpha = [g], neg(alpha.raw)
-        for rj in reversed(r[1:-1]):
-            c = chain[-1]
-            chain.append([add(add(reduce(add, map(mul, arow, c), zero), mul(nalpha, ci)),
-                              mul(rj, gi)) for arow, ci, gi in zip(arows, c, g)])
+    for (_, _, t), g in zip(blocks, gens):
+        trows, chain = t.raw_rows(), [g]
+        for j in range(t.m - 1, 0, -1):
+            c, diag = chain[-1], neg(trows[j][j])
+            bottom = neg(trows[-1][j]) if j < t.m - 1 else zero
+            chain.append([add(add(reduce(add, map(mul, arow, c), zero), mul(diag, ci)),
+                              mul(bottom, gi)) for arow, ci, gi in zip(arows, c, g)])
         out.extend(reversed(chain))
     return Matrix.from_raw(Ring.Q, [list(row) for row in zip(*out)])
 
@@ -273,9 +261,9 @@ def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     elementary divisors in display order, with verified conjugator."""
     a = _as_rational_square(a)
     res = _char_smith(a)
-    zero = Elem.zero(Ring.QX)
-    blocks = [(i, p ** e, zero) for i, p, e in _primary_blocks(res)]
-    form = reduce(direct_sum, [companion(q) for _, q, _ in blocks])
+    powers = [(i, p ** e) for i, p, e in _primary_blocks(res)]
+    blocks = [(i, q, companion(q)) for i, q in powers]
+    form = reduce(direct_sum, [t for _, _, t in blocks])
     return _certified(a, _basis(a, res, blocks), form), form
 
 
@@ -290,6 +278,6 @@ def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
             raise NonLinearElementaryDivisor(
                 f"elementary divisor prime {brief(p)} is not linear over Q"
             )
-    form = reduce(direct_sum, [hypercompanion(-p.value[0], e) for _, p, e in eds])
-    blocks = [(i, p ** e, X - p) for i, p, e in eds]
+    blocks = [(i, p ** e, hypercompanion(-p.value[0], e)) for i, p, e in eds]
+    form = reduce(direct_sum, [t for _, _, t in blocks])
     return _certified(a, _basis(a, res, blocks), form), form

@@ -5,6 +5,7 @@ from itertools import permutations as iter_perms
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from canonform import determinant
 from canonform.determinant import (
     _validate_subset,
     adjugate,
@@ -43,6 +44,11 @@ from canonform.perm import Permutation, sign
 from conftest import random_matrix, random_unimodular
 
 RINGS = [Ring.Z, Ring.Q, Ring.QX]
+
+
+def _no_det(a):
+    raise AssertionError("a minor oracle computed a determinant past its budget")
+
 
 DIRSUM = mat_z([
     [1, 2, 0, 0],
@@ -169,6 +175,13 @@ class TestLaplace:
             laplace(CIRCULANT, [1, 2, 3, 4], "rows")
         with pytest.raises(BadIndexSet):
             laplace(CIRCULANT, [1], "diag")
+
+    def test_budget_refuses_before_any_determinant(self, monkeypatch):
+        # |X| = 15 of 30: C(30, 15) = 155,117,520 terms, far past the budget
+        a = random_matrix(random.Random(43), Ring.Z, 30, 30)
+        monkeypatch.setattr(determinant, "det", _no_det)
+        with pytest.raises(TooLargeForOracle, match="155117520 minors"):
+            laplace(a, range(1, 16))
 
 
 class TestRestrictedSums:
@@ -336,6 +349,14 @@ class TestCauchyBinet:
             hs = sorted(rng.sample(range(1, bcols + 1), k))
             value = minor_of_product(a, b, gs, hs)
             assert value == det(submatrix(a @ b, gs, hs))
+
+    def test_budget_refuses_before_any_determinant(self, monkeypatch):
+        # k = 15 over an inner dimension of 30: C(30, 15) choices of F
+        rng = random.Random(47)
+        a, b = random_matrix(rng, Ring.Z, 15, 30), random_matrix(rng, Ring.Z, 30, 15)
+        monkeypatch.setattr(determinant, "det", _no_det)
+        with pytest.raises(TooLargeForOracle, match="155117520 minors"):
+            minor_of_product(a, b, range(1, 16), range(1, 16))
 
     def test_perturbed_product_is_a_named_error(self, monkeypatch):
         orig = Matrix.__matmul__

@@ -52,7 +52,8 @@ class TestBrief:
         (10**5000, "a 5001-digit integer"),
         ([10**5000], "a list of length 1"),
         ("y" * 200, "a str of length 200"),
-    ], ids=["Z", "negative-Z", "Q", "long-Q[x]", "wide-Q[x]", "int", "list", "str"])
+        ({k: k for k in range(40)}, "a dict"),
+    ], ids=["Z", "negative-Z", "Q", "long-Q[x]", "wide-Q[x]", "int", "list", "str", "dict"])
     def test_long_operand_is_its_size(self, value, text):
         assert brief(value) == text
 

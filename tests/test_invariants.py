@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from canonform import determinant
 from canonform.determinant import gcd_of_minors
 from canonform.domain import Ring, canonical_associate, integer, polynomial
 from canonform.errors import (
@@ -25,6 +26,10 @@ from conftest import random_matrix, random_unimodular
 A34 = mat_z([[0, 4, 6, 2], [8, 2, 10, 8], [2, 0, 4, 4]])
 
 
+def _no_det(a):
+    raise AssertionError("a minor oracle computed a determinant past its budget")
+
+
 class TestDetDivisorsByMinors:
     def test_worked_three_by_four(self):
         assert det_divisors_by_minors(A34) == tuple(
@@ -44,6 +49,16 @@ class TestDetDivisorsByMinors:
     def test_guard(self):
         with pytest.raises(TooLargeForOracle):
             det_divisors_by_minors(Matrix.zeros(Ring.Z, 8, 8))
+
+    def test_guard_holds_for_four_rows(self, monkeypatch):
+        # 6 A keeps every gcd at 6 or more, so no early exit at 1 would
+        # end the 70,058,750 minors of a 4 x 200 input
+        a = random_matrix(random.Random(41), Ring.Z, 4, 200).scale(integer(6))
+        monkeypatch.setattr(determinant, "det", _no_det)
+        with pytest.raises(TooLargeForOracle, match="70058750 minors"):
+            det_divisors_by_minors(a)
+        with pytest.raises(TooLargeForOracle, match="119400 minors"):
+            gcd_of_minors(a, 2)
 
 
 class TestInvariantReport:

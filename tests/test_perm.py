@@ -106,6 +106,7 @@ class TestSign:
 class TestDecomposeInjection:
     def test_worked_injection(self):
         h = Injection((4, 1, 3), codomain=5)
+        assert h.n == 3
         f, g = decompose_injection(h)
         assert f.images == (1, 3, 4)
         assert g.images == (3, 1, 2)

@@ -263,6 +263,8 @@ class TestCompanionHypercompanion:
             companion(poly(1, 2))
         with pytest.raises(NotMonic):
             companion(poly(5))
+        with pytest.raises(NotMonic, match=r"^companion needs degree >= 1$"):
+            companion(poly(1))
 
     def test_hypercompanion_patterns(self):
         assert hypercompanion(rational(4), 1) == mat_q([[4]])
@@ -658,9 +660,11 @@ def test_hypercompanion_takes_exact_alpha(alpha):
     (lambda: companion(poly(3)), NotMonic),
     (lambda: hypercompanion(1, 0), ShapeMismatch),
     (lambda: similar(mat_q([[1]]), mat_q([[1, 0], [0, 1]])), ShapeMismatch),
+    (lambda: left_eval(mat_q([[1, 2], [3, 4]]), mat_q([[0, 1], [1, 0]])), RingMismatch),
+    (lambda: right_eval(mat_q([[1, 2], [3, 4]]), mat_q([[0, 1], [1, 0]])), RingMismatch),
 ], ids=["not-square", "qx-input", "presentation-of-q", "eval-shape",
         "scalar-eval-not-qx", "companion-of-constant", "hypercompanion-k0",
-        "similar-sizes"])
+        "similar-sizes", "left-eval-of-q", "right-eval-of-q"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()

@@ -8,7 +8,8 @@ immutability contract of Elem and Matrix.  Arithmetic is exact: no true division
 makes a float of two ints) and no float(...) call.  Ring dispatch on raw
 values lives in domain, in its tables RAW_OPS, RAW_EUCLID, RAW_LIFT and
 RAW_SIZE and in raw_egcd: no other module names the raw Z, Q and Q[x]
-kernels.
+kernels.  `Fraction` is the public value of a Q coefficient only, built
+and read at the API edge in domain: no other module names it.
 """
 import ast
 from pathlib import Path
@@ -83,8 +84,8 @@ RAW_KERNELS = {"_qadd", "_qmul", "_qdivmod", "_qnorm", "_qneg", "_qassoc",
                "_qsize", "_zdivmod", "_zassoc"}
 
 
-def _raw_kernel_names(tree: ast.AST) -> list[tuple[int, str]]:
-    """Every name, attribute or import of a raw Z, Q and Q[x] kernel."""
+def _names(tree: ast.AST, wanted) -> list[tuple[int, str]]:
+    """Every name, attribute or import of one of the wanted names."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -95,14 +96,14 @@ def _raw_kernel_names(tree: ast.AST) -> list[tuple[int, str]]:
             name = node.name
         else:
             continue
-        if name in RAW_KERNELS:
+        if name in wanted:
             found.append((getattr(node, "lineno", 0), name))
     return found
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_raw_kernels_are_named_only_in_domain(path):
-    found = _raw_kernel_names(_tree(path))
+    found = _names(_tree(path), RAW_KERNELS)
     if path.name == "domain.py":
         assert {name for _, name in found} == RAW_KERNELS
     else:
@@ -114,4 +115,19 @@ def test_raw_kernels_are_named_only_in_domain(path):
                                   "q, r = domain._zdivmod(a, b)",
                                   "from .domain import _qneg, _zassoc"])
 def test_raw_kernel_rule_sees(code):
-    assert _raw_kernel_names(ast.parse(code))
+    assert _names(ast.parse(code), RAW_KERNELS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_fraction_is_named_only_in_domain(path):
+    found = _names(_tree(path), {"Fraction"})
+    if path.name == "domain.py":
+        assert found
+    else:
+        assert found == [], f"{path.name}: names Fraction {found}"
+
+
+@pytest.mark.parametrize("code", ["from fractions import Fraction", "fractions.Fraction(1, 2)",
+                                  "Fraction(1)", "isinstance(v, Fraction)"])
+def test_fraction_rule_sees(code):
+    assert _names(ast.parse(code), {"Fraction"})
