@@ -29,9 +29,8 @@ from .errors import (
 from .matrix import Matrix, lift, submatrix, submatrix_sets
 
 _EXPANSION_LIMIT = 8
-_RANK_ORACLE_ENTRIES = 36
-# Determinants or determinant pairs one minor oracle may enumerate
-# (laplace, minor_of_product, gcd_of_minors, invariants.det_divisors_by_minors).
+# Determinants or pairs of them that one minor oracle may enumerate (laplace,
+# minor_of_product, rank_by_minors, gcd_of_minors, invariants.det_divisors_by_minors).
 _MINOR_BUDGET = 5000
 
 
@@ -228,10 +227,8 @@ def minor_of_product(
 
 def rank_by_minors(a: Matrix) -> int:
     """Oracle rank: the largest k with a nonzero k x k minor."""
-    if a.m * a.n > _RANK_ORACLE_ENTRIES:
-        raise TooLargeForOracle(
-            f"rank oracle capped at {_RANK_ORACLE_ENTRIES} entries"
-        )
+    # all k x k minors, k >= 1: sum of C(m, k) C(n, k) = C(m + n, m) - 1
+    _within_minor_budget(comb(a.m + a.n, a.m) - 1)
     for k in range(min(a.m, a.n), 0, -1):
         for rows in combinations(range(1, a.m + 1), k):
             for cols in combinations(range(1, a.n + 1), k):

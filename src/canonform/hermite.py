@@ -17,8 +17,9 @@ bound per pass.  `ElemOp` and `_apply_rows` serve the public op API
 the entry least by RAW_SIZE reduces each other row by the quotient of
 one divmod (type II operations only, so no extended-gcd cofactors enter
 the rows).  One call per column leaves a gcd up to a unit in the pivot
-row; only `_canonicalize` makes it canonical.  `_apply_2x2_rows` serves
-the Smith chain step.
+row; only `_canonicalize` makes it canonical.  It returns the operations
+it applied, which `decompose_unit` turns into its word.  `_apply_2x2_rows`
+serves the Smith chain step.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .domain import (
     brief,
     canonical_associate,
     canonical_residue,
-    valuation,
 )
 from .errors import (
     AllZeroColumn,
@@ -144,7 +144,7 @@ def op_matrix(op: ElemOp, size: int, ring: Ring) -> Matrix:
     return apply_op(Matrix.identity(ring, size), op)
 
 
-def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
+def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]) -> list[tuple]:
     """Leave a gcd (up to a unit) of column j over row s and `others` at
     row s and zeros at `others`, by type I/II operations on work and q
     alike; a column zero on all of them is left as it is.
@@ -153,9 +153,11 @@ def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
     reduces every other live row by the quotient of one divmod, a row
     staying live while its remainder is nonzero; the last live row is
     swapped into row s.  Each updated entry must equal the divmod's
-    remainder, else CertificateFailed."""
+    remainder, else CertificateFailed.  Returns the operations applied in
+    order: (t, c, p) for row t += c*row p, c raw; (s, None, t) for the swap."""
     ops, (divmod_, neg, _), size = RAW_OPS[ring], RAW_EUCLID[ring], RAW_SIZE[ring]
     col, zero = j - 1, ops[2]
+    applied = []
     live = [t for t in (s, *others) if work[t - 1][col] != zero]
     while len(live) > 1:
         p = min(live, key=lambda t: size(work[t - 1][col]))
@@ -164,7 +166,9 @@ def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
             if t == p:
                 continue
             c, r = divmod_(work[t - 1][col], pivot)
-            _row_op(ops, t, neg(c), p, work, q)
+            c = neg(c)
+            _row_op(ops, t, c, p, work, q)
+            applied.append((t, c, p))
             if work[t - 1][col] != r:
                 raise CertificateFailed(
                     f"row {t} holds {brief(_mk(ring, work[t - 1][col]))} in column "
@@ -173,6 +177,8 @@ def _gcd_combine(ring: Ring, work, q, j: int, s: int, others: Sequence[int]):
     if live and live[0] != s:
         for rows in (work, q):
             rows[s - 1], rows[live[0] - 1] = rows[live[0] - 1], rows[s - 1]
+        applied.append((s, None, live[0]))
+    return applied
 
 
 def clear_column(
@@ -327,14 +333,15 @@ def decompose_unit(u: Matrix) -> list[ElemOp]:
     """Write a unit matrix as a sequence of elementary row operations:
     applying them to the identity in order reproduces U exactly.
 
-    Reduces U to I with recorded ops, then inverts and reverses the word.
+    Reduces U to I with recorded ops, clearing each column by one
+    `_gcd_combine` call and recording the operations it returns, then
+    inverts and reverses the word.
     """
     if not u.is_square():
         raise NotAUnit("only square matrices can be units")
     if not determinant.det(u).is_unit():
         raise NotAUnit("determinant is not a unit")
     n, ring = u.m, u.ring
-    zero = RAW_OPS[ring][2]
     work = u.raw_rows()
     word: list[ElemOp] = []
 
@@ -342,27 +349,17 @@ def decompose_unit(u: Matrix) -> list[ElemOp]:
         _apply_rows(op, work)
         word.append(op)
 
-    def entry(i: int, j: int) -> Elem:
-        return _mk(ring, work[i - 1][j - 1])
-
     for j in range(1, n + 1):
-        # U is a unit, so column j is nonzero below row j - 1
-        while len(hot := [i for i in range(j, n + 1) if work[i - 1][j - 1] != zero]) > 1:
-            hot.sort(key=lambda i: valuation(entry(i, j)))
-            t = hot[0]
-            for i in hot[1:]:
-                q, _ = divmod(entry(i, j), entry(t, j))
-                if not q.is_zero():
-                    apply(row_addmul(i, -q, t))
-        if hot[0] != j:
-            apply(row_swap(j, hot[0]))
+        # U is a unit, so column j is nonzero below row j - 1; no transform is kept
+        for t, c, p in _gcd_combine(ring, work, [[]] * n, j, j, range(j + 1, n + 1)):
+            word.append(row_swap(t, p) if c is None else row_addmul(t, _mk(ring, c), p))
     for j in range(1, n + 1):
-        d = entry(j, j)
+        d = _mk(ring, work[j - 1][j - 1])
         if not d.is_one():
             apply(row_scale(j, d.unit_inverse()))
     for j in range(2, n + 1):
         for i in range(1, j):
-            c = entry(i, j)
+            c = _mk(ring, work[i - 1][j - 1])
             if not c.is_zero():
                 apply(row_addmul(i, -c, j))
     return [op.inverted() for op in reversed(word)]

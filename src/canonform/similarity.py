@@ -25,6 +25,7 @@ from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, prime_sort_key,
                      raw_layers, valuation)
 from .errors import (
     CertificateFailed,
+    EmptyResult,
     Error,
     NonLinearElementaryDivisor,
     NotAUnit,
@@ -64,6 +65,15 @@ class CanonicalPresentation:
     """P = sum P_k x^k with constant coefficient matrices P_0..P_m."""
 
     coeffs: tuple[Matrix, ...]
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise EmptyResult("a presentation needs at least one coefficient matrix")
+        if any(not isinstance(pk, Matrix) or pk.ring not in (Ring.Z, Ring.Q)
+               for pk in self.coeffs):
+            raise RingMismatch("presentation coefficients must be matrices over Z or Q")
+        if len({(pk.m, pk.n) for pk in self.coeffs}) > 1:
+            raise ShapeMismatch("presentation coefficients differ in shape")
 
     def degree(self) -> int:
         return len(self.coeffs) - 1

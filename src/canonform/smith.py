@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import RAW_EUCLID, RAW_OPS, Elem, _mk, brief, largest_raw, raw_egcd, valuation
+from .domain import RAW_EUCLID, RAW_OPS, RAW_SIZE, Elem, _mk, brief, largest_raw, raw_egcd
 from .errors import CertificateFailed, RingMismatch, ZeroArgument
 from .matrix import Matrix, raw_multiply
 from .hermite import _apply_2x2_rows, _canonicalize
@@ -106,7 +106,7 @@ def _chain_pass(pwork, qtwork, diag, start):
     rows (start, other) of P and of Q transposed.  A unit lead divides
     them all, so the pass ends there."""
     ring = diag[start].ring
-    ops, divmod_ = RAW_OPS[ring], RAW_EUCLID[ring][0]
+    ops, divmod_, size = RAW_OPS[ring], RAW_EUCLID[ring][0], RAW_SIZE[ring]
     for other in range(start + 1, len(diag)):
         lead, cur = diag[start], diag[other]
         if lead.is_unit():
@@ -114,8 +114,8 @@ def _chain_pass(pwork, qtwork, diag, start):
         if divmod_(cur.raw, lead.raw)[1] == ops[2]:
             continue
         p2, q2, delta, lam = smith_2x2(lead, cur)
-        # loop variant: the leading slot's valuation strictly decreases
-        if not valuation(delta) < valuation(lead):
+        # loop variant: the leading slot, by RAW_SIZE, strictly decreases
+        if not size(delta.raw) < size(lead.raw):
             raise CertificateFailed(
                 f"chain pass variant broken: {brief(delta)} does not shrink "
                 f"{brief(lead)}")

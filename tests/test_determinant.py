@@ -379,8 +379,20 @@ class TestRank:
             assert rank_by_minors(Matrix.identity(Ring.Q, n)) == n
 
     def test_guard(self):
+        # 7 x 7 has 3431 minors, within the budget; 8 x 8 has 12,869
+        assert rank_by_minors(Matrix.identity(Ring.Z, 7)) == 7
         with pytest.raises(TooLargeForOracle):
-            rank_by_minors(Matrix.zeros(Ring.Z, 7, 7))
+            rank_by_minors(Matrix.zeros(Ring.Z, 8, 8))
+
+    def test_long_row_is_within_budget(self):
+        # 37 minors, all of size 1
+        assert rank_by_minors(mat_z([[0] * 36 + [5]])) == 1
+
+    def test_budget_refuses_before_any_determinant(self, monkeypatch):
+        # 8 x 8: sum of C(8, k)^2 over k = 1..8 is 12,869 minors
+        monkeypatch.setattr(determinant, "det", _no_det)
+        with pytest.raises(TooLargeForOracle, match="12869 minors"):
+            rank_by_minors(Matrix.identity(Ring.Z, 8))
 
     def test_rank_of_product_bound(self):
         rng = random.Random(113)

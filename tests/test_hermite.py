@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from canonform.determinant import det, inverse, rank_by_minors
-from canonform.domain import Elem, Ring, integer, rational
+from canonform.domain import Elem, Ring, integer, polynomial, rational
 from canonform.errors import (
     AllZeroColumn,
     IndexOutOfRange,
@@ -29,7 +29,7 @@ from canonform.hermite import (
     solve,
     stabilizer_shape,
 )
-from canonform.matrix import Matrix, mat_q, mat_z, vector
+from canonform.matrix import Matrix, mat_q, mat_qx, mat_z, vector
 from canonform.similarity import similar
 from canonform.smith import smith
 
@@ -342,11 +342,18 @@ class TestDecomposeUnit:
         with pytest.raises(NotAUnit):
             decompose_unit(mat_z([[2, 0], [0, 1]]))
 
+    def test_qx_degree_tie_is_broken_by_bits(self):
+        # 3x + 1 and x tie in degree; RAW_SIZE takes x, the fewer bits, as
+        # the pivot, so no 1/3 enters the word
+        u = mat_qx([["3*x+1", "3"], ["x", "1"]])
+        assert decompose_unit(u) == [row_addmul(2, polynomial([0, 1]), 1),
+                                     row_addmul(1, polynomial([3]), 2)]
+
     @pytest.mark.parametrize("ring", RINGS)
     def test_random_units_replay(self, ring):
         rng = random.Random(167)
         for _ in range(25):
-            n = rng.randint(1, 4)
+            n = rng.randint(1, 6)
             u = random_unimodular(rng, ring, n)
             replay = Matrix.identity(ring, n)
             for op in decompose_unit(u):

@@ -6,6 +6,8 @@ entries raw (an int on Z, a (nums, den) pair on Q and Q[x]) and compute
 through `domain.RAW_OPS`.
 Each property here redoes the computation on Elems, on Z, Q and Q[x],
 with zero rows and with Q[x] coefficients whose denominator is not 1.
+`hermite._gcd_combine` must return the operations it applied: replayed
+on the identity through `apply_op`, they rebuild its transform rows.
 The guard after them checks that every entry the public calls return is
 in canonical raw form, as a kernel that skipped `_qnorm` would not be.
 The last properties check the raw pivot decisions, `domain.raw_egcd`
@@ -26,7 +28,8 @@ from hypothesis import example, given, settings, strategies as st
 from canonform.determinant import det, det_expansion
 from canonform.domain import RAW_EUCLID, RAW_OPS, X, Elem, Ring, _mk, gcd, raw_egcd
 from canonform.errors import DivisionByZero, ShapeMismatch
-from canonform.hermite import ElemOp, _apply_2x2_rows, _apply_rows, hermite_canonical
+from canonform.hermite import (ElemOp, _apply_2x2_rows, _apply_rows, _gcd_combine, apply_op,
+                               hermite_canonical, row_addmul, row_swap)
 from canonform.matrix import Matrix, lift, multiply, raw_multiply
 from canonform.similarity import canonical_presentation, char_matrix, left_eval, right_eval
 from canonform.smith import smith
@@ -101,6 +104,28 @@ def test_apply_2x2_rows_matches_elem_arithmetic(ring, data):
     rows[s - 1] = [m11 * x + m12 * y for x, y in zip(rs, rt)]
     rows[t - 1] = [m21 * x + m22 * y for x, y in zip(rs, rt)]
     assert work == raw(rows)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_gcd_combine_returns_the_operations_it_applied(ring, data):
+    # a column over rows s and `others`, zero at row s in some draws so
+    # that the closing swap appears
+    m = data.draw(st.integers(1, 5))
+    a = data.draw(matrices(ring, m, 1))
+    s, *others = data.draw(st.permutations(range(1, m + 1)))
+    if data.draw(st.booleans()):
+        a = Matrix.from_rows(ring, [[Elem.zero(ring)] if i == s else row
+                                    for i, row in enumerate(a.rows(), 1)])
+    work, q = a.raw_rows(), Matrix.identity(ring, m).raw_rows()
+    applied = _gcd_combine(ring, work, q, 1, s, others)
+    replay = Matrix.identity(ring, m)
+    for t, c, p in applied:
+        replay = apply_op(replay, row_swap(t, p) if c is None
+                          else row_addmul(t, _mk(ring, c), p))
+    assert replay.raw_rows() == q
+    assert all(c is not None for _, c, _ in applied[:-1])
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

@@ -13,6 +13,7 @@ from canonform.domain import (
     rational,
 )
 from canonform.errors import (
+    EmptyResult,
     NonLinearElementaryDivisor,
     NotMonic,
     NotSquare,
@@ -22,6 +23,7 @@ from canonform.errors import (
 from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z
 from canonform.smith import smith
 from canonform.similarity import (
+    CanonicalPresentation,
     SimilarityCertificate,
     canonical_presentation,
     char_matrix,
@@ -662,9 +664,14 @@ def test_hypercompanion_takes_exact_alpha(alpha):
     (lambda: similar(mat_q([[1]]), mat_q([[1, 0], [0, 1]])), ShapeMismatch),
     (lambda: left_eval(mat_q([[1, 2], [3, 4]]), mat_q([[0, 1], [1, 0]])), RingMismatch),
     (lambda: right_eval(mat_q([[1, 2], [3, 4]]), mat_q([[0, 1], [1, 0]])), RingMismatch),
+    (lambda: CanonicalPresentation(()), EmptyResult),
+    (lambda: CanonicalPresentation((mat_q([[1]]), mat_q([[1, 2]]))), ShapeMismatch),
+    (lambda: CanonicalPresentation((mat_q([[1]]), mat_qx([["x"]]))), RingMismatch),
+    (lambda: CanonicalPresentation(([[1]],)), RingMismatch),
 ], ids=["not-square", "qx-input", "presentation-of-q", "eval-shape",
         "scalar-eval-not-qx", "companion-of-constant", "hypercompanion-k0",
-        "similar-sizes", "left-eval-of-q", "right-eval-of-q"])
+        "similar-sizes", "left-eval-of-q", "right-eval-of-q", "empty-presentation",
+        "presentation-shapes", "presentation-of-qx", "presentation-of-list"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()
