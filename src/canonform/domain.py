@@ -17,13 +17,14 @@ RAW_OPS maps each ring to the (add, mul, zero) of its raw values,
 RAW_EUCLID to their (divmod, neg, canonical associate) and RAW_SIZE to
 the Euclidean size by which hermite picks a pivot, and raw_egcd is the
 one extended Euclid loop, on either table; raw_layers splits raw Q[x]
-rows into raw Q coefficient rows, and largest_raw sizes raw rows for an
-error message by the same measure.  The matrix kernels in hermite, smith
-(its 2x2 chain step included), matrix, determinant and similarity work
-on raw entries through these, and Elem's + - *, division, egcd, gcd and
-canonical_associate wrap them, so only this module dispatches on the raw
-form.  parse_raw is the one reader and format_raw the one printer, both
-on raw values; parse_scalar and format_scalar wrap them for an Elem.
+rows into raw Q coefficient rows (raw_layer takes one of them), and
+largest_raw sizes raw rows for an error message by the same measure.
+The matrix kernels in hermite, smith (its 2x2 chain step included),
+matrix, determinant and similarity work on raw entries through these,
+and Elem's + - *, division, egcd, gcd and canonical_associate wrap them,
+so only this module dispatches on the raw form.  parse_raw is the one
+reader and format_raw the one printer, both on raw values; parse_scalar
+and format_scalar wrap them for an Elem.
 """
 from __future__ import annotations
 
@@ -245,11 +246,16 @@ def largest_raw(ring: Ring, rows) -> str:
     return f"degree {deg} with {bits}-bit coefficients"
 
 
+def raw_layer(rows, k: int) -> list:
+    """The raw Q rows P_k of raw Q[x] rows P = sum P_k x^k, canonical pairs."""
+    return [[_qnorm((v[0][k],), v[1]) if k < len(v[0]) else _QZERO for v in row]
+            for row in rows]
+
+
 def raw_layers(rows) -> list:
     """Raw Q[x] rows P = sum P_k x^k as the raw Q rows P_0..P_m (P_0 alone for P = 0)."""
     top = max(len(v[0]) for row in rows for v in row)
-    return [[[_qnorm((v[0][k],), v[1]) if k < len(v[0]) else _QZERO for v in row]
-             for row in rows] for k in range(max(1, top))]
+    return [raw_layer(rows, k) for k in range(max(1, top))]
 
 
 Value = Union[int, Fraction, tuple]

@@ -5,14 +5,18 @@ rational (Frobenius) and Jordan canonical forms.
 Constant matrices live over Q (Z inputs are lifted); polynomial matrices
 over Q[x].  The Smith form P (xI - A) Q = D splits Q^n, with x acting as
 A, into cyclic summands Q[x]/(d_i), generated by the left evaluations at
-A of the columns of P^-1 = (xI - A) Q D^-1.  `_basis` builds from them
-the S with A S = S T for a direct sum T of companion or Jordan blocks,
-reading each chain of columns off its own block of T, so `rcf` and
-`jordan` run one Smith form, and `similar` one per matrix and
-S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S the
-path runs on raw rows (see domain) by `matrix.raw_multiply`; the Matrices
-handed from step to step hold raw values, so no Elem of them is built
-unless a caller reads an entry.
+A of the columns of P^-1 = (xI - A) Q D^-1.  `_char_smith` runs the
+reduction of `smith` without P and certifies Q and the d_i by that
+product M = (xI - A) Q, which it returns: column i of M divides by d_i,
+the degrees of the d_i sum to n, they form a divisibility chain, and
+Q(0) is nonsingular.  `_basis` builds from the columns of M the S with
+A S = S T for a direct sum T of companion or Jordan blocks, reading each
+chain of columns off its own block of T, so `rcf` and `jordan` run one
+Smith form and one Q[x] product, and `similar` one of each per matrix
+and S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S
+the path runs on raw rows (see domain) by `matrix.raw_multiply`; the
+Matrices handed from step to step hold raw values, so no Elem of them is
+built unless a caller reads an entry.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from typing import Optional
 
 from . import determinant
 from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, prime_sort_key,
-                     raw_layers, valuation)
+                     raw_layer, raw_layers, valuation)
 from .errors import (
     CertificateFailed,
     EmptyResult,
@@ -36,7 +40,7 @@ from .errors import (
 )
 from .invariants import elementary_divisors
 from .matrix import Matrix, direct_sum, lift, raw_multiply
-from .smith import SmithResult, smith
+from .smith import _smith_rows
 
 
 def _as_rational_square(a: Matrix) -> Matrix:
@@ -126,12 +130,55 @@ def scalar_poly_eval(q: Elem, a: Matrix) -> Matrix:
     return right_eval(Matrix.identity(Ring.QX, a.m).scale(q), a)
 
 
-def _char_smith(a: Matrix) -> SmithResult:
-    """The Smith form of xI - A for a constant square A over Z or Q."""
-    res = smith(char_matrix(a))
-    if res.rank != a.m:  # det(xI - A) is monic of degree n, never zero
-        raise CertificateFailed(f"xI - A has rank {res.rank}, not {a.m}")
-    return res
+@dataclass(frozen=True)
+class CharSmith:
+    """The Smith form of xI - A without P: the unimodular Q, the product
+    xq = (xI - A) Q = P^-1 D and the invariant factors d_i of D."""
+
+    q: Matrix
+    xq: Matrix
+    diag: tuple[Elem, ...]
+
+
+def _char_smith(a: Matrix) -> CharSmith:
+    """The Smith form of xI - A for a constant square A over Z or Q.
+
+    The reduction of `smith` runs with P as n empty rows, so no entry of
+    P is computed.  Its certificate is M = (xI - A) Q, one product, with
+    four checks: the degrees of the d_i sum to n, d_i | d_(i+1), column
+    i of M divides exactly by each nonunit d_i, and det Q(0) != 0.  Q is
+    unimodular by construction (elementary operations only), so det Q is
+    a nonzero constant c; det Q(0) != 0 keeps a Q that went wrong from
+    passing, since a zero column divides by anything.  Then N = M D^-1 is
+    a polynomial matrix with det N * prod d_i = det M = chi * c for chi =
+    det(xI - A), monic of degree n, so prod d_i, monic of degree n, is
+    chi, det N = c, and N = P^-1 is unimodular: P (xI - A) Q = D, with
+    d_i | d_(i+1) its Smith form.  The replay P (xI - A) Q = D of `smith`
+    trusts the same premise for both P and Q; this one trusts it for Q
+    alone.
+    """
+    n, zero, divmod_ = a.m, RAW_OPS[Ring.QX][2], RAW_EUCLID[Ring.QX][0]
+    xa, qt = char_matrix(a).raw_rows(), Matrix.identity(Ring.QX, n).raw_rows()
+    diag = tuple(_smith_rows(Ring.QX, xa, [[]] * n, qt))
+    if len(diag) != n:  # det(xI - A) is monic of degree n, never zero
+        raise CertificateFailed(f"xI - A has rank {len(diag)}, not {n}")
+    total = sum(d.degree() for d in diag)
+    if total != n:
+        raise CertificateFailed(
+            f"xI - A: degrees of the invariant factors sum to {total}, not {n}")
+    for d, e in zip(diag, diag[1:]):
+        if divmod_(e.raw, d.raw)[1] != zero:
+            raise CertificateFailed(
+                f"xI - A: divisibility chain broken: {brief(d)} does not divide {brief(e)}")
+    q = [list(col) for col in zip(*qt)]
+    xq = raw_multiply(Ring.QX, xa, q)
+    for i, d in enumerate(diag):
+        if not d.is_one() and any(divmod_(row[i], d.raw)[1] != zero for row in xq):
+            raise CertificateFailed(
+                f"column {i + 1} of (xI - A) Q is not divisible by {brief(d)}")
+    if determinant.det(Matrix.from_raw(Ring.Q, raw_layer(q, 0))).is_zero():
+        raise CertificateFailed(f"xI - A: Q(0) is singular, so the {n}x{n} Q is not unimodular")
+    return CharSmith(Matrix.from_raw(Ring.QX, q), Matrix.from_raw(Ring.QX, xq), diag)
 
 
 def similarity_invariants(a: Matrix) -> tuple[Elem, ...]:
@@ -214,24 +261,22 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     return _certified(a, s_a @ s_b_inv, b)
 
 
-def _basis(a: Matrix, res: SmithResult, blocks) -> Matrix:
+def _basis(a: Matrix, res: CharSmith, blocks) -> Matrix:
     """S with A S = S (T_1 + ... + T_m) for blocks (i, q, T): q of degree
     k divides the invariant factor d_i of res, the Smith form of xI - A,
     and T is a k x k block of characteristic polynomial q with ones on
     the superdiagonal and zeros off it, the diagonal and the bottom row:
     companion(q), or hypercompanion(alpha, k) for q = (x - alpha)^k.
-    Column i of (xI - A) Q divided by q evaluates on the left at A to a
-    g with annihilator q (Giesbrecht 1995; Storjohann 2000).  Column j of
-    A S = S T gives the chain c_0..c_(k-1) from T alone: c_(k-1) = g and
-    c_(j-1) = A c_j - T_jj c_j - T_(k-1)j g, the last term for j < k - 1.
+    Column i of res.xq = (xI - A) Q divided by q evaluates on the left at
+    A to a g with annihilator q (Giesbrecht 1995; Storjohann 2000).
+    Column j of A S = S T gives the chain c_0..c_(k-1) from T alone:
+    c_(k-1) = g and c_(j-1) = A c_j - T_jj c_j - T_(k-1)j g, the last term
+    for j < k - 1.
     """
     divmod_, qx_zero = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2]
-    need = sorted({i for i, _, _ in blocks})
-    qcols = [[row[i] for i in need] for row in res.q.raw_rows()]
-    cols = dict(zip(need, zip(*raw_multiply(Ring.QX, char_matrix(a).raw_rows(), qcols))))
-    quotients = []
+    xq, quotients = res.xq.raw_rows(), []
     for i, q, _ in blocks:
-        quots, rems = zip(*(divmod_(v, q.raw) for v in cols[i]))
+        quots, rems = zip(*(divmod_(row[i], q.raw) for row in xq))
         if any(r != qx_zero for r in rems):
             raise CertificateFailed(f"column {i + 1} of (xI - A) Q is not divisible "
                                     f"by {brief(q)}")
@@ -258,7 +303,7 @@ def _certified(a: Matrix, s: Matrix, target: Matrix) -> SimilarityCertificate:
     return cert
 
 
-def _primary_blocks(res: SmithResult) -> list[tuple[int, Elem, int]]:
+def _primary_blocks(res: CharSmith) -> list[tuple[int, Elem, int]]:
     """(i, p, e) for each prime power p^e exactly dividing the invariant
     factor d_i, sorted as elementary_divisors sorts the pairs (p, e)."""
     out = [(i, p, e) for i, d in enumerate(res.diag) for p, e in elementary_divisors([d])]

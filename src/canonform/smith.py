@@ -2,17 +2,20 @@
 unimodular witnesses verified by replay on every call.
 
 P and Q come only from row operations on the rows of P and of Q^T in
-place: `diagonalize` runs `hermite._canonicalize` on them, each 2x2 chain
-step `hermite._apply_2x2_rows`.  No transform is multiplied out.  The
-working rows hold raw values (see domain), and so do the Matrices that
-`diagonalize` returns and `smith` reads back by `raw_rows`; only the
-chain's O(n) diagonal entries are Elems, tested for divisibility on their
-raw values.  `smith_2x2` computes on the raw values of its two entries
-through `domain.raw_egcd` and the raw tables, checks that both quotients
-by the gcd are exact and replays its four entries from P2's and Q2's.
-`smith` replays P A Q = D on raw rows by `matrix.raw_multiply` and
-returns P, Q and D as Matrices of raw values, whose Elems are built when
-a caller reads them.
+place: the alternation `_alternate` runs `hermite._canonicalize` on them,
+each 2x2 chain step of `_chain` `hermite._apply_2x2_rows`.  No transform
+is multiplied out.  Both act on raw rows the caller supplies, so
+`_smith_rows`, the reduction without a replay, serves
+`similarity._char_smith` with P as empty rows, and `diagonalize` and
+`smith` with P and Q from the identity.  The working rows hold raw values
+(see domain), and so do the Matrices that `diagonalize` returns and
+`smith` reads back by `raw_rows`; only the chain's O(n) diagonal entries
+are Elems, tested for divisibility on their raw values.  `smith_2x2`
+computes on the raw values of its two entries through `domain.raw_egcd`
+and the raw tables, checks that both quotients by the gcd are exact and
+replays its four entries from P2's and Q2's.  `smith` replays P A Q = D
+on raw rows by `matrix.raw_multiply` and returns P, Q and D as Matrices
+of raw values, whose Elems are built when a caller reads them.
 """
 from __future__ import annotations
 
@@ -40,6 +43,26 @@ def _is_diagonal(rows, zero) -> bool:
                for j, v in enumerate(row) if i != j)
 
 
+def _alternate(ring, d, p, qt):
+    """The alternation of `diagonalize` on raw rows: returns D's rows, once
+    diagonal, for the rows d of A (read, not changed), updating the rows p
+    of P and qt of Q^T in place.  A caller that needs no P passes it as m
+    empty rows."""
+    zero = RAW_OPS[ring][2]
+    for _ in range(_ALTERNATION_CAP):
+        dt = [list(col) for col in zip(*d)]
+        _canonicalize(ring, dt, qt)
+        d = [list(row) for row in zip(*dt)]
+        if _is_diagonal(d, zero):
+            return d
+        _canonicalize(ring, d, p)
+        if _is_diagonal(d, zero):
+            return d
+    raise CertificateFailed(
+        f"diagonalize found no diagonal form within {_ALTERNATION_CAP} passes; "
+        f"the largest working entry has {largest_raw(ring, d)}")
+
+
 def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Alternate column and row Hermite canonicalization until the matrix
     is diagonal: P A Q = D with no divisibility requirement.
@@ -53,22 +76,9 @@ def diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     D, P and Q^T are lists of raw rows updated in place: a column pass
     canonicalizes D^T along with Q^T, a row pass D along with P.
     """
-    ring, zero = a.ring, RAW_OPS[a.ring][2]
-    d, p = a.raw_rows(), Matrix.identity(ring, a.m).raw_rows()
-    qt = Matrix.identity(ring, a.n).raw_rows()
-    for _ in range(_ALTERNATION_CAP):
-        dt = [list(col) for col in zip(*d)]
-        _canonicalize(ring, dt, qt)
-        d = [list(row) for row in zip(*dt)]
-        if _is_diagonal(d, zero):
-            break
-        _canonicalize(ring, d, p)
-        if _is_diagonal(d, zero):
-            break
-    else:
-        raise CertificateFailed(
-            f"diagonalize found no diagonal form within {_ALTERNATION_CAP} passes; "
-            f"the largest working entry has {largest_raw(ring, d)}")
+    ring = a.ring
+    p, qt = Matrix.identity(ring, a.m).raw_rows(), Matrix.identity(ring, a.n).raw_rows()
+    d = _alternate(ring, a.raw_rows(), p, qt)
     return (Matrix.from_raw(ring, p), Matrix.from_raw(ring, qt).transpose(),
             Matrix.from_raw(ring, d))
 
@@ -126,19 +136,34 @@ def _chain_pass(pwork, qtwork, diag, start):
         diag[start], diag[other] = delta, lam
 
 
+def _chain(ring, d, p, qt) -> list[Elem]:
+    """The invariant factors of the diagonal rows d, by chain passes that
+    update the rows p of P and qt of Q^T in place: P has one row per row
+    of d (empty when the caller needs no P), Q^T one per column."""
+    zero = RAW_OPS[ring][2]
+    diag = [_mk(ring, d[i][i]) for i in range(min(len(p), len(qt))) if d[i][i] != zero]
+    # diag starts canonical (the pivots of the alternation's last pass) and
+    # stays so: each chain step writes smith_2x2's canonical delta and lam
+    for start in range(len(diag) - 1):
+        _chain_pass(p, qt, diag, start)
+    return diag
+
+
+def _smith_rows(ring, rows, p, qt) -> list[Elem]:
+    """The reduction of `smith` without its replay, on raw rows: the
+    alternation, then the chain.  Returns the invariant factors and
+    updates p and qt as `_chain` does."""
+    return _chain(ring, _alternate(ring, rows, p, qt), p, qt)
+
+
 def smith(a: Matrix) -> SmithResult:
     """Smith canonical form P A Q = D: a full divisibility chain of
     canonical associates; the witness product is replayed exactly."""
     ring, zero, divmod_ = a.ring, RAW_OPS[a.ring][2], RAW_EUCLID[a.ring][0]
     p, q, d = diagonalize(a)
-    drows = d.raw_rows()
-    diag = [_mk(ring, drows[i][i]) for i in range(min(d.m, d.n)) if drows[i][i] != zero]
-    r = len(diag)
     pwork, qtwork = p.raw_rows(), q.transpose().raw_rows()
-    # diag starts canonical (the pivots of diagonalize's last pass) and
-    # stays so: each chain step writes smith_2x2's canonical delta and lam
-    for start in range(r - 1):
-        _chain_pass(pwork, qtwork, diag, start)
+    diag = _chain(ring, d.raw_rows(), pwork, qtwork)
+    r = len(diag)
     qwork = [list(col) for col in zip(*qtwork)]
     dwork = [[diag[i].raw if i == j and i < r else zero for j in range(a.n)]
              for i in range(a.m)]

@@ -18,18 +18,25 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Corrupts smith_2x2's associate and its Euclid cofactor s, diagonalize's
 # P and one term of the raw product replaying P A Q = D in smith, two ways
-# the left evaluation that gives similar and rcf their generators, and the
-# Q_B similar reads its generators off, in a process started with -O; exits
-# 0 only when every corruption raises CertificateFailed (a zero S_B must not
-# surface as NotAUnit), the smith_2x2 and P A Q = D corruptions from their
-# own replays.  The generators are swapped between blocks of unequal
-# annihilators: any generator of a block's annihilator, such as a multiple
-# of the true one, still gives a valid conjugator.  Q_B gets its first
-# column added to its last, which (xI - B) Q_B then no longer carries to a
-# multiple of the last invariant factor.
+# the left evaluation that gives similar and rcf their generators, the
+# product (xI - B) Q_B that similar reads its generators off, and four
+# parts of the certificate of the Smith form of xI - A that `_char_smith`
+# checks in place of a P (xI - A) Q = D replay, in a process started with
+# -O; exits 0 only when every corruption raises CertificateFailed (a zero
+# S_B must not surface as NotAUnit), the smith_2x2, P A Q = D and xI - A
+# corruptions from their own checks.  The generators are swapped between
+# blocks of unequal annihilators: any generator of a block's annihilator,
+# such as a multiple of the true one, still gives a valid conjugator.  The
+# product gets its first column added to its last, which is then no longer
+# a multiple of the last invariant factor.  The xI - A corruptions run
+# through minimal_poly, which has no S replay behind it: the last d_i
+# times x + 5 breaks the degree sum, the last two d_i swapped the
+# divisibility chain, Q's first column added to its last the divisibility
+# of (xI - A) Q by D, and Q's first column zeroed, which divides by
+# anything, leaves Q(0) singular.
 CORRUPTED_STEPS = textwrap.dedent("""\
     import dataclasses, importlib, sys
-    from canonform.domain import Ring
+    from canonform.domain import Ring, polynomial
     from canonform.errors import CertificateFailed
     from canonform.matrix import Matrix, mat_q, mat_z
 
@@ -113,16 +120,46 @@ CORRUPTED_STEPS = textwrap.dedent("""\
     orig_char_smith = sim._char_smith
     def last_column_plus_first(a):
         res = orig_char_smith(a)
-        rows = res.q.rows()
+        rows = res.xq.rows()
         for row in rows:
             row[-1] = row[-1] + row[0]
-        return dataclasses.replace(res, q=Matrix.from_rows(res.q.ring, rows))
+        return dataclasses.replace(res, xq=Matrix.from_rows(res.xq.ring, rows))
     sim._char_smith = last_column_plus_first
     try:
         sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
-        sys.exit("corrupted Q_B was not caught")
+        sys.exit("corrupted (xI - B) Q_B was not caught")
     except CertificateFailed:
         pass
+    sim._char_smith = orig_char_smith
+
+    add, zero = sm.RAW_OPS[Ring.QX][0], sm.RAW_OPS[Ring.QX][2]
+    def last_factor_times_x_plus_5(diag, qt):
+        diag[-1] = diag[-1] * polynomial([5, 1])
+    def last_two_factors_swapped(diag, qt):
+        diag[-2:] = diag[:-3:-1]
+    def q_last_column_plus_first(diag, qt):
+        qt[-1] = [add(u, v) for u, v in zip(qt[-1], qt[0])]
+    def q_first_column_zeroed(diag, qt):
+        qt[0] = [zero] * len(qt[0])
+
+    orig_rows = sim._smith_rows
+    for corrupt, check in (
+            (last_factor_times_x_plus_5, "degrees of the invariant factors sum to 4, not 3"),
+            (last_two_factors_swapped, "x^2-4*x+4 does not divide x-2"),
+            (q_last_column_plus_first, "column 3 of (xI - A) Q is not divisible by x^2-4*x+4"),
+            (q_first_column_zeroed, "Q(0) is singular")):
+        def corrupted(ring, rows, p, qt, corrupt=corrupt):
+            diag = orig_rows(ring, rows, p, qt)
+            corrupt(diag, qt)
+            return diag
+        sim._smith_rows = corrupted
+        try:
+            sim.minimal_poly(jordan_form)
+            sys.exit(f"{corrupt.__name__} was not caught")
+        except CertificateFailed as exc:
+            if check not in str(exc):
+                sys.exit(f"{corrupt.__name__} was not caught by its own check: {exc}")
+    sim._smith_rows = orig_rows
     print("caught")
 """)
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonform.determinant import inverse
 from canonform.domain import (
@@ -415,23 +417,40 @@ class TestSmithReuse:
     A = mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])  # Jordan type (2, 2), (-1, 1)
 
     @pytest.fixture
-    def smith_calls(self, monkeypatch):
+    def reductions(self, monkeypatch):
         import canonform.similarity as sim
-        calls = []
+        calls, orig = [], sim._smith_rows
 
-        def counted(m):
-            calls.append(m)
-            return smith(m)
+        def counted(ring, rows, p, qt):
+            calls.append(rows)
+            return orig(ring, rows, p, qt)
 
-        monkeypatch.setattr(sim, "smith", counted)
+        monkeypatch.setattr(sim, "_smith_rows", counted)
         return calls
 
     @pytest.mark.parametrize("fn,expected", [
         (rcf, 1), (jordan, 1), (lambda a: similar(a, a), 2), (minimal_poly, 1),
     ])
-    def test_smith_call_count(self, smith_calls, fn, expected):
+    def test_smith_call_count(self, reductions, fn, expected):
         fn(self.A)
-        assert len(smith_calls) == expected
+        assert len(reductions) == expected
+
+    @pytest.mark.parametrize("fn", [
+        rcf, jordan, lambda a: similar(a, a), minimal_poly,
+    ], ids=["rcf", "jordan", "similar", "minimal_poly"])
+    def test_similarity_path_never_calls_smith(self, monkeypatch, fn):
+        # _char_smith runs the shared reduction without P and certifies it
+        # by (xI - A) Q; smith, with its P A Q = D replay, is not reached
+        import importlib
+        sm, sim = (importlib.import_module(f"canonform.{name}")
+                   for name in ("smith", "similarity"))
+
+        def forbidden(a):
+            raise AssertionError("smith reached")
+
+        for module in (sm, sim):
+            monkeypatch.setattr(module, "smith", forbidden, raising=False)
+        fn(self.A)
 
     def test_similar_never_reaches_adjugate(self, monkeypatch):
         import canonform.determinant as det_mod
@@ -570,6 +589,35 @@ def test_similar_matches_the_old_conjugator_on_derogatory_input(a, b):
     cert = similar(a, b)
     assert cert is not None and cert.verify(a)
     assert cert.s == _old_conjugator(a, b)
+
+
+def _differential_input(kind, rng, n):
+    """A random n x n Q matrix, or a conjugate of a direct sum of Jordan
+    or companion blocks of size at most n whose eigenvalues repeat."""
+    if kind == "random":
+        return random_matrix(rng, Ring.Q, n, n, bound=5)
+    blocks, left = [], n
+    while left:
+        k, alpha = rng.randint(1, left), rng.choice([-1, 0, 2])
+        blocks.append(hypercompanion(rational(alpha), k) if kind == "jordan"
+                      else companion(poly(-alpha, 1) ** k))
+        left -= k
+    return _conjugated(rng, blocks)[0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["random", "jordan", "companion"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_char_smith_matches_smith(kind, n, seed):
+    """_char_smith runs smith's reduction without P: its invariant factors
+    and Q are smith's on xI - A bit for bit, and it certifies them by the
+    product (xI - A) Q it returns."""
+    from canonform.similarity import _char_smith
+    a = _differential_input(kind, random.Random(seed), n)
+    res, ref = _char_smith(a), smith(char_matrix(a))
+    assert res.diag == ref.diag and res.q == ref.q
+    assert res.xq == char_matrix(a) @ res.q
 
 
 class TestVerifyReplay:
