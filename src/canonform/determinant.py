@@ -4,6 +4,7 @@ minors, and inversion over the ring.
 
 `det` runs Bareiss on raw values (domain.RAW_OPS), dividing by the raw
 divmod of domain.RAW_EUCLID; a nonzero remainder raises ExactDivisionError.
+Over Q it runs on the integer rows of domain.raw_clear_rows instead.
 A unit matrix is inverted through its Hermite canonical form, which is the
 identity, so the row transform is the inverse; no adjugate is formed.
 `similarity.similar` calls `inverse` once, on a constant matrix over Q.
@@ -11,10 +12,11 @@ identity, so the row transform is the inverse; no adjugate is formed.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import comb
+from math import comb, prod
 from typing import Iterable
 
-from .domain import RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, gcd
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, gcd, raw_clear_rows,
+                     raw_ratio)
 from .errors import (
     BadIndexSet,
     CertificateFailed,
@@ -68,11 +70,20 @@ def det_expansion(a: Matrix) -> Elem:
 
 def det(a: Matrix) -> Elem:
     """Determinant by fraction-free (Bareiss) elimination; exact in every
-    ring, agrees with det_expansion."""
+    ring, agrees with det_expansion.  Over Q row i of A is ints over d_i
+    (domain.raw_clear_rows), so det A is the integer Bareiss determinant
+    over prod d_i, normalized once."""
     _require_square(a)
-    n, ring = a.m, a.ring
+    if a.ring is Ring.Q:
+        ints, dens = raw_clear_rows(a.raw_rows())
+        return _mk(Ring.Q, raw_ratio(_bareiss(Ring.Z, ints), prod(dens)))
+    return _mk(a.ring, _bareiss(a.ring, a.raw_rows()))
+
+
+def _bareiss(ring: Ring, w: list):
+    """The raw determinant of the square raw rows w, which it overwrites."""
+    n = len(w)
     (add, mul, zero), (divmod_, neg, _) = RAW_OPS[ring], RAW_EUCLID[ring]
-    w = a.raw_rows()
     sign_flip = False
     prev = Elem.one(ring).raw
     for k in range(n - 1):
@@ -83,7 +94,7 @@ def det(a: Matrix) -> Elem:
                     sign_flip = not sign_flip
                     break
             else:
-                return Elem.zero(ring)
+                return zero
         pivot, wk = w[k][k], w[k]
         for i in range(k + 1, n):
             wi, c = w[i], neg(w[i][k])
@@ -94,8 +105,7 @@ def det(a: Matrix) -> Elem:
                         f"Bareiss step {k + 1}: division by {brief(_mk(ring, prev))} "
                         f"leaves {brief(_mk(ring, r))}")
         prev = pivot
-    result = _mk(ring, w[n - 1][n - 1])
-    return -result if sign_flip else result
+    return neg(w[n - 1][n - 1]) if sign_flip else w[n - 1][n - 1]
 
 
 def _validate_subset(x: Iterable[int], n: int) -> tuple[int, ...]:

@@ -17,7 +17,9 @@ RAW_OPS maps each ring to the (add, mul, zero) of its raw values,
 RAW_EUCLID to their (divmod, neg, canonical associate) and RAW_SIZE to
 the Euclidean size by which hermite picks a pivot, and raw_egcd is the
 one extended Euclid loop, on either table; raw_layers splits raw Q[x]
-rows into raw Q coefficient rows (raw_layer takes one of them), and
+rows into raw Q coefficient rows (raw_layer takes one of them),
+raw_clear_rows clears each raw Q row's denominator so that a Q kernel
+can run on ints, raw_ratio normalizes an integer result back, and
 largest_raw sizes raw rows for an error message by the same measure.
 The matrix kernels in hermite, smith (its 2x2 chain step included),
 matrix, determinant and similarity work on raw entries through these,
@@ -256,6 +258,27 @@ def raw_layers(rows) -> list:
     """Raw Q[x] rows P = sum P_k x^k as the raw Q rows P_0..P_m (P_0 alone for P = 0)."""
     top = max(len(v[0]) for row in rows for v in row)
     return [raw_layer(rows, k) for k in range(max(1, top))]
+
+
+def raw_clear_rows(rows) -> tuple[list, list]:
+    """Raw Q rows as integer rows over one denominator each: (ints, dens)
+    with row i equal to ints[i] / dens[i], dens[i] the lcm of the row's
+    denominators (1 for an empty row).  raw_ratio turns an integer result
+    back into a raw Q value."""
+    ints, dens = [], []
+    for row in rows:
+        den = math.lcm(*[d for _, d in row])
+        ints.append([nums[0] * (den // d) if nums else 0 for nums, d in row])
+        dens.append(den)
+    return ints, dens
+
+
+def raw_ratio(num: int, den: int) -> tuple:
+    """The raw Q value num / den of ints with den > 0, by one gcd."""
+    if not num:
+        return _QZERO
+    g = math.gcd(num, den)
+    return (num // g,), den // g
 
 
 Value = Union[int, Fraction, tuple]

@@ -10,7 +10,9 @@ format work on the raw tuple, and the Elems of `entries` are built on
 the first read.  `from_raw` stores rows of raw values as they are and
 `raw_rows` returns fresh lists of them, which the elimination kernels
 work on, as does `raw_multiply`, the one product loop, which `multiply`
-(the `@` of Matrix) wraps.
+(the `@` of Matrix) wraps.  Over Q it clears each row's denominator of
+the left factor and each column's of the right one (domain.raw_clear_rows),
+multiplies the ints and normalizes each entry once.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 
 from . import domain
 from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, coerce, format_raw,
-                     parse_raw, raw_coerce)
+                     parse_raw, raw_clear_rows, raw_coerce, raw_ratio)
 from .errors import (
     BadIndexSet,
     EmptyResult,
@@ -192,10 +194,17 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
 
 
 def raw_multiply(ring: Ring, arows: Sequence, brows: Sequence) -> list:
-    """The product of two lists of raw rows over ring, as raw rows."""
+    """The product of two lists of raw rows over ring, as raw rows.  Over Q
+    row i of A is ints over da_i and column j of B ints over db_j, so entry
+    (i, j) is their integer dot product over da_i db_j, normalized once."""
     if len(arows[0]) != len(brows):
         raise ShapeMismatch(f"{len(arows)}x{len(arows[0])} times "
                             f"{len(brows)}x{len(brows[0])}")
+    if ring is Ring.Q:
+        zmul = RAW_OPS[Ring.Z][1]
+        (aints, adens), (bcols, bdens) = raw_clear_rows(arows), raw_clear_rows(zip(*brows))
+        return [[raw_ratio(sum(map(zmul, arow, bcol)), da * db)
+                 for bcol, db in zip(bcols, bdens)] for arow, da in zip(aints, adens)]
     add, mul, zero = RAW_OPS[ring]
     out = []
     for arow in arows:

@@ -6,15 +6,18 @@ Constant matrices live over Q (Z inputs are lifted); polynomial matrices
 over Q[x].  The Smith form P (xI - A) Q = D splits Q^n, with x acting as
 A, into cyclic summands Q[x]/(d_i), generated by the left evaluations at
 A of the columns of P^-1 = (xI - A) Q D^-1.  `_char_smith` runs the
-reduction of `smith` without P and certifies Q and the d_i by that
-product M = (xI - A) Q, which it returns: column i of M divides by d_i,
-the degrees of the d_i sum to n, they form a divisibility chain, and
-Q(0) is nonsingular.  `_basis` builds from the columns of M the S with
-A S = S T for a direct sum T of companion or Jordan blocks, reading each
-chain of columns off its own block of T, so `rcf` and `jordan` run one
-Smith form and one Q[x] product, and `similar` one of each per matrix
-and S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S
-the path runs on raw rows (see domain) by `matrix.raw_multiply`; the
+reduction of `smith` on (xI - A)^T, whose P is Q^T, with no other
+transform, and certifies Q and the d_i by the product M = (xI - A) Q, of
+which it multiplies out and returns only the trailing columns, those of
+the nonunit d_i: each of them divides by its d_i, the degrees of the d_i
+sum to n, they form a divisibility chain, and Q(0) is nonsingular.
+`_basis` builds from those columns of M the S with A S = S T for a
+direct sum T of companion or Jordan blocks, reading each chain of
+columns off its own block of T, so `rcf` and `jordan` run one Smith form
+and one Q[x] product, and `similar` one of each per matrix and
+S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S
+the path runs on raw rows (see domain) by `matrix.raw_multiply`, whose
+products over Q, like `determinant.det` there, run on integer rows; the
 Matrices handed from step to step hold raw values, so no Elem of them is
 built unless a caller reads an entry.
 """
@@ -132,8 +135,9 @@ def scalar_poly_eval(q: Elem, a: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class CharSmith:
-    """The Smith form of xI - A without P: the unimodular Q, the product
-    xq = (xI - A) Q = P^-1 D and the invariant factors d_i of D."""
+    """The Smith form of xI - A without P: the unimodular Q, the trailing
+    columns of (xI - A) Q = P^-1 D that belong to the nonunit invariant
+    factors, as xq, and the invariant factors d_i of D."""
 
     q: Matrix
     xq: Matrix
@@ -143,23 +147,29 @@ class CharSmith:
 def _char_smith(a: Matrix) -> CharSmith:
     """The Smith form of xI - A for a constant square A over Z or Q.
 
-    The reduction of `smith` runs with P as n empty rows, so no entry of
-    P is computed.  Its certificate is M = (xI - A) Q, one product, with
-    four checks: the degrees of the d_i sum to n, d_i | d_(i+1), column
-    i of M divides exactly by each nonunit d_i, and det Q(0) != 0.  Q is
-    unimodular by construction (elementary operations only), so det Q is
-    a nonzero constant c; det Q(0) != 0 keeps a Q that went wrong from
-    passing, since a zero column divides by anything.  Then N = M D^-1 is
-    a polynomial matrix with det N * prod d_i = det M = chi * c for chi =
-    det(xI - A), monic of degree n, so prod d_i, monic of degree n, is
-    chi, det N = c, and N = P^-1 is unimodular: P (xI - A) Q = D, with
-    d_i | d_(i+1) its Smith form.  The replay P (xI - A) Q = D of `smith`
-    trusts the same premise for both P and Q; this one trusts it for Q
-    alone.
+    The reduction of `smith` runs on (xI - A)^T, with its P from the
+    identity and its Q^T as n empty rows, so its first pass, the costliest,
+    carries no transform: P' (xI - A)^T Q' = D gives Q'^T (xI - A) P'^T = D,
+    so Q = P'^T, and no entry of the P = Q'^T of xI - A is computed.  Its
+    certificate is M = (xI - A) Q, of which only the trailing columns are
+    multiplied out, those of the nonunit d_i, which the divisibility chain
+    puts last; it has four checks: the degrees of the d_i sum to n,
+    d_i | d_(i+1), column i of M divides exactly by each nonunit d_i, and
+    det Q(0) != 0.  Q is unimodular by construction (elementary operations
+    only), so det Q is a nonzero constant c; det Q(0) != 0 keeps a Q that
+    went wrong from passing, since a zero column divides by anything.
+    Then N = M D^-1 is
+    a polynomial matrix (a unit column of N is M's own column, computed
+    or not) with det N * prod d_i = det M = chi * c for chi = det(xI - A),
+    monic of degree n, so prod d_i, monic of degree n, is chi, det N = c,
+    and N = P^-1 is unimodular: P (xI - A) Q = D, with d_i | d_(i+1) its
+    Smith form.  The replay P (xI - A) Q = D of `smith` trusts the same
+    premise for both P and Q; this one trusts it for Q alone.
     """
     n, zero, divmod_ = a.m, RAW_OPS[Ring.QX][2], RAW_EUCLID[Ring.QX][0]
     xa, qt = char_matrix(a).raw_rows(), Matrix.identity(Ring.QX, n).raw_rows()
-    diag = tuple(_smith_rows(Ring.QX, xa, [[]] * n, qt))
+    # the rows of P' are those of Q^T
+    diag = tuple(_smith_rows(Ring.QX, [list(col) for col in zip(*xa)], qt, [[]] * n))
     if len(diag) != n:  # det(xI - A) is monic of degree n, never zero
         raise CertificateFailed(f"xI - A has rank {len(diag)}, not {n}")
     total = sum(d.degree() for d in diag)
@@ -170,15 +180,16 @@ def _char_smith(a: Matrix) -> CharSmith:
         if divmod_(e.raw, d.raw)[1] != zero:
             raise CertificateFailed(
                 f"xI - A: divisibility chain broken: {brief(d)} does not divide {brief(e)}")
-    q = [list(col) for col in zip(*qt)]
-    xq = raw_multiply(Ring.QX, xa, q)
-    for i, d in enumerate(diag):
-        if not d.is_one() and any(divmod_(row[i], d.raw)[1] != zero for row in xq):
+    units = next(i for i, d in enumerate(diag) if not d.is_one())
+    xq = raw_multiply(Ring.QX, xa, [list(col) for col in zip(*qt[units:])])
+    for i, d in enumerate(diag[units:], units):
+        if any(divmod_(row[i - units], d.raw)[1] != zero for row in xq):
             raise CertificateFailed(
                 f"column {i + 1} of (xI - A) Q is not divisible by {brief(d)}")
-    if determinant.det(Matrix.from_raw(Ring.Q, raw_layer(q, 0))).is_zero():
+    if determinant.det(Matrix.from_raw(Ring.Q, raw_layer(qt, 0))).is_zero():
         raise CertificateFailed(f"xI - A: Q(0) is singular, so the {n}x{n} Q is not unimodular")
-    return CharSmith(Matrix.from_raw(Ring.QX, q), Matrix.from_raw(Ring.QX, xq), diag)
+    return CharSmith(Matrix.from_raw(Ring.QX, qt).transpose(), Matrix.from_raw(Ring.QX, xq),
+                     diag)
 
 
 def similarity_invariants(a: Matrix) -> tuple[Elem, ...]:
@@ -195,13 +206,20 @@ def minimal_poly(a: Matrix) -> Elem:
 def companion(q: Elem) -> Matrix:
     """Companion matrix of a monic polynomial: superdiagonal ones, bottom
     row a_j with q(x) = x^k - sum a_j x^j (so a_j = -coeff_j(q))."""
-    if q.ring is not Ring.QX or q.is_zero() or q.value[-1] != 1:
+    if q.ring is not Ring.QX or q.is_zero() or q.raw[0][-1] != q.raw[1]:
         raise NotMonic(f"{brief(q)} is not monic")
     k = q.degree()
     if k < 1:
         raise NotMonic("companion needs degree >= 1")
-    shift = [[int(j == i + 1) for j in range(k)] for i in range(k - 1)]
-    return Matrix.from_rows(Ring.Q, shift + [[-c for c in q.value[:-1]]])
+    neg = RAW_EUCLID[Ring.Q][1]
+    *coeffs, _ = raw_layers([[q.raw]])
+    return Matrix.from_raw(Ring.Q, _shift_rows(k)[:-1] + [[neg(c[0][0]) for c in coeffs]])
+
+
+def _shift_rows(k: int) -> list:
+    """The raw Q rows of companion(x^k): ones on the superdiagonal."""
+    zero, one = RAW_OPS[Ring.Q][2], Elem.one(Ring.Q).raw
+    return [[one if j == i + 1 else zero for j in range(k)] for i in range(k)]
 
 
 def hypercompanion(alpha, k: int) -> Matrix:
@@ -211,8 +229,11 @@ def hypercompanion(alpha, k: int) -> Matrix:
     RingMismatch."""
     if k < 1:
         raise ShapeMismatch("hypercompanion needs k >= 1")
-    alpha = Elem(Ring.Q, alpha.value if isinstance(alpha, Elem) else alpha)
-    return Matrix.identity(Ring.Q, k).scale(alpha) + companion(X ** k)
+    alpha = Elem(Ring.Q, alpha.value if isinstance(alpha, Elem) else alpha).raw
+    rows = _shift_rows(k)
+    for i, row in enumerate(rows):
+        row[i] = alpha
+    return Matrix.from_raw(Ring.Q, rows)
 
 
 @dataclass(frozen=True)
@@ -267,16 +288,17 @@ def _basis(a: Matrix, res: CharSmith, blocks) -> Matrix:
     and T is a k x k block of characteristic polynomial q with ones on
     the superdiagonal and zeros off it, the diagonal and the bottom row:
     companion(q), or hypercompanion(alpha, k) for q = (x - alpha)^k.
-    Column i of res.xq = (xI - A) Q divided by q evaluates on the left at
-    A to a g with annihilator q (Giesbrecht 1995; Storjohann 2000).
+    Column i of (xI - A) Q, column i - (n - k) of res.xq for k its width,
+    divided by q evaluates on the left at A to a g with annihilator q
+    (Giesbrecht 1995; Storjohann 2000).
     Column j of A S = S T gives the chain c_0..c_(k-1) from T alone:
     c_(k-1) = g and c_(j-1) = A c_j - T_jj c_j - T_(k-1)j g, the last term
     for j < k - 1.
     """
     divmod_, qx_zero = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2]
-    xq, quotients = res.xq.raw_rows(), []
+    xq, units, quotients = res.xq.raw_rows(), len(res.diag) - res.xq.n, []
     for i, q, _ in blocks:
-        quots, rems = zip(*(divmod_(row[i], q.raw) for row in xq))
+        quots, rems = zip(*(divmod_(row[i - units], q.raw) for row in xq))
         if any(r != qx_zero for r in rems):
             raise CertificateFailed(f"column {i + 1} of (xI - A) Q is not divisible "
                                     f"by {brief(q)}")

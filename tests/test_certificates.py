@@ -19,21 +19,24 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Corrupts smith_2x2's associate and its Euclid cofactor s, diagonalize's
 # P and one term of the raw product replaying P A Q = D in smith, two ways
 # the left evaluation that gives similar and rcf their generators, the
-# product (xI - B) Q_B that similar reads its generators off, and four
+# columns of (xI - B) Q_B that similar reads its generators off, and four
 # parts of the certificate of the Smith form of xI - A that `_char_smith`
 # checks in place of a P (xI - A) Q = D replay, in a process started with
 # -O; exits 0 only when every corruption raises CertificateFailed (a zero
-# S_B must not surface as NotAUnit), the smith_2x2, P A Q = D and xI - A
-# corruptions from their own checks.  The generators are swapped between
-# blocks of unequal annihilators: any generator of a block's annihilator,
-# such as a multiple of the true one, still gives a valid conjugator.  The
-# product gets its first column added to its last, which is then no longer
-# a multiple of the last invariant factor.  The xI - A corruptions run
-# through minimal_poly, which has no S replay behind it: the last d_i
-# times x + 5 breaks the degree sum, the last two d_i swapped the
-# divisibility chain, Q's first column added to its last the divisibility
-# of (xI - A) Q by D, and Q's first column zeroed, which divides by
-# anything, leaves Q(0) singular.
+# S_B must not surface as NotAUnit), the smith_2x2, P A Q = D, (xI - B) Q_B
+# and xI - A corruptions from their own checks.  The generators are swapped
+# between blocks of unequal annihilators: any generator of a block's
+# annihilator, such as a multiple of the true one, still gives a valid
+# conjugator.  The one column of (xI - B) Q_B that similar reads on the 2x2
+# pair, that of (x - 1)^2, gets 1 added to its first entry, so it is no
+# longer a multiple of (x - 1)^2 (doubling it would still give a valid
+# conjugator).  The xI - A corruptions run through minimal_poly, which has
+# no S replay behind it: the last d_i times x + 5 breaks the degree sum,
+# the last two d_i swapped the divisibility chain, Q's first column added
+# to its last the divisibility of (xI - A) Q by D, and Q's first column
+# zeroed, which divides by anything, leaves Q(0) singular.  `_char_smith`
+# reduces (xI - A)^T, so Q arrives transposed in the p argument of
+# `_smith_rows`: the rows of p are the columns of Q.
 CORRUPTED_STEPS = textwrap.dedent("""\
     import dataclasses, importlib, sys
     from canonform.domain import Ring, polynomial
@@ -118,29 +121,29 @@ CORRUPTED_STEPS = textwrap.dedent("""\
     sim.left_eval = orig_eval
 
     orig_char_smith = sim._char_smith
-    def last_column_plus_first(a):
+    def first_entry_plus_one(a):
         res = orig_char_smith(a)
         rows = res.xq.rows()
-        for row in rows:
-            row[-1] = row[-1] + row[0]
+        rows[0][-1] = rows[0][-1] + polynomial([1])
         return dataclasses.replace(res, xq=Matrix.from_rows(res.xq.ring, rows))
-    sim._char_smith = last_column_plus_first
+    sim._char_smith = first_entry_plus_one
     try:
         sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
         sys.exit("corrupted (xI - B) Q_B was not caught")
-    except CertificateFailed:
-        pass
+    except CertificateFailed as exc:
+        if "column 2 of (xI - A) Q is not divisible by x^2-2*x+1" not in str(exc):
+            sys.exit(f"the generator check did not catch it: {exc}")
     sim._char_smith = orig_char_smith
 
     add, zero = sm.RAW_OPS[Ring.QX][0], sm.RAW_OPS[Ring.QX][2]
-    def last_factor_times_x_plus_5(diag, qt):
+    def last_factor_times_x_plus_5(diag, q_columns):
         diag[-1] = diag[-1] * polynomial([5, 1])
-    def last_two_factors_swapped(diag, qt):
+    def last_two_factors_swapped(diag, q_columns):
         diag[-2:] = diag[:-3:-1]
-    def q_last_column_plus_first(diag, qt):
-        qt[-1] = [add(u, v) for u, v in zip(qt[-1], qt[0])]
-    def q_first_column_zeroed(diag, qt):
-        qt[0] = [zero] * len(qt[0])
+    def q_last_column_plus_first(diag, q_columns):
+        q_columns[-1] = [add(u, v) for u, v in zip(q_columns[-1], q_columns[0])]
+    def q_first_column_zeroed(diag, q_columns):
+        q_columns[0] = [zero] * len(q_columns[0])
 
     orig_rows = sim._smith_rows
     for corrupt, check in (
@@ -150,7 +153,7 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             (q_first_column_zeroed, "Q(0) is singular")):
         def corrupted(ring, rows, p, qt, corrupt=corrupt):
             diag = orig_rows(ring, rows, p, qt)
-            corrupt(diag, qt)
+            corrupt(diag, p)
             return diag
         sim._smith_rows = corrupted
         try:

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -374,7 +375,7 @@ GOLDEN_CONJUGATORS = {
     "jordan": (
         [mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])],
         [["2", "1", "0"], ["0", "2", "0"], ["0", "0", "-1"]],
-        [["3", "-5", "18"], ["-3", "2", "-9"], ["-3", "5", "-9"]],
+        [["-1", "0", "-2"], ["1", "1", "1"], ["1", "0", "1"]],
     ),
     # U^-1 (rotation + J_2(3)) U: an x^2+1 companion block
     "rcf": (
@@ -382,21 +383,46 @@ GOLDEN_CONJUGATORS = {
                 ["5/3", "2/3", "5/3", "1/3"], ["2/3", "2/3", "-4/3", "7/3"]])],
         [["0", "1", "0", "0"], ["-9", "6", "0", "0"],
          ["0", "0", "0", "1"], ["0", "0", "-1", "0"]],
-        [["2/3", "0", "4/15", "2/15"], ["-2/3", "0", "1/3", "-1/3"],
-         ["1/3", "0", "-4/15", "-2/15"], ["-11/3", "1", "-4/15", "-2/15"]],
+        [["7/2", "-3/2", "-1", "0"], ["-7/2", "3/2", "-1/2", "3/2"],
+         ["7/4", "-3/4", "1", "0"], ["1", "0", "1", "0"]],
     ),
     "similar": (
         [mat_q([[2, 1, 0], [0, 2, 0], [0, 0, 1]]),
          mat_q([[1, 0, 0], [1, 2, 0], [3, 1, 2]])],
         [["1", "0", "0"], ["1", "2", "0"], ["3", "1", "2"]],
-        [["-3", "-1", "-1"], ["-1", "-1", "0"], ["-2", "0", "0"]],
+        [["-2", "0", "-1"], ["-1", "-1", "0"], ["-2", "0", "0"]],
     ),
 }
 
 
+def _fraction_rank(rows) -> int:
+    """The rank of a matrix of Fractions, by Gaussian elimination."""
+    rows, rank = [list(row) for row in rows], 0
+    for j in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][j] / rows[rank][j]
+            rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _fraction_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONJUGATORS))
 def test_golden_conjugator(name, tmp_path, capsys):
+    """The pinned S replays in Fractions, apart from the library's verify:
+    A S = S form with S invertible, A the first input."""
     mats, form, s = GOLDEN_CONJUGATORS[name]
+    a = [[e.value for e in row] for row in mats[0].rows()]
+    fs, fform = ([[Fraction(v) for v in row] for row in rows] for rows in (s, form))
+    assert _fraction_rank(fs) == len(fs)
+    assert _fraction_product(a, fs) == _fraction_product(fs, fform)
     paths = [write(tmp_path, f"m{i}.mtx", m) for i, m in enumerate(mats)]
     code, report = run_json(capsys, [name, *paths, "--json"])
     assert code == 0 and report["verified"] is True

@@ -475,3 +475,53 @@ class TestInverse:
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+# Q entries for the integer-row paths of det and @ over Q: signed numerators
+# and coprime denominators up to 2^40 (a prime just below it, 3^25, 2^40).
+_BIG = 2**40
+_Q_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-_BIG, _BIG),
+              st.one_of(st.integers(1, 12), st.integers(1, _BIG),
+                        st.sampled_from([_BIG - 87, 3**25, _BIG]))))
+
+
+@st.composite
+def _q_rows(draw, m, n):
+    """m x n Fractions, some with a zero row, a zero column or one row a
+    multiple of another (singular when square)."""
+    rows = [[draw(_Q_ENTRY) for _ in range(n)] for _ in range(m)]
+    kind = draw(st.sampled_from(["plain", "zero row", "zero column", "dependent"]))
+    if kind == "zero row":
+        rows[draw(st.integers(0, m - 1))] = [Fraction(0)] * n
+    elif kind == "zero column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    elif kind == "dependent" and m > 1:
+        i, t = draw(st.permutations(range(m)))[:2]
+        c = draw(_Q_ENTRY)
+        rows[t] = [c * v for v in rows[i]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_det_over_q_matches_expansion(data, n):
+    """det over Q runs Bareiss on each row's integer numerators; the
+    expansion oracle sums Q products entry by entry."""
+    a = mat_q(data.draw(_q_rows(n, n)))
+    assert det(a) == det_expansion(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 4))
+def test_product_over_q_matches_fractions(data, m, k, n):
+    """@ over Q multiplies integer rows by integer columns; the reference
+    sums Fraction products entrywise.  == on Matrix compares raw values, so
+    the normalized entries must be canonical too."""
+    ra, rb = data.draw(_q_rows(m, k)), data.draw(_q_rows(k, n))
+    expected = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*rb)]
+                for row in ra]
+    assert mat_q(ra) @ mat_q(rb) == mat_q(expected)

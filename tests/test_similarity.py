@@ -22,7 +22,7 @@ from canonform.errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z
+from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z, submatrix
 from canonform.smith import smith
 from canonform.similarity import (
     CanonicalPresentation,
@@ -610,14 +610,17 @@ def _differential_input(kind, rng, n):
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_char_smith_matches_smith(kind, n, seed):
-    """_char_smith runs smith's reduction without P: its invariant factors
-    and Q are smith's on xI - A bit for bit, and it certifies them by the
-    product (xI - A) Q it returns."""
+    """_char_smith runs smith's reduction on (xI - A)^T without its Q: its
+    invariant factors are smith's there bit for bit and its Q is the
+    transpose of smith's P, and it certifies them by the trailing columns
+    of (xI - A) Q it returns, one for each nonunit invariant factor."""
     from canonform.similarity import _char_smith
     a = _differential_input(kind, random.Random(seed), n)
-    res, ref = _char_smith(a), smith(char_matrix(a))
-    assert res.diag == ref.diag and res.q == ref.q
-    assert res.xq == char_matrix(a) @ res.q
+    res, ref = _char_smith(a), smith(char_matrix(a).transpose())
+    assert res.diag == ref.diag and res.q == ref.p.transpose()
+    k = sum(not d.is_one() for d in res.diag)
+    assert res.xq.n == k
+    assert res.xq == submatrix(char_matrix(a) @ res.q, range(1, n + 1), range(n - k + 1, n + 1))
 
 
 class TestVerifyReplay:
