@@ -248,7 +248,12 @@ def rank_by_minors(a: Matrix) -> int:
 
 
 def gcd_of_minors(a: Matrix, k: int) -> Elem:
-    """Canonical gcd of all k x k minors (zero when all vanish)."""
+    """Canonical gcd of all k x k minors (zero when all vanish); one for
+    k = 0, the f_0 of `invariants.det_divisors_by_minors`."""
+    if k < 0:
+        raise BadIndexSet(f"minor order k = {k} is negative")
+    if k == 0:
+        return Elem.one(a.ring)
     _within_minor_budget(comb(a.m, k) * comb(a.n, k))
     acc = Elem.zero(a.ring)
     for rows in combinations(range(1, a.m + 1), k):

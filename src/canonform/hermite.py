@@ -10,16 +10,17 @@ row operation on the transposed working list; the passes `_echelon` and
 domain).  The elimination builds no Elem and no ElemOp: the kernels
 compute through domain.RAW_OPS and every pivot decision is raw
 (RAW_EUCLID's divmod and associate, and RAW_SIZE), the ring's functions
-bound per pass.  `ElemOp` and `_apply_rows` serve the public op API
-(`apply_op`, `op_matrix`) and `decompose_unit`.
+bound per pass.  `ElemOp` serves the public op API (`apply_op`,
+`op_matrix`) and the word of `decompose_unit`.
 
 `_gcd_combine` clears a column by Euclidean remainders on every ring:
 the entry least by RAW_SIZE reduces each other row by the quotient of
 one divmod (type II operations only, so no extended-gcd cofactors enter
 the rows).  One call per column leaves a gcd up to a unit in the pivot
-row; only `_canonicalize` makes it canonical.  It returns the operations
-it applied, which `decompose_unit` turns into its word.  `_apply_2x2_rows`
-serves the Smith chain step.
+row; `_normalize`, the second pass of `_canonicalize`, makes it
+canonical.  Both return the operations they applied, which
+`decompose_unit` turns into its word.  `_apply_2x2_rows` serves the
+Smith chain step.
 """
 from __future__ import annotations
 
@@ -90,16 +91,6 @@ def row_scale(i: int, unit: Elem) -> ElemOp:
     return ElemOp("scale", "row", i, coeff=unit)
 
 
-def _apply_rows(op: ElemOp, *mats: list[list]):
-    """Apply one row op in place to each working list of raw rows."""
-    if op.kind == "swap":
-        for rows in mats:
-            rows[op.i - 1], rows[op.j - 1] = rows[op.j - 1], rows[op.i - 1]
-    else:
-        _row_op(RAW_OPS[op.coeff.ring], op.i, op.coeff.raw,
-                op.j if op.kind == "addmul" else 0, *mats)
-
-
 def _row_op(ops, i: int, c, j: int, *mats: list[list]):
     """rows[i] <- rows[i] + c*rows[j], or c*rows[i] when j is 0, in each
     working list of raw rows, for a raw c and the ring's RAW_OPS."""
@@ -133,7 +124,10 @@ def apply_op(a: Matrix, op: ElemOp) -> Matrix:
     if op.kind == "scale" and not op.coeff.is_unit():
         raise NotAUnit(f"scale coefficient {brief(op.coeff)} is not a unit")
     rows = (a if op.axis == "row" else a.transpose()).raw_rows()
-    _apply_rows(op, rows)
+    if op.kind == "swap":
+        rows[op.i - 1], rows[op.j - 1] = rows[op.j - 1], rows[op.i - 1]
+    else:
+        _row_op(RAW_OPS[a.ring], op.i, op.coeff.raw, op.j if op.kind == "addmul" else 0, rows)
     out = Matrix.from_raw(a.ring, rows)
     return out if op.axis == "row" else out.transpose()
 
@@ -227,22 +221,32 @@ def _echelon(ring: Ring, work, q) -> list[int]:
     return primary
 
 
-def _canonicalize(ring: Ring, work, q) -> list[int]:
-    """Echelon, then one pass over the pivots left to right: scale the
-    pivot row to its canonical associate and reduce the entries above the
-    pivot to residues by the quotient of one divmod.  Acts on work and q
-    in place; returns the primary columns."""
-    primary = _echelon(ring, work, q)
+def _normalize(ring: Ring, work, q, primary) -> list[tuple]:
+    """One pass over the pivots of an echelon form left to right: scale
+    the pivot row to its canonical associate and reduce the entries above
+    the pivot to residues by the quotient of one divmod.  Acts on work and
+    q in place; returns the operations as `_gcd_combine` does, (t, u, 0)
+    for row t *= u."""
     ops, (divmod_, neg, associate) = RAW_OPS[ring], RAW_EUCLID[ring]
     zero, one = ops[2], Elem.one(ring).raw
+    applied = []
     for t, j in enumerate(primary, start=1):
         u, pivot = associate(work[t - 1][j - 1])
         if u != one:
             _row_op(ops, t, u, 0, work, q)
+            applied.append((t, u, 0))
         for i in range(1, t):
-            c = divmod_(work[i - 1][j - 1], pivot)[0]
+            c = neg(divmod_(work[i - 1][j - 1], pivot)[0])
             if c != zero:
-                _row_op(ops, i, neg(c), t, work, q)
+                _row_op(ops, i, c, t, work, q)
+                applied.append((i, c, t))
+    return applied
+
+
+def _canonicalize(ring: Ring, work, q) -> list[int]:
+    """`_echelon`, then `_normalize`, in place; returns the primary columns."""
+    primary = _echelon(ring, work, q)
+    _normalize(ring, work, q, primary)
     return primary
 
 
@@ -299,7 +303,8 @@ def solve(
     a: Matrix, y: Matrix
 ) -> Optional[tuple[Matrix, list[Matrix]]]:
     """Solve A x = y exactly: (particular, null-space basis), or None when
-    inconsistent.  Z systems are solved over Q."""
+    inconsistent.  Z systems are solved over Q, where the canonical form
+    of [A | y], reached with no transform, is its reduced echelon form."""
     if y.m != a.m or y.n != 1:
         raise ShapeMismatch(f"right side must be {a.m}x1")
     a._check_ring(y)
@@ -307,61 +312,46 @@ def solve(
         a, y = lift(a, Ring.Q), lift(y, Ring.Q)
     if a.ring is not Ring.Q:
         raise UnsupportedRing("solve works over Q (Z is lifted); Q(x) is not modeled")
-    res = hermite_canonical(a)
-    hy = res.q @ y
-    for i in range(res.rank + 1, a.m + 1):
-        if not hy.entry(i, 1).is_zero():
-            return None
-    zero, one = Elem.zero(a.ring), Elem.one(a.ring)
-    xs = [zero] * a.n
-    for t, j in enumerate(res.primary_cols, start=1):
-        xs[j - 1] = hy.entry(t, 1)  # canonical field pivots are 1
-    particular = Matrix.from_rows(a.ring, [[v] for v in xs])
+    n, zero, one, neg = a.n, RAW_OPS[a.ring][2], Elem.one(a.ring).raw, RAW_EUCLID[a.ring][1]
+    work = [row + yrow for row, yrow in zip(a.raw_rows(), y.raw_rows())]
+    primary = _canonicalize(a.ring, work, [[]] * a.m)
+    if n + 1 in primary:
+        return None
+    xs = [zero] * n
+    for row, j in zip(work, primary):
+        xs[j - 1] = row[n]
     basis = []
-    for j_free in range(1, a.n + 1):
-        if j_free in res.primary_cols:
+    for j_free in range(1, n + 1):
+        if j_free in primary:
             continue
-        vec = [zero] * a.n
+        vec = [zero] * n
         vec[j_free - 1] = one
-        for t, j in enumerate(res.primary_cols, start=1):
-            vec[j - 1] = -res.h.entry(t, j_free)
-        basis.append(Matrix.from_rows(a.ring, [[v] for v in vec]))
-    return particular, basis
+        for row, j in zip(work, primary):
+            vec[j - 1] = neg(row[j_free - 1])
+        basis.append(Matrix.from_raw(a.ring, [[v] for v in vec]))
+    return Matrix.from_raw(a.ring, [[v] for v in xs]), basis
 
 
 def decompose_unit(u: Matrix) -> list[ElemOp]:
     """Write a unit matrix as a sequence of elementary row operations:
     applying them to the identity in order reproduces U exactly.
 
-    Reduces U to I with recorded ops, clearing each column by one
-    `_gcd_combine` call and recording the operations it returns, then
-    inverts and reverses the word.
+    Reduces U to I by one `_gcd_combine` per column and `_normalize`,
+    and inverts and reverses the operations they return.
     """
     if not u.is_square():
         raise NotAUnit("only square matrices can be units")
     if not determinant.det(u).is_unit():
         raise NotAUnit("determinant is not a unit")
     n, ring = u.m, u.ring
-    work = u.raw_rows()
-    word: list[ElemOp] = []
-
-    def apply(op: ElemOp):
-        _apply_rows(op, work)
-        word.append(op)
-
+    # U is a unit, so column j is nonzero below row j - 1; no transform is kept
+    work, q, applied = u.raw_rows(), [[]] * n, []
     for j in range(1, n + 1):
-        # U is a unit, so column j is nonzero below row j - 1; no transform is kept
-        for t, c, p in _gcd_combine(ring, work, [[]] * n, j, j, range(j + 1, n + 1)):
-            word.append(row_swap(t, p) if c is None else row_addmul(t, _mk(ring, c), p))
-    for j in range(1, n + 1):
-        d = _mk(ring, work[j - 1][j - 1])
-        if not d.is_one():
-            apply(row_scale(j, d.unit_inverse()))
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            c = _mk(ring, work[i - 1][j - 1])
-            if not c.is_zero():
-                apply(row_addmul(i, -c, j))
+        applied += _gcd_combine(ring, work, q, j, j, range(j + 1, n + 1))
+    applied += _normalize(ring, work, q, range(1, n + 1))
+    word = [row_swap(t, p) if c is None else
+            row_addmul(t, _mk(ring, c), p) if p else row_scale(t, _mk(ring, c))
+            for t, c, p in applied]
     return [op.inverted() for op in reversed(word)]
 
 

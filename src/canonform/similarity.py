@@ -8,14 +8,14 @@ A, into cyclic summands Q[x]/(d_i), generated by the left evaluations at
 A of the columns of P^-1 = (xI - A) Q D^-1.  `_char_smith` runs the
 reduction of `smith` on (xI - A)^T, whose P is Q^T, with no other
 transform, and certifies Q and the d_i by the product M = (xI - A) Q, of
-which it multiplies out and returns only the trailing columns, those of
-the nonunit d_i: each of them divides by its d_i, the degrees of the d_i
-sum to n, they form a divisibility chain, and Q(0) is nonsingular.
-`_basis` builds from those columns of M the S with A S = S T for a
-direct sum T of companion or Jordan blocks, reading each chain of
-columns off its own block of T, so `rcf` and `jordan` run one Smith form
-and one Q[x] product, and `similar` one of each per matrix and
-S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S
+which it multiplies out only the trailing columns, those of the nonunit
+d_i: each of them divides by its d_i, the degrees of the d_i sum to n,
+they form a divisibility chain, and Q(0) is nonsingular.  `_basis`
+builds from the quotients, the trailing columns of P^-1, the S with
+A S = S T for a direct sum T of companion or Jordan blocks, reading each
+chain of columns off its own block of T, so `rcf` and `jordan` run one
+Smith form and one Q[x] product, and `similar` one of each per matrix
+and S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S
 the path runs on raw rows (see domain) by `matrix.raw_multiply`, whose
 products over Q, like `determinant.det` there, run on integer rows; the
 Matrices handed from step to step hold raw values, so no Elem of them is
@@ -135,12 +135,11 @@ def scalar_poly_eval(q: Elem, a: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class CharSmith:
-    """The Smith form of xI - A without P: the unimodular Q, the trailing
-    columns of (xI - A) Q = P^-1 D that belong to the nonunit invariant
-    factors, as xq, and the invariant factors d_i of D."""
+    """The Smith form P (xI - A) Q = D without P or Q: the invariant
+    factors d_i of D, and as pinv the trailing columns of
+    P^-1 = (xI - A) Q D^-1 that belong to the nonunit d_i."""
 
-    q: Matrix
-    xq: Matrix
+    pinv: Matrix
     diag: tuple[Elem, ...]
 
 
@@ -158,11 +157,11 @@ def _char_smith(a: Matrix) -> CharSmith:
     det Q(0) != 0.  Q is unimodular by construction (elementary operations
     only), so det Q is a nonzero constant c; det Q(0) != 0 keeps a Q that
     went wrong from passing, since a zero column divides by anything.
-    Then N = M D^-1 is
-    a polynomial matrix (a unit column of N is M's own column, computed
-    or not) with det N * prod d_i = det M = chi * c for chi = det(xI - A),
-    monic of degree n, so prod d_i, monic of degree n, is chi, det N = c,
-    and N = P^-1 is unimodular: P (xI - A) Q = D, with d_i | d_(i+1) its
+    Then N = M D^-1, whose trailing columns it returns, is a polynomial
+    matrix (a unit column of N is M's own column, computed or not) with
+    det N * prod d_i = det M = chi * c for chi = det(xI - A), monic of
+    degree n, so prod d_i, monic of degree n, is chi, det N = c, and
+    N = P^-1 is unimodular: P (xI - A) Q = D, with d_i | d_(i+1) its
     Smith form.  The replay P (xI - A) Q = D of `smith` trusts the same
     premise for both P and Q; this one trusts it for Q alone.
     """
@@ -182,14 +181,16 @@ def _char_smith(a: Matrix) -> CharSmith:
                 f"xI - A: divisibility chain broken: {brief(d)} does not divide {brief(e)}")
     units = next(i for i, d in enumerate(diag) if not d.is_one())
     xq = raw_multiply(Ring.QX, xa, [list(col) for col in zip(*qt[units:])])
+    pinv = []
     for i, d in enumerate(diag[units:], units):
-        if any(divmod_(row[i - units], d.raw)[1] != zero for row in xq):
+        quots, rems = zip(*(divmod_(row[i - units], d.raw) for row in xq))
+        if any(r != zero for r in rems):
             raise CertificateFailed(
                 f"column {i + 1} of (xI - A) Q is not divisible by {brief(d)}")
+        pinv.append(quots)
     if determinant.det(Matrix.from_raw(Ring.Q, raw_layer(qt, 0))).is_zero():
         raise CertificateFailed(f"xI - A: Q(0) is singular, so the {n}x{n} Q is not unimodular")
-    return CharSmith(Matrix.from_raw(Ring.QX, qt).transpose(), Matrix.from_raw(Ring.QX, xq),
-                     diag)
+    return CharSmith(Matrix.from_raw(Ring.QX, list(zip(*pinv))), diag)
 
 
 def similarity_invariants(a: Matrix) -> tuple[Elem, ...]:
@@ -288,21 +289,21 @@ def _basis(a: Matrix, res: CharSmith, blocks) -> Matrix:
     and T is a k x k block of characteristic polynomial q with ones on
     the superdiagonal and zeros off it, the diagonal and the bottom row:
     companion(q), or hypercompanion(alpha, k) for q = (x - alpha)^k.
-    Column i of (xI - A) Q, column i - (n - k) of res.xq for k its width,
-    divided by q evaluates on the left at A to a g with annihilator q
-    (Giesbrecht 1995; Storjohann 2000).
+    Column i of (xI - A) Q over q, that is d_i / q (q | d_i is checked)
+    times column i - (n - w) of res.pinv, of width w, evaluates on the
+    left at A to a g with annihilator q (Giesbrecht 1995; Storjohann 2000).
     Column j of A S = S T gives the chain c_0..c_(k-1) from T alone:
     c_(k-1) = g and c_(j-1) = A c_j - T_jj c_j - T_(k-1)j g, the last term
     for j < k - 1.
     """
-    divmod_, qx_zero = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2]
-    xq, units, quotients = res.xq.raw_rows(), len(res.diag) - res.xq.n, []
+    (_, qx_mul, qx_zero), divmod_ = RAW_OPS[Ring.QX], RAW_EUCLID[Ring.QX][0]
+    pinv, units, quotients = res.pinv.raw_rows(), len(res.diag) - res.pinv.n, []
     for i, q, _ in blocks:
-        quots, rems = zip(*(divmod_(row[i - units], q.raw) for row in xq))
-        if any(r != qx_zero for r in rems):
-            raise CertificateFailed(f"column {i + 1} of (xI - A) Q is not divisible "
-                                    f"by {brief(q)}")
-        quotients.append(quots)
+        c, r = divmod_(res.diag[i].raw, q.raw)
+        if r != qx_zero:
+            raise CertificateFailed(f"{brief(q)} does not divide the invariant factor "
+                                    f"{brief(res.diag[i])}")
+        quotients.append([qx_mul(row[i - units], c) for row in pinv])
     gens = zip(*left_eval(Matrix.from_raw(Ring.QX, list(zip(*quotients))), a).raw_rows())
     (add, mul, zero), neg = RAW_OPS[Ring.Q], RAW_EUCLID[Ring.Q][1]
     arows, out = a.raw_rows(), []

@@ -5,17 +5,17 @@ P and Q come only from row operations on the rows of P and of Q^T in
 place: the alternation `_alternate` runs `hermite._canonicalize` on them,
 each 2x2 chain step of `_chain` `hermite._apply_2x2_rows`.  No transform
 is multiplied out.  Both act on raw rows the caller supplies, so
-`_smith_rows`, the reduction without a replay, serves
-`similarity._char_smith` with P as empty rows, and `diagonalize` and
-`smith` with P and Q from the identity.  The working rows hold raw values
-(see domain), and so do the Matrices that `diagonalize` returns and
-`smith` reads back by `raw_rows`; only the chain's O(n) diagonal entries
-are Elems, tested for divisibility on their raw values.  `smith_2x2`
-computes on the raw values of its two entries through `domain.raw_egcd`
-and the raw tables, checks that both quotients by the gcd are exact and
-replays its four entries from P2's and Q2's.  `smith` replays P A Q = D
-on raw rows by `matrix.raw_multiply` and returns P, Q and D as Matrices
-of raw values, whose Elems are built when a caller reads them.
+`_smith_rows`, the reduction without a replay, serves `smith` with the
+rows of P and Q^T from the identity and `similarity._char_smith` with
+one of them as empty rows; `diagonalize`, public, wraps `_alternate`
+alone.  The working rows hold raw values (see domain); only the chain's
+O(n) diagonal entries are Elems, tested for divisibility on their raw
+values.  `smith_2x2` computes on the raw values of its two entries
+through `domain.raw_egcd` and the raw tables, checks that both quotients
+by the gcd are exact and replays its four entries from P2's and Q2's.
+`smith` replays P A Q = D on raw rows by `matrix.raw_multiply` and
+returns P, Q and D as Matrices of raw values, whose Elems are built
+when a caller reads them.
 """
 from __future__ import annotations
 
@@ -160,14 +160,14 @@ def smith(a: Matrix) -> SmithResult:
     """Smith canonical form P A Q = D: a full divisibility chain of
     canonical associates; the witness product is replayed exactly."""
     ring, zero, divmod_ = a.ring, RAW_OPS[a.ring][2], RAW_EUCLID[a.ring][0]
-    p, q, d = diagonalize(a)
-    pwork, qtwork = p.raw_rows(), q.transpose().raw_rows()
-    diag = _chain(ring, d.raw_rows(), pwork, qtwork)
+    arows = a.raw_rows()
+    pwork, qtwork = Matrix.identity(ring, a.m).raw_rows(), Matrix.identity(ring, a.n).raw_rows()
+    diag = _smith_rows(ring, arows, pwork, qtwork)
     r = len(diag)
     qwork = [list(col) for col in zip(*qtwork)]
     dwork = [[diag[i].raw if i == j and i < r else zero for j in range(a.n)]
              for i in range(a.m)]
-    if raw_multiply(ring, raw_multiply(ring, pwork, a.raw_rows()), qwork) != dwork:
+    if raw_multiply(ring, raw_multiply(ring, pwork, arows), qwork) != dwork:
         raise CertificateFailed("Smith certificate P A Q = D failed")
     for t in range(r - 1):
         if divmod_(diag[t + 1].raw, diag[t].raw)[1] != zero:

@@ -16,21 +16,22 @@ from canonform.similarity import SimilarityCertificate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Corrupts smith_2x2's associate and its Euclid cofactor s, diagonalize's
-# P and one term of the raw product replaying P A Q = D in smith, two ways
-# the left evaluation that gives similar and rcf their generators, the
-# columns of (xI - B) Q_B that similar reads its generators off, and four
-# parts of the certificate of the Smith form of xI - A that `_char_smith`
-# checks in place of a P (xI - A) Q = D replay, in a process started with
-# -O; exits 0 only when every corruption raises CertificateFailed (a zero
-# S_B must not surface as NotAUnit), the smith_2x2, P A Q = D, (xI - B) Q_B
-# and xI - A corruptions from their own checks.  The generators are swapped
-# between blocks of unequal annihilators: any generator of a block's
-# annihilator, such as a multiple of the true one, still gives a valid
-# conjugator.  The one column of (xI - B) Q_B that similar reads on the 2x2
-# pair, that of (x - 1)^2, gets 1 added to its first entry, so it is no
-# longer a multiple of (x - 1)^2 (doubling it would still give a valid
-# conjugator).  The xI - A corruptions run through minimal_poly, which has
+# Corrupts smith_2x2's associate and its Euclid cofactor s, the rows of P
+# that the alternation leaves (P negated) and one term of the raw product
+# replaying P A Q = D in smith, two ways the left evaluation that gives
+# similar and rcf their generators, the columns of P^-1 that similar reads
+# its generators off, and four parts of the certificate of the Smith form
+# of xI - A that `_char_smith` checks in place of a P (xI - A) Q = D
+# replay, in a process started with -O; exits 0 only when every corruption
+# raises CertificateFailed (a zero S_B must not surface as NotAUnit), the
+# smith_2x2, P, P A Q = D, P^-1 and xI - A corruptions from their own
+# checks.  The generators are swapped between blocks of unequal
+# annihilators: any generator of a block's annihilator, such as a multiple
+# of the true one, still gives a valid conjugator.  So the columns of P^-1
+# are zeroed, not scaled: the generators are then zero, and S_B is
+# singular.  rcf's prime powers, each raised one degree, must be caught
+# by `_basis`'s check that a block's power divides its invariant factor.
+# The xI - A corruptions run through minimal_poly, which has
 # no S replay behind it: the last d_i times x + 5 breaks the degree sum,
 # the last two d_i swapped the divisibility chain, Q's first column added
 # to its last the divisibility of (xI - A) Q by D, and Q's first column
@@ -89,17 +90,19 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             sys.exit(f"the P A Q replay did not catch it: {exc}")
     sm.raw_multiply = orig_product
 
-    orig_diagonalize = sm.diagonalize
-    def negated_p(a):
-        p, q, d = orig_diagonalize(a)
-        return p.scale(-1), q, d
-    sm.diagonalize = negated_p
+    orig_alternate = sm._alternate
+    def negated_p(ring, d, p, qt):
+        out = orig_alternate(ring, d, p, qt)
+        p[:] = [[-v for v in row] for row in p]
+        return out
+    sm._alternate = negated_p
     try:
         sm.smith(mat_z([[2, 4], [6, 8]]))
-        sys.exit("corrupted diagonalize was not caught")
-    except CertificateFailed:
-        pass
-    sm.diagonalize = orig_diagonalize
+        sys.exit("a corrupted P from the alternation was not caught")
+    except CertificateFailed as exc:
+        if "P A Q = D" not in str(exc):
+            sys.exit(f"the P A Q replay did not catch the corrupted P: {exc}")
+    sm._alternate = orig_alternate
 
     derogatory = mat_q([[3, 1, -1], [-1, 1, 1], [0, 0, 2]])  # x - 2, (x - 2)^2
     jordan_form = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, 2]])
@@ -121,19 +124,27 @@ CORRUPTED_STEPS = textwrap.dedent("""\
     sim.left_eval = orig_eval
 
     orig_char_smith = sim._char_smith
-    def first_entry_plus_one(a):
+    def pinv_zeroed(a):
         res = orig_char_smith(a)
-        rows = res.xq.rows()
-        rows[0][-1] = rows[0][-1] + polynomial([1])
-        return dataclasses.replace(res, xq=Matrix.from_rows(res.xq.ring, rows))
-    sim._char_smith = first_entry_plus_one
+        return dataclasses.replace(res, pinv=Matrix.zeros(Ring.QX, res.pinv.m, res.pinv.n))
+    sim._char_smith = pinv_zeroed
     try:
         sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
-        sys.exit("corrupted (xI - B) Q_B was not caught")
+        sys.exit("a zeroed P^-1 of xI - B was not caught")
     except CertificateFailed as exc:
-        if "column 2 of (xI - A) Q is not divisible by x^2-2*x+1" not in str(exc):
-            sys.exit(f"the generator check did not catch it: {exc}")
+        if "the Frobenius basis of B is singular" not in str(exc):
+            sys.exit(f"the inverse of S_B did not catch it: {exc}")
     sim._char_smith = orig_char_smith
+
+    orig_eds = sim.elementary_divisors
+    sim.elementary_divisors = lambda ds: [(p, e + 1) for p, e in orig_eds(ds)]
+    try:
+        sim.rcf(two_primes)
+        sys.exit("a block power not dividing its invariant factor was not caught")
+    except CertificateFailed as exc:
+        if "x^3-6*x^2+12*x-8 does not divide the invariant factor x^3-3*x^2+4" not in str(exc):
+            sys.exit(f"the divisibility of the invariant factor did not catch it: {exc}")
+    sim.elementary_divisors = orig_eds
 
     add, zero = sm.RAW_OPS[Ring.QX][0], sm.RAW_OPS[Ring.QX][2]
     def last_factor_times_x_plus_5(diag, q_columns):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonform.determinant import det, inverse, rank_by_minors
 from canonform.domain import Elem, Ring, integer, polynomial, rational
@@ -29,7 +30,7 @@ from canonform.hermite import (
     solve,
     stabilizer_shape,
 )
-from canonform.matrix import Matrix, mat_q, mat_qx, mat_z, vector
+from canonform.matrix import Matrix, lift, mat_q, mat_qx, mat_z, vector
 from canonform.similarity import similar
 from canonform.smith import smith
 
@@ -313,6 +314,77 @@ class TestSolve:
             for v in basis:
                 assert (a @ v).is_zero()
             assert hermite_canonical(a).rank + len(basis) == n
+
+
+def _solve_by_transform(a, y):
+    """solve by the transform of hermite_canonical: Q y, zero below the
+    rank, read at the pivot rows, and the null basis off H."""
+    if a.ring is Ring.Z:
+        a, y = lift(a, Ring.Q), lift(y, Ring.Q)
+    res = hermite_canonical(a)
+    hy = res.q @ y
+    if any(not hy.entry(i, 1).is_zero() for i in range(res.rank + 1, a.m + 1)):
+        return None
+    zero, one = Elem.zero(Ring.Q), Elem.one(Ring.Q)
+    xs = [zero] * a.n
+    for t, j in enumerate(res.primary_cols, start=1):
+        xs[j - 1] = hy.entry(t, 1)
+    basis = []
+    for j_free in range(1, a.n + 1):
+        if j_free not in res.primary_cols:
+            vec = [zero] * a.n
+            vec[j_free - 1] = one
+            for t, j in enumerate(res.primary_cols, start=1):
+                vec[j - 1] = -res.h.entry(t, j_free)
+            basis.append(Matrix.from_rows(Ring.Q, [[v] for v in vec]))
+    return Matrix.from_rows(Ring.Q, [[v] for v in xs]), basis
+
+
+def _system(kind, ring, rng):
+    """(A, y) of the kind: tall, wide or square of rank below n, zero, or
+    inconsistent (the last row of A the sum of the others, that of y one
+    more than the sum), rows shuffled; y = A x or random otherwise."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    if kind == "tall":
+        m = rng.randint(n + 1, 6)
+    elif kind == "wide":
+        n = rng.randint(m + 1, 6)
+    elif kind == "inconsistent":
+        m = max(m, 2)
+    if kind == "rank-deficient":
+        m, r = n, rng.randint(0, n - 1)
+    else:
+        r = 0 if kind == "zero" else rng.randint(1, min(m, n))
+    a = (random_matrix(rng, ring, m, r) @ random_matrix(rng, ring, r, n) if r
+         else Matrix.zeros(ring, m, n))
+    y = (a @ random_matrix(rng, ring, n, 1) if rng.random() < 0.5
+         else random_matrix(rng, ring, m, 1))
+    if kind == "inconsistent":
+        arows, yrows = a.rows()[:-1], y.rows()[:-1]
+        arows.append([sum(col, Elem.zero(ring)) for col in zip(*arows)])
+        yrows.append([sum((v for v, in yrows), Elem.one(ring))])
+        order = rng.sample(range(m), m)
+        a = Matrix.from_rows(ring, [arows[i] for i in order])
+        y = Matrix.from_rows(ring, [yrows[i] for i in order])
+    return a, y
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient", "zero", "inconsistent"])
+@pytest.mark.parametrize("ring", [Ring.Z, Ring.Q], ids=str)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_solve_matches_the_transform_formula(ring, kind, seed):
+    """solve reads x and the null basis off the reduced echelon form of
+    [A | y]; they equal those of the formula on the transform."""
+    a, y = _system(kind, ring, random.Random(seed))
+    out = solve(a, y)
+    assert out == _solve_by_transform(a, y)
+    if kind == "inconsistent":
+        assert out is None
+    elif out is not None:
+        particular, basis = out
+        assert lift(a, Ring.Q) @ particular == lift(y, Ring.Q)
+        assert all((lift(a, Ring.Q) @ v).is_zero() for v in basis)
 
 
 class TestDecomposeUnit:

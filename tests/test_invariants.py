@@ -6,6 +6,8 @@ from canonform import determinant
 from canonform.determinant import gcd_of_minors
 from canonform.domain import Ring, canonical_associate, integer, polynomial
 from canonform.errors import (
+    BadIndexSet,
+    Error,
     RankTooSmall,
     RingMismatch,
     ShapeMismatch,
@@ -49,6 +51,16 @@ class TestDetDivisorsByMinors:
     def test_guard(self):
         with pytest.raises(TooLargeForOracle):
             det_divisors_by_minors(Matrix.zeros(Ring.Z, 8, 8))
+
+    def test_minors_of_order_zero_have_gcd_one(self):
+        # f_0, the first entry of the f-sequence, also of a zero matrix
+        assert gcd_of_minors(A34, 0) == integer(1) == det_divisors_by_minors(A34)[0]
+        assert gcd_of_minors(Matrix.zeros(Ring.QX, 2, 3), 0) == polynomial([1])
+
+    def test_negative_minor_order_is_a_named_error(self):
+        with pytest.raises(BadIndexSet, match="k = -1 is negative") as exc:
+            gcd_of_minors(A34, -1)
+        assert isinstance(exc.value, Error)
 
     def test_guard_holds_for_four_rows(self, monkeypatch):
         # 6 A keeps every gcd at 6 or more, so no early exit at 1 would

@@ -1,9 +1,9 @@
 """The raw-value kernels against plain Elem arithmetic and references.
 
-`hermite._apply_rows`, `hermite._apply_2x2_rows`, `matrix.raw_multiply`
-(which `matrix.multiply` wraps) and `determinant.det` keep their working
-entries raw (an int on Z, a (nums, den) pair on Q and Q[x]) and compute
-through `domain.RAW_OPS`.
+`hermite._row_op` (which `apply_op` runs), `hermite._apply_2x2_rows`,
+`matrix.raw_multiply` (which `matrix.multiply` wraps) and
+`determinant.det` keep their working entries raw (an int on Z, a
+(nums, den) pair on Q and Q[x]) and compute through `domain.RAW_OPS`.
 Each property here redoes the computation on Elems, on Z, Q and Q[x],
 with zero rows and with Q[x] coefficients whose denominator is not 1.
 `hermite._gcd_combine` must return the operations it applied: replayed
@@ -28,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 from canonform.determinant import det, det_expansion
 from canonform.domain import RAW_EUCLID, RAW_OPS, X, Elem, Ring, _mk, gcd, raw_egcd
 from canonform.errors import DivisionByZero, ShapeMismatch
-from canonform.hermite import (ElemOp, _apply_2x2_rows, _apply_rows, _gcd_combine, apply_op,
+from canonform.hermite import (ElemOp, _apply_2x2_rows, _gcd_combine, _row_op, apply_op,
                                hermite_canonical, row_addmul, row_swap)
 from canonform.matrix import Matrix, lift, multiply, raw_multiply
 from canonform.similarity import canonical_presentation, char_matrix, left_eval, right_eval
@@ -76,9 +76,8 @@ def test_apply_rows_matches_elem_arithmetic(ring, data):
     op = {"swap": ElemOp("swap", "row", i, j),
           "addmul": ElemOp("addmul", "row", i, j, c),
           "scale": ElemOp("scale", "row", i, coeff=c)}[kind]
-    work_a, work_b = a.raw_rows(), b.raw_rows()
-    _apply_rows(op, work_a, work_b)
-    for before, after in ((a, work_a), (b, work_b)):
+    expected = []
+    for before in (a, b):
         rows = before.rows()
         if kind == "swap":
             rows[i - 1], rows[j - 1] = rows[j - 1], rows[i - 1]
@@ -86,7 +85,13 @@ def test_apply_rows_matches_elem_arithmetic(ring, data):
             rows[i - 1] = [t + c * s for t, s in zip(rows[i - 1], rows[j - 1])]
         else:
             rows[i - 1] = [c * v for v in rows[i - 1]]
-        assert after == raw(rows)
+        expected.append(raw(rows))
+        if kind != "scale" or c.is_unit():  # apply_op scales by units only
+            assert apply_op(before, op).raw_rows() == expected[-1]
+    if kind != "swap":  # the kernel itself, on two working lists at once
+        work_a, work_b = a.raw_rows(), b.raw_rows()
+        _row_op(RAW_OPS[ring], i, c.raw, j if kind == "addmul" else 0, work_a, work_b)
+        assert [work_a, work_b] == expected
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

@@ -22,7 +22,7 @@ from canonform.errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z, submatrix
+from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z
 from canonform.smith import smith
 from canonform.similarity import (
     CanonicalPresentation,
@@ -533,10 +533,15 @@ def _oracle_corpus():
     return cases
 
 
+def _char_q(a):
+    """The Q of the Smith form of xI - A that the similarity path reduces:
+    the transpose of smith's P on (xI - A)^T."""
+    return smith(char_matrix(a).transpose()).p.transpose()
+
+
 def _old_conjugator(a, b):
     """rho_B(Q_A Q_B^-1), the conjugator similar built before S = S_A S_B^-1."""
-    from canonform.similarity import _char_smith
-    return right_eval(_char_smith(a).q @ inverse(_char_smith(b).q), lift(b, Ring.Q))
+    return right_eval(_char_q(a) @ inverse(_char_q(b)), lift(b, Ring.Q))
 
 
 def _form_of(call, a):
@@ -611,16 +616,19 @@ def _differential_input(kind, rng, n):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_char_smith_matches_smith(kind, n, seed):
     """_char_smith runs smith's reduction on (xI - A)^T without its Q: its
-    invariant factors are smith's there bit for bit and its Q is the
-    transpose of smith's P, and it certifies them by the trailing columns
-    of (xI - A) Q it returns, one for each nonunit invariant factor."""
+    invariant factors are smith's there bit for bit, and the columns of
+    P^-1 it returns, one for each nonunit invariant factor d_i, are the
+    trailing columns of (xI - A) Q, for Q the transpose of smith's P,
+    each divided by its d_i."""
     from canonform.similarity import _char_smith
     a = _differential_input(kind, random.Random(seed), n)
     res, ref = _char_smith(a), smith(char_matrix(a).transpose())
-    assert res.diag == ref.diag and res.q == ref.p.transpose()
+    assert res.diag == ref.diag
     k = sum(not d.is_one() for d in res.diag)
-    assert res.xq.n == k
-    assert res.xq == submatrix(char_matrix(a) @ res.q, range(1, n + 1), range(n - k + 1, n + 1))
+    assert res.pinv.n == k and res.pinv.m == n
+    m = char_matrix(a) @ ref.p.transpose()
+    for col, i in enumerate(range(n - k + 1, n + 1), 1):
+        assert list(res.pinv.col(col)) == [e.exact_div(res.diag[i - 1]) for e in m.col(i)]
 
 
 class TestVerifyReplay:
