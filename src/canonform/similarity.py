@@ -5,21 +5,23 @@ rational (Frobenius) and Jordan canonical forms.
 Constant matrices live over Q (Z inputs are lifted); polynomial matrices
 over Q[x].  The Smith form P (xI - A) Q = D splits Q^n, with x acting as
 A, into cyclic summands Q[x]/(d_i), generated by the left evaluations at
-A of the columns of P^-1 = (xI - A) Q D^-1.  `_char_smith` runs the
-reduction of `smith` on (xI - A)^T, whose P is Q^T, with no other
-transform, and certifies Q and the d_i by the product M = (xI - A) Q, of
-which it multiplies out only the trailing columns, those of the nonunit
-d_i: each of them divides by its d_i, the degrees of the d_i sum to n,
-they form a divisibility chain, and Q(0) is nonsingular.  `_basis`
-builds from the quotients, the trailing columns of P^-1, the S with
-A S = S T for a direct sum T of companion or Jordan blocks, reading each
-chain of columns off its own block of T, so `rcf` and `jordan` run one
-Smith form and one Q[x] product, and `similar` one of each per matrix
-and S = S_A S_B^-1, one inverse of a constant matrix.  From xI - A to S
-the path runs on raw rows (see domain) by `matrix.raw_multiply`, whose
-products over Q, like `determinant.det` there, run on integer rows; the
-Matrices handed from step to step hold raw values, so no Elem of them is
-built unless a caller reads an entry.
+A of the columns of P^-1 = (xI - A) Q D^-1.  `_char_smith` splits the
+unit pivots of one Hermite pass off xI - A, runs the reduction of `smith`
+on the k x k block Y of the others with Q_Y^T and no other transform, and
+certifies Q and the d_i by the product M = (xI - A) Q, of which it
+multiplies out only the trailing columns, those of the nonunit d_i: each
+of them divides by its d_i, the degrees of the d_i sum to n, they form a
+divisibility chain, and Q(0) is nonsingular.  `_basis` builds from the
+quotients, the trailing columns of P^-1, the S with A S = S T for a
+direct sum T of companion or Jordan blocks, reading each chain of
+columns off its own block of T, so `rcf` and `jordan` run one Smith form
+and two Q[x] products (Q's columns and M), and `similar` those per
+matrix and S = S_A S_B^-1, one inverse of a constant matrix.  From
+xI - A to S the path runs on raw rows (see domain) by
+`matrix.raw_multiply`, whose products over Q, like `determinant.det` and
+`_basis`'s chain steps there, run on integer rows; the Matrices handed
+from step to step hold raw values, so no Elem of them is built unless a
+caller reads an entry.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from functools import reduce
 from typing import Optional
 
 from . import determinant
-from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, prime_sort_key,
-                     raw_layer, raw_layers, valuation)
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, factor, prime_sort_key,
+                     raw_clear_rows, raw_layer, raw_layers, raw_ratio, valuation)
 from .errors import (
     CertificateFailed,
     EmptyResult,
@@ -41,7 +43,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .invariants import elementary_divisors
+from .hermite import _canonicalize
 from .matrix import Matrix, direct_sum, lift, raw_multiply
 from .smith import _smith_rows
 
@@ -146,29 +148,38 @@ class CharSmith:
 def _char_smith(a: Matrix) -> CharSmith:
     """The Smith form of xI - A for a constant square A over Z or Q.
 
-    The reduction of `smith` runs on (xI - A)^T, with its P from the
-    identity and its Q^T as n empty rows, so its first pass, the costliest,
-    carries no transform: P' (xI - A)^T Q' = D gives Q'^T (xI - A) P'^T = D,
-    so Q = P'^T, and no entry of the P = Q'^T of xI - A is computed.  Its
-    certificate is M = (xI - A) Q, of which only the trailing columns are
-    multiplied out, those of the nonunit d_i, which the divisibility chain
-    puts last; it has four checks: the degrees of the d_i sum to n,
-    d_i | d_(i+1), column i of M divides exactly by each nonunit d_i, and
-    det Q(0) != 0.  Q is unimodular by construction (elementary operations
-    only), so det Q is a nonzero constant c; det Q(0) != 0 keeps a Q that
-    went wrong from passing, since a zero column divides by anything.
+    One Hermite pass with no transform gives H = U (xI - A), upper
+    triangular with monic pivots and reduced entries above them, so the
+    column of a unit pivot t is e_t, and the unipotent V with V_tj = -H_tj,
+    t a unit pivot and j one of the k others, makes H V = I + Y, Y the
+    k x k block of H on the nonunit pivots.  The reduction of `smith` runs
+    on Y alone, carrying Q_Y^T and no P: the d_i are n - k ones and Y's,
+    and Q = V (I + Q_Y).  Its certificate is M = (xI - A) Q, of which only
+    the trailing columns, those of the nonunit d_i, are multiplied out:
+    the degrees of the d_i sum to n, d_i | d_(i+1), column i of M divides
+    exactly by each nonunit d_i, and det Q(0) = det Q_Y(0) != 0.  Q_Y is
+    unimodular by construction (elementary operations only) and V whatever
+    its entries, so det Q is a nonzero constant c; det Q(0) != 0 keeps a Q
+    that went wrong from passing, since a zero column divides by anything.
     Then N = M D^-1, whose trailing columns it returns, is a polynomial
     matrix (a unit column of N is M's own column, computed or not) with
     det N * prod d_i = det M = chi * c for chi = det(xI - A), monic of
     degree n, so prod d_i, monic of degree n, is chi, det N = c, and
     N = P^-1 is unimodular: P (xI - A) Q = D, with d_i | d_(i+1) its
-    Smith form.  The replay P (xI - A) Q = D of `smith` trusts the same
-    premise for both P and Q; this one trusts it for Q alone.
+    Smith form.  No step trusts U or H: a wrong entry of V leaves Q
+    unimodular and fails M's divisibility.  The replay P A Q = D of
+    `smith` trusts the same premise for P and Q; this one for Q_Y alone.
     """
-    n, zero, divmod_ = a.m, RAW_OPS[Ring.QX][2], RAW_EUCLID[Ring.QX][0]
-    xa, qt = char_matrix(a).raw_rows(), Matrix.identity(Ring.QX, n).raw_rows()
-    # the rows of P' are those of Q^T
-    diag = tuple(_smith_rows(Ring.QX, [list(col) for col in zip(*xa)], qt, [[]] * n))
+    n, one = a.m, Elem.one(Ring.QX)
+    (_, _, zero), (divmod_, neg, _) = RAW_OPS[Ring.QX], RAW_EUCLID[Ring.QX]
+    xa = char_matrix(a).raw_rows()
+    h = [list(row) for row in xa]
+    _canonicalize(Ring.QX, h, [[]] * n)
+    ks = [t for t in range(n) if h[t][t] != one.raw]
+    k = len(ks)
+    qyt = Matrix.identity(Ring.QX, k).raw_rows()  # the rows of Q_Y^T
+    diag = (one,) * (n - k) + tuple(
+        _smith_rows(Ring.QX, [[h[s][t] for t in ks] for s in ks], [[]] * k, qyt))
     if len(diag) != n:  # det(xI - A) is monic of degree n, never zero
         raise CertificateFailed(f"xI - A has rank {len(diag)}, not {n}")
     total = sum(d.degree() for d in diag)
@@ -180,7 +191,11 @@ def _char_smith(a: Matrix) -> CharSmith:
             raise CertificateFailed(
                 f"xI - A: divisibility chain broken: {brief(d)} does not divide {brief(e)}")
     units = next(i for i, d in enumerate(diag) if not d.is_one())
-    xq = raw_multiply(Ring.QX, xa, [list(col) for col in zip(*qt[units:])])
+    # the rows of V's columns on Y: -H_tK on a unit row t, e_t on a nonunit one
+    vk = [[neg(h[t][s]) for s in ks] if h[t][t] == one.raw else
+          [one.raw if s == t else zero for s in ks] for t in range(n)]
+    qcols = raw_multiply(Ring.QX, vk, [list(col) for col in zip(*qyt[units - n + k:])])
+    xq = raw_multiply(Ring.QX, xa, qcols)
     pinv = []
     for i, d in enumerate(diag[units:], units):
         quots, rems = zip(*(divmod_(row[i - units], d.raw) for row in xq))
@@ -188,7 +203,7 @@ def _char_smith(a: Matrix) -> CharSmith:
             raise CertificateFailed(
                 f"column {i + 1} of (xI - A) Q is not divisible by {brief(d)}")
         pinv.append(quots)
-    if determinant.det(Matrix.from_raw(Ring.Q, raw_layer(qt, 0))).is_zero():
+    if determinant.det(Matrix.from_raw(Ring.Q, raw_layer(qyt, 0))).is_zero():
         raise CertificateFailed(f"xI - A: Q(0) is singular, so the {n}x{n} Q is not unimodular")
     return CharSmith(Matrix.from_raw(Ring.QX, list(zip(*pinv))), diag)
 
@@ -294,7 +309,8 @@ def _basis(a: Matrix, res: CharSmith, blocks) -> Matrix:
     left at A to a g with annihilator q (Giesbrecht 1995; Storjohann 2000).
     Column j of A S = S T gives the chain c_0..c_(k-1) from T alone:
     c_(k-1) = g and c_(j-1) = A c_j - T_jj c_j - T_(k-1)j g, the last term
-    for j < k - 1.
+    for j < k - 1; A c_j is the integer dot product of each row of A, its
+    denominator cleared once, with c_j over one denominator.
     """
     (_, qx_mul, qx_zero), divmod_ = RAW_OPS[Ring.QX], RAW_EUCLID[Ring.QX][0]
     pinv, units, quotients = res.pinv.raw_rows(), len(res.diag) - res.pinv.n, []
@@ -305,15 +321,17 @@ def _basis(a: Matrix, res: CharSmith, blocks) -> Matrix:
                                     f"{brief(res.diag[i])}")
         quotients.append([qx_mul(row[i - units], c) for row in pinv])
     gens = zip(*left_eval(Matrix.from_raw(Ring.QX, list(zip(*quotients))), a).raw_rows())
-    (add, mul, zero), neg = RAW_OPS[Ring.Q], RAW_EUCLID[Ring.Q][1]
-    arows, out = a.raw_rows(), []
+    (add, mul, zero), neg, zmul = RAW_OPS[Ring.Q], RAW_EUCLID[Ring.Q][1], RAW_OPS[Ring.Z][1]
+    (aints, adens), out = raw_clear_rows(a.raw_rows()), []
     for (_, _, t), g in zip(blocks, gens):
         trows, chain = t.raw_rows(), [g]
         for j in range(t.m - 1, 0, -1):
             c, diag = chain[-1], neg(trows[j][j])
             bottom = neg(trows[-1][j]) if j < t.m - 1 else zero
-            chain.append([add(add(reduce(add, map(mul, arow, c), zero), mul(diag, ci)),
-                              mul(bottom, gi)) for arow, ci, gi in zip(arows, c, g)])
+            (cints,), (cden,) = raw_clear_rows([c])
+            chain.append([add(add(raw_ratio(sum(map(zmul, arow, cints)), da * cden),
+                                  mul(diag, ci)), mul(bottom, gi))
+                          for arow, da, ci, gi in zip(aints, adens, c, g)])
         out.extend(reversed(chain))
     return Matrix.from_raw(Ring.Q, [list(row) for row in zip(*out)])
 
@@ -328,10 +346,30 @@ def _certified(a: Matrix, s: Matrix, target: Matrix) -> SimilarityCertificate:
 
 def _primary_blocks(res: CharSmith) -> list[tuple[int, Elem, int]]:
     """(i, p, e) for each prime power p^e exactly dividing the invariant
-    factor d_i, sorted as elementary_divisors sorts the pairs (p, e)."""
-    out = [(i, p, e) for i, d in enumerate(res.diag) for p, e in elementary_divisors([d])]
+    factor d_i, sorted as elementary_divisors sorts the pairs (p, e).
+    Only d_n is factored: its primes are those of every d_i, whose
+    exponents `_multiplicity` reads and whose powers must multiply back."""
+    primes, out = [p for p, _ in factor(res.diag[-1])[1]], []
+    mul, one = RAW_OPS[Ring.QX][1], Elem.one(Ring.QX).raw
+    for i, d in enumerate(res.diag):
+        if d.raw == one:
+            continue
+        powers = [(p, e) for p in primes if (e := _multiplicity(p, d))]
+        if reduce(mul, [p.raw for p, e in powers for _ in range(e)], one) != d.raw:
+            raise CertificateFailed(
+                f"the prime powers of the invariant factor {brief(d)} do not multiply back to it")
+        out.extend((i, p, e) for p, e in powers)
     out.sort(key=lambda ipe: (prime_sort_key(ipe[1]), ipe[2]))
     return out
+
+
+def _multiplicity(p: Elem, d: Elem) -> int:
+    """The largest e with p^e | d, for d nonzero and p not a unit."""
+    divmod_, zero, e = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2], 0
+    quot, rem = divmod_(d.raw, p.raw)
+    while rem == zero:
+        e, (quot, rem) = e + 1, divmod_(quot, p.raw)
+    return e
 
 
 def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:

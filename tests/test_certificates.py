@@ -20,24 +20,32 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # that the alternation leaves (P negated) and one term of the raw product
 # replaying P A Q = D in smith, two ways the left evaluation that gives
 # similar and rcf their generators, the columns of P^-1 that similar reads
-# its generators off, and four parts of the certificate of the Smith form
-# of xI - A that `_char_smith` checks in place of a P (xI - A) Q = D
-# replay, in a process started with -O; exits 0 only when every corruption
-# raises CertificateFailed (a zero S_B must not surface as NotAUnit), the
-# smith_2x2, P, P A Q = D, P^-1 and xI - A corruptions from their own
-# checks.  The generators are swapped between blocks of unequal
-# annihilators: any generator of a block's annihilator, such as a multiple
-# of the true one, still gives a valid conjugator.  So the columns of P^-1
-# are zeroed, not scaled: the generators are then zero, and S_B is
-# singular.  rcf's prime powers, each raised one degree, must be caught
-# by `_basis`'s check that a block's power divides its invariant factor.
-# The xI - A corruptions run through minimal_poly, which has
-# no S replay behind it: the last d_i times x + 5 breaks the degree sum,
-# the last two d_i swapped the divisibility chain, Q's first column added
-# to its last the divisibility of (xI - A) Q by D, and Q's first column
-# zeroed, which divides by anything, leaves Q(0) singular.  `_char_smith`
-# reduces (xI - A)^T, so Q arrives transposed in the p argument of
-# `_smith_rows`: the rows of p are the columns of Q.
+# its generators off, rcf's prime powers twice, and five parts of the
+# certificate of the Smith form of xI - A that `_char_smith` checks in
+# place of a P (xI - A) Q = D replay, in a process started with -O; exits
+# 0 only when every corruption raises CertificateFailed (a zero S_B must
+# not surface as NotAUnit), the smith_2x2, P, P A Q = D, P^-1, prime power
+# and xI - A corruptions from their own checks.  The generators are
+# swapped between blocks of unequal annihilators: any generator of a
+# block's annihilator, such as a multiple of the true one, still gives a
+# valid conjugator.  So the columns of P^-1 are zeroed, not scaled: the
+# generators are then zero, and S_B is singular.  rcf's prime powers,
+# each raised one degree, must be caught by `_basis`'s check that a
+# block's power divides its invariant factor; the exponents read off
+# each d_i, each raised by one, by `_primary_blocks`'s check that the
+# prime powers multiply back to d_i.  The xI - A corruptions run through
+# minimal_poly, which has no S replay behind it.  Four act on what
+# `_smith_rows` returns for the block Y of nonunit pivots, on the
+# nonsingular Jordan matrix whose Hermite form has no unit pivot, so Y is
+# all of it: the last d_i times x + 5 breaks the degree sum, the last two
+# d_i swapped the divisibility chain, Q_Y's first column added to its last
+# the divisibility of (xI - A) Q by D, and Q_Y's first column zeroed,
+# which divides by anything, leaves Q(0) singular.  Q_Y arrives
+# transposed in the qt argument of `_smith_rows`: its rows are the
+# columns of Q_Y.  The fifth adds one to the entry H_13 of the Hermite
+# form of xI - A for a cyclic A, a unit pivot's row and the nonunit
+# pivot's column, so one entry -H_tj of Q is wrong, and the divisibility
+# of (xI - A) Q by D must catch it.
 CORRUPTED_STEPS = textwrap.dedent("""\
     import dataclasses, importlib, sys
     from canonform.domain import Ring, polynomial
@@ -136,15 +144,26 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             sys.exit(f"the inverse of S_B did not catch it: {exc}")
     sim._char_smith = orig_char_smith
 
-    orig_eds = sim.elementary_divisors
-    sim.elementary_divisors = lambda ds: [(p, e + 1) for p, e in orig_eds(ds)]
+    orig_blocks = sim._primary_blocks
+    sim._primary_blocks = lambda res: [(i, p, e + 1) for i, p, e in orig_blocks(res)]
     try:
         sim.rcf(two_primes)
         sys.exit("a block power not dividing its invariant factor was not caught")
     except CertificateFailed as exc:
         if "x^3-6*x^2+12*x-8 does not divide the invariant factor x^3-3*x^2+4" not in str(exc):
             sys.exit(f"the divisibility of the invariant factor did not catch it: {exc}")
-    sim.elementary_divisors = orig_eds
+    sim._primary_blocks = orig_blocks
+
+    orig_multiplicity = sim._multiplicity
+    sim._multiplicity = lambda p, d: (e := orig_multiplicity(p, d)) and e + 1
+    try:
+        sim.rcf(two_primes)
+        sys.exit("a wrong exponent of a prime in an invariant factor was not caught")
+    except CertificateFailed as exc:
+        if ("the prime powers of the invariant factor x^3-3*x^2+4 do not multiply back"
+                not in str(exc)):
+            sys.exit(f"the product of the prime powers did not catch it: {exc}")
+    sim._multiplicity = orig_multiplicity
 
     add, zero = sm.RAW_OPS[Ring.QX][0], sm.RAW_OPS[Ring.QX][2]
     def last_factor_times_x_plus_5(diag, q_columns):
@@ -164,7 +183,7 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             (q_first_column_zeroed, "Q(0) is singular")):
         def corrupted(ring, rows, p, qt, corrupt=corrupt):
             diag = orig_rows(ring, rows, p, qt)
-            corrupt(diag, p)
+            corrupt(diag, qt)
             return diag
         sim._smith_rows = corrupted
         try:
@@ -174,6 +193,22 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             if check not in str(exc):
                 sys.exit(f"{corrupt.__name__} was not caught by its own check: {exc}")
     sim._smith_rows = orig_rows
+
+    orig_canonicalize, one = sim._canonicalize, polynomial([1]).raw
+    def h_entry_plus_one(ring, work, q):
+        primary = orig_canonicalize(ring, work, q)
+        if work[0][0] != one or work[2][2] == one:
+            sys.exit("H_11 is not a unit pivot or H_33 not a nonunit one")
+        work[0][2] = add(work[0][2], one)
+        return primary
+    sim._canonicalize = h_entry_plus_one
+    try:
+        sim.minimal_poly(two_primes)
+        sys.exit("a corrupted entry -H_13 of Q was not caught")
+    except CertificateFailed as exc:
+        if "column 3 of (xI - A) Q is not divisible by x^3-3*x^2+4" not in str(exc):
+            sys.exit(f"the divisibility of (xI - A) Q did not catch it: {exc}")
+    sim._canonicalize = orig_canonicalize
     print("caught")
 """)
 

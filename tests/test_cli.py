@@ -390,7 +390,7 @@ GOLDEN_CONJUGATORS = {
         [mat_q([[2, 1, 0], [0, 2, 0], [0, 0, 1]]),
          mat_q([[1, 0, 0], [1, 2, 0], [3, 1, 2]])],
         [["1", "0", "0"], ["1", "2", "0"], ["3", "1", "2"]],
-        [["-2", "0", "-1"], ["-1", "-1", "0"], ["-2", "0", "0"]],
+        [["-3", "-1", "-1"], ["-1", "-1", "0"], ["-2", "0", "0"]],
     ),
 }
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonform.determinant import inverse
+from canonform.determinant import cramer_solve, inverse
 from canonform.domain import (
+    Elem,
     Ring,
     factor,
     integer,
@@ -22,7 +23,8 @@ from canonform.errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z
+from canonform.hermite import hermite_canonical
+from canonform.matrix import Matrix, direct_sum, lift, mat_q, mat_qx, mat_z, submatrix
 from canonform.smith import smith
 from canonform.similarity import (
     CanonicalPresentation,
@@ -534,9 +536,23 @@ def _oracle_corpus():
 
 
 def _char_q(a):
-    """The Q of the Smith form of xI - A that the similarity path reduces:
-    the transpose of smith's P on (xI - A)^T."""
-    return smith(char_matrix(a).transpose()).p.transpose()
+    """The Q of the Smith form of xI - A that the similarity path builds,
+    V (I + Q_Y): H is the Hermite canonical form of xI - A, K the indices
+    of its nonunit pivots, Q_Y smith's Q on the block Y of H on K, and V
+    the identity but for V_tj = -H_tj, t a unit pivot and j in K; the
+    columns of I come first, those of Q_Y (placed on the rows K) after."""
+    h = hermite_canonical(char_matrix(a)).h
+    n, zero, one = h.m, Elem.zero(Ring.QX), Elem.one(Ring.QX)
+    ks = [t for t in range(1, n + 1) if not h.entry(t, t).is_one()]
+    qy = smith(submatrix(h, ks, ks)).q
+    v = Matrix.from_rows(Ring.QX, [
+        [-h.entry(i, j) if j in ks and i not in ks else one if i == j else zero
+         for j in range(1, n + 1)] for i in range(1, n + 1)])
+    cols = [[one if i == t else zero for i in range(1, n + 1)]
+            for t in range(1, n + 1) if t not in ks]
+    cols += [[qy.entry(ks.index(i) + 1, c) if i in ks else zero for i in range(1, n + 1)]
+             for c in range(1, len(ks) + 1)]
+    return v @ Matrix.from_rows(Ring.QX, list(zip(*cols)))
 
 
 def _old_conjugator(a, b):
@@ -615,20 +631,78 @@ def _differential_input(kind, rng, n):
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_char_smith_matches_smith(kind, n, seed):
-    """_char_smith runs smith's reduction on (xI - A)^T without its Q: its
-    invariant factors are smith's there bit for bit, and the columns of
-    P^-1 it returns, one for each nonunit invariant factor d_i, are the
-    trailing columns of (xI - A) Q, for Q the transpose of smith's P,
-    each divided by its d_i."""
-    from canonform.similarity import _char_smith
+    """_char_smith's invariant factors are smith's on xI - A bit for bit;
+    each column of P^-1 it returns, one for each nonunit invariant factor
+    d_i, times d_i is (xI - A) v for a polynomial v, column i of its Q;
+    and the S that `_basis` reads off them replays against A."""
+    from canonform.similarity import _basis, _char_smith
     a = _differential_input(kind, random.Random(seed), n)
-    res, ref = _char_smith(a), smith(char_matrix(a).transpose())
-    assert res.diag == ref.diag
+    res = _char_smith(a)
+    assert res.diag == smith(char_matrix(a)).diag
     k = sum(not d.is_one() for d in res.diag)
     assert res.pinv.n == k and res.pinv.m == n
-    m = char_matrix(a) @ ref.p.transpose()
-    for col, i in enumerate(range(n - k + 1, n + 1), 1):
-        assert list(res.pinv.col(col)) == [e.exact_div(res.diag[i - 1]) for e in m.col(i)]
+    for col, d in enumerate(res.diag[n - k:], 1):
+        m_col = Matrix.from_rows(Ring.QX, [[e * d] for e in res.pinv.col(col)])
+        cramer_solve(char_matrix(a), m_col)  # ExactDivisionError unless v is polynomial
+    blocks = [(i, d, companion(d)) for i, d in enumerate(res.diag) if not d.is_one()]
+    form = blocks[0][2]
+    for _, _, t in blocks[1:]:
+        form = direct_sum(form, t)
+    assert SimilarityCertificate(_basis(a, res, blocks), form).verify(a)
+
+
+def _split_input(kind, rng):
+    """(A, k) for an edge case of the split of xI - A: k is the number of
+    nonunit pivots its Hermite form has, None where only k >= 2 is known.
+    1 x 1: xI - A is x - c.  Scalar cI: xI - A is (x - c) I, so nothing
+    splits off.  Cyclic: the transpose of a companion matrix, whose -1s
+    below the diagonal make each of the first n - 1 pivots a unit.
+    Repeated Jordan blocks: two equal nonunit invariant factors, which
+    Y's Smith form needs at least two rows for."""
+    n, c = rng.randint(2, 6), rational(rng.randint(-3, 3), rng.choice([1, 2]))
+    if kind == "1x1":
+        return mat_q([[c.value]]), 1
+    if kind == "scalar":
+        return Matrix.identity(Ring.Q, n).scale(c), n
+    if kind == "cyclic":
+        q = poly(1)
+        for _ in range(n):
+            q = q * poly(-rng.randint(-2, 2), 1)
+        return companion(q).transpose(), 1
+    k = rng.randint(1, n // 2)
+    blocks = [hypercompanion(c, k), hypercompanion(c, k)]
+    if n > 2 * k:
+        blocks.append(hypercompanion(rational(rng.randint(-3, 3)), n - 2 * k))
+    return _conjugated(rng, blocks)[0], None
+
+
+@pytest.mark.parametrize("kind", ["1x1", "scalar", "cyclic", "repeated"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_smith_rows_reduces_only_the_nonunit_pivots(kind, seed):
+    """The reduction after the first Hermite pass gets one row per
+    nonunit pivot of the Hermite form of xI - A; the invariant factors
+    are smith's, and jordan's S replays."""
+    import canonform.similarity as sim
+    a, k = _split_input(kind, random.Random(seed))
+    h = hermite_canonical(char_matrix(a)).h
+    nonunit = sum(not h.entry(t, t).is_one() for t in range(1, a.m + 1))
+    assert nonunit == k if k is not None else nonunit >= 2
+    sizes, orig = [], sim._smith_rows
+
+    def counted(ring, rows, p, qt):
+        sizes.append(len(rows))
+        return orig(ring, rows, p, qt)
+
+    sim._smith_rows = counted
+    try:
+        res = sim._char_smith(a)
+    finally:
+        sim._smith_rows = orig
+    assert sizes == [nonunit]
+    assert res.diag == smith(char_matrix(a)).diag
+    cert, form = jordan(a)
+    assert cert.verify(a) and cert.target == form
 
 
 class TestVerifyReplay:
