@@ -19,7 +19,8 @@ the Euclidean size by which hermite picks a pivot, and raw_egcd is the
 one extended Euclid loop, on either table; raw_layers splits raw Q[x]
 rows into raw Q coefficient rows (raw_layer takes one of them),
 raw_clear_rows clears each raw Q row's denominator so that a Q kernel
-can run on ints, raw_ratio normalizes an integer result back, and
+can run on ints, raw_ratio and raw_poly normalize an integer result back
+to a Q or a Q[x] value, and
 largest_raw sizes raw rows for an error message by the same measure.
 The matrix kernels in hermite, smith (its 2x2 chain step included),
 matrix, determinant and similarity work on raw entries through these,
@@ -279,6 +280,12 @@ def raw_ratio(num: int, den: int) -> tuple:
         return _QZERO
     g = math.gcd(num, den)
     return (num // g,), den // g
+
+
+def raw_poly(nums, den: int) -> tuple:
+    """The raw Q[x] value sum(nums[i] x^i) / den of ints with den != 0,
+    normalized once."""
+    return _qnorm(nums, den)
 
 
 Value = Union[int, Fraction, tuple]

@@ -5,33 +5,37 @@ rational (Frobenius) and Jordan canonical forms.
 Constant matrices live over Q (Z inputs are lifted); polynomial matrices
 over Q[x].  The Smith form P (xI - A) Q = D splits Q^n, with x acting as
 A, into cyclic summands Q[x]/(d_i), generated by the left evaluations at
-A of the columns of P^-1 = (xI - A) Q D^-1.  `_char_smith` splits the
-unit pivots of one Hermite pass off xI - A, runs the reduction of `smith`
-on the k x k block Y of the others with Q_Y^T and no other transform, and
-certifies Q and the d_i by the product M = (xI - A) Q, of which it
-multiplies out only the trailing columns, those of the nonunit d_i: each
-of them divides by its d_i, the degrees of the d_i sum to n, they form a
-divisibility chain, and Q(0) is nonsingular.  `_basis` builds from the
-quotients, the trailing columns of P^-1, the S with A S = S T for a
-direct sum T of companion or Jordan blocks, reading each chain of
-columns off its own block of T, so `rcf` and `jordan` run one Smith form
-and two Q[x] products (Q's columns and M), and `similar` those per
-matrix and S = S_A S_B^-1, one inverse of a constant matrix.  From
-xI - A to S the path runs on raw rows (see domain) by
-`matrix.raw_multiply`, whose products over Q, like `determinant.det` and
-`_basis`'s chain steps there, run on integer rows; the Matrices handed
-from step to step hold raw values, so no Elem of them is built unless a
-caller reads an entry.
+A of the columns of P^-1 = (xI - A) Q D^-1.  `_char_smith` reads the
+Hermite form H of xI - A off Krylov relations over Q (`_krylov_hermite`),
+so no elimination over Q[x] touches the n x n matrix, splits off its unit
+pivots, runs the reduction of `smith` on the k x k block Y of the others
+with Q_Y^T and no other transform, and certifies Q and the d_i by the
+product M = (xI - A) Q, of which it multiplies out only the trailing
+columns, those of the nonunit d_i, by coefficient layers on A's integer
+rows (`_char_product`): each of them divides by its d_i, the degrees of
+the d_i sum to n, they form a divisibility chain, and Q(0) is
+nonsingular.  `_basis` builds from the quotients, the trailing columns of
+P^-1, the S with A S = S T for a direct sum T of companion or Jordan
+blocks, reading each chain of columns off its own block of T, so `rcf`
+and `jordan` run one Smith form, of Y, and one Q[x] product (Q's
+columns), and `similar` those per matrix and S = S_A S_B^-1, one inverse
+of a constant matrix.  From A to S the path runs on raw rows (see
+domain); over Q the Krylov vectors, M, `matrix.raw_multiply`,
+`determinant.det` and `_basis`'s chain steps run on integer rows; the
+Matrices handed from step to step hold raw values, so no Elem of them is
+built unless a caller reads an entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Optional
 
 from . import determinant
 from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, factor, prime_sort_key,
-                     raw_clear_rows, raw_layer, raw_layers, raw_ratio, valuation)
+                     raw_clear_rows, raw_layer, raw_layers, raw_poly, raw_ratio, valuation)
 from .errors import (
     CertificateFailed,
     EmptyResult,
@@ -43,7 +47,6 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .hermite import _canonicalize
 from .matrix import Matrix, direct_sum, lift, raw_multiply
 from .smith import _smith_rows
 
@@ -57,7 +60,8 @@ def _as_rational_square(a: Matrix) -> Matrix:
 
 
 def char_matrix(a: Matrix) -> Matrix:
-    """xI - A over Q[x], built on raw rows: a Q pair is a degree-0 Q[x] pair."""
+    """xI - A over Q[x], built on raw rows: a Q pair is a degree-0 Q[x] pair.
+    `char_poly` reads it; the similarity path builds no xI - A."""
     add, neg = RAW_OPS[Ring.QX][0], RAW_EUCLID[Ring.QX][1]
     return Matrix.from_raw(Ring.QX, [
         [add(X.raw, neg(v)) if i == j else neg(v) for j, v in enumerate(row)]
@@ -148,15 +152,15 @@ class CharSmith:
 def _char_smith(a: Matrix) -> CharSmith:
     """The Smith form of xI - A for a constant square A over Z or Q.
 
-    One Hermite pass with no transform gives H = U (xI - A), upper
-    triangular with monic pivots and reduced entries above them, so the
-    column of a unit pivot t is e_t, and the unipotent V with V_tj = -H_tj,
-    t a unit pivot and j one of the k others, makes H V = I + Y, Y the
-    k x k block of H on the nonunit pivots.  The reduction of `smith` runs
-    on Y alone, carrying Q_Y^T and no P: the d_i are n - k ones and Y's,
-    and Q = V (I + Q_Y).  Its certificate is M = (xI - A) Q, of which only
-    the trailing columns, those of the nonunit d_i, are multiplied out:
-    the degrees of the d_i sum to n, d_i | d_(i+1), column i of M divides
+    `_krylov_hermite` gives H = U (xI - A), upper triangular with monic
+    pivots and reduced entries above them, so the column of a unit pivot t
+    is e_t, and the unipotent V with V_tj = -H_tj, t a unit pivot and j one
+    of the k others, makes H V = I + Y, Y the k x k block of H on the
+    nonunit pivots.  The reduction of `smith` runs on Y alone, carrying
+    Q_Y^T and no P: the d_i are n - k ones and Y's, and Q = V (I + Q_Y).
+    Its certificate is M = (xI - A) Q, of which only the trailing columns,
+    those of the nonunit d_i, are multiplied out, by `_char_product`: the
+    degrees of the d_i sum to n, d_i | d_(i+1), column i of M divides
     exactly by each nonunit d_i, and det Q(0) = det Q_Y(0) != 0.  Q_Y is
     unimodular by construction (elementary operations only) and V whatever
     its entries, so det Q is a nonzero constant c; det Q(0) != 0 keeps a Q
@@ -166,15 +170,18 @@ def _char_smith(a: Matrix) -> CharSmith:
     det N * prod d_i = det M = chi * c for chi = det(xI - A), monic of
     degree n, so prod d_i, monic of degree n, is chi, det N = c, and
     N = P^-1 is unimodular: P (xI - A) Q = D, with d_i | d_(i+1) its
-    Smith form.  No step trusts U or H: a wrong entry of V leaves Q
-    unimodular and fails M's divisibility.  The replay P A Q = D of
-    `smith` trusts the same premise for P and Q; this one for Q_Y alone.
+    Smith form.  No step trusts U or H, nor how H was found (from Krylov
+    relations over Q): the argument uses only that Q_Y is a product of
+    elementary operations and V unipotent, so a wrong H, in an entry of V
+    or in Y, fails the checks or still gives the Smith form.  The replay
+    P A Q = D of `smith` trusts the same premise for P and Q; this one for
+    Q_Y alone.
     """
+    a = _as_rational_square(a)
     n, one = a.m, Elem.one(Ring.QX)
     (_, _, zero), (divmod_, neg, _) = RAW_OPS[Ring.QX], RAW_EUCLID[Ring.QX]
-    xa = char_matrix(a).raw_rows()
-    h = [list(row) for row in xa]
-    _canonicalize(Ring.QX, h, [[]] * n)
+    aints, adens = raw_clear_rows(a.raw_rows())
+    h = _krylov_hermite(aints, adens)
     ks = [t for t in range(n) if h[t][t] != one.raw]
     k = len(ks)
     qyt = Matrix.identity(Ring.QX, k).raw_rows()  # the rows of Q_Y^T
@@ -195,7 +202,7 @@ def _char_smith(a: Matrix) -> CharSmith:
     vk = [[neg(h[t][s]) for s in ks] if h[t][t] == one.raw else
           [one.raw if s == t else zero for s in ks] for t in range(n)]
     qcols = raw_multiply(Ring.QX, vk, [list(col) for col in zip(*qyt[units - n + k:])])
-    xq = raw_multiply(Ring.QX, xa, qcols)
+    xq = _char_product(aints, adens, qcols)
     pinv = []
     for i, d in enumerate(diag[units:], units):
         quots, rems = zip(*(divmod_(row[i - units], d.raw) for row in xq))
@@ -206,6 +213,81 @@ def _char_smith(a: Matrix) -> CharSmith:
     if determinant.det(Matrix.from_raw(Ring.Q, raw_layer(qyt, 0))).is_zero():
         raise CertificateFailed(f"xI - A: Q(0) is singular, so the {n}x{n} Q is not unimodular")
     return CharSmith(Matrix.from_raw(Ring.QX, list(zip(*pinv))), diag)
+
+
+def _krylov_hermite(aints, adens) -> list:
+    """The Hermite form H = U (xI - A) that `_canonicalize` gives, as raw
+    Q[x] rows, read off linear relations over Q for A = aints / adens, its
+    rows cleared by raw_clear_rows (Keller-Gehrig 1985; Storjohann 2000).
+
+    Q[x]^n / Q[x]^n (xI - A) is Q^n with x acting as v -> v A, so a row
+    (p_1, ..., p_n) lies in the row module of xI - A exactly when
+    sum_j e_j p_j(A) = 0.  For t = n down to 1 the Krylov vectors e_t A^i,
+    i = 0, 1, ..., are taken until one lies in the span of those before it
+    and of the basis e_j A^l, j > t, l < d_j, kept so far.  The first i
+    that does is d_t, and its relation is row t of H: h_tt monic of degree
+    d_t, and h_tj of degree < d_j for j > t.  A row of that shape is
+    reduced, and the reduced Hermite form is unique, so H is the same.
+    The vectors run on integers, D^i e_t A^i for D the lcm of the row
+    denominators; each is reduced fraction-free against the echelon rows,
+    carrying its integer coefficients on the Krylov vectors it combines,
+    and is kept divided by its content.  The coefficient of x^l in h_tj is
+    then that of e_j A^l times D^l over that of e_t A^(d_t) times D^(d_t).
+    """
+    n, zero, zmul = len(aints), RAW_OPS[Ring.QX][2], RAW_OPS[Ring.Z][1]
+    den = lcm(*adens)
+    acols = list(zip(*[[v * (den // d) for v in row] for row, d in zip(aints, adens)]))
+    powers, h = [1], [[zero] * n for _ in range(n)]
+    # the echelon rows (pivot, vector, coefficients on the Krylov vectors
+    # so far), and where e_j's Krylov vectors start among those, and d_j
+    echelon, start, degs = [], [0] * n, [0] * n
+    for t in range(n - 1, -1, -1):
+        start[t], w = len(echelon), [0] * n
+        w[t] = 1
+        while True:
+            vec, coef = w, [0] * len(echelon) + [1]
+            for p, rvec, rcoef in echelon:
+                c = vec[p]
+                if c:
+                    r = rvec[p]
+                    g = gcd(r, c)
+                    r, c = r // g, c // g
+                    vec = [r * u - c * v for u, v in zip(vec, rvec)]
+                    coef = [r * u - c * v for u, v in zip_longest(coef, rcoef, fillvalue=0)]
+            if not any(vec):  # coef is the relation that gives row t of H
+                break
+            g = gcd(*vec, *coef)
+            echelon.append((next(j for j, v in enumerate(vec) if v),
+                            [v // g for v in vec], [u // g for u in coef]))
+            w = [sum(map(zmul, w, col)) for col in acols]
+        degs[t] = d = len(echelon) - start[t]
+        while len(powers) <= d:
+            powers.append(powers[-1] * den)
+        lead = coef[-1] * powers[d]
+        for j in range(t, n):
+            if degs[j] or j == t:
+                h[t][j] = raw_poly([coef[start[j] + l] * powers[l]
+                                    for l in range(degs[j] + (j == t))], lead)
+    return h
+
+
+def _char_product(aints, adens, cols) -> list:
+    """(xI - A) C as raw Q[x] rows for A = aints / adens, its rows cleared
+    by raw_clear_rows, and C raw Q[x] rows.  With column c of C cleared to
+    integer polynomials q_mc over one denominator e_c, entry (i, c) is
+    (adens_i x q_ic - sum_m aints_im q_mc) / (adens_i e_c): one integer
+    dot product of a row of A per coefficient layer, normalized once."""
+    zmul, out = RAW_OPS[Ring.Z][1], [[] for _ in aints]
+    for col in zip(*cols):
+        e = lcm(*[d for _, d in col])
+        ints = [[c * (e // d) for c in nums] for nums, d in col]
+        layers = list(zip_longest(*ints, fillvalue=0))
+        for row, arow, da, q in zip(out, aints, adens, ints):
+            nums = [-sum(map(zmul, arow, layer)) for layer in layers] + [0]
+            for l, c in enumerate(q, 1):
+                nums[l] += da * c
+            row.append(raw_poly(nums, da * e))
+    return out
 
 
 def similarity_invariants(a: Matrix) -> tuple[Elem, ...]:

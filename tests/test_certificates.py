@@ -43,9 +43,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # which divides by anything, leaves Q(0) singular.  Q_Y arrives
 # transposed in the qt argument of `_smith_rows`: its rows are the
 # columns of Q_Y.  The fifth adds one to the entry H_13 of the Hermite
-# form of xI - A for a cyclic A, a unit pivot's row and the nonunit
-# pivot's column, so one entry -H_tj of Q is wrong, and the divisibility
-# of (xI - A) Q by D must catch it.
+# form of xI - A that `_krylov_hermite` reads off the Krylov relations of
+# a cyclic A, a unit pivot's row and the nonunit pivot's column, so one
+# entry -H_tj of Q is wrong, and the divisibility of (xI - A) Q by D must
+# catch it.
 CORRUPTED_STEPS = textwrap.dedent("""\
     import dataclasses, importlib, sys
     from canonform.domain import Ring, polynomial
@@ -194,21 +195,21 @@ CORRUPTED_STEPS = textwrap.dedent("""\
                 sys.exit(f"{corrupt.__name__} was not caught by its own check: {exc}")
     sim._smith_rows = orig_rows
 
-    orig_canonicalize, one = sim._canonicalize, polynomial([1]).raw
-    def h_entry_plus_one(ring, work, q):
-        primary = orig_canonicalize(ring, work, q)
-        if work[0][0] != one or work[2][2] == one:
+    orig_hermite, one = sim._krylov_hermite, polynomial([1]).raw
+    def h_entry_plus_one(aints, adens):
+        h = orig_hermite(aints, adens)
+        if h[0][0] != one or h[2][2] == one:
             sys.exit("H_11 is not a unit pivot or H_33 not a nonunit one")
-        work[0][2] = add(work[0][2], one)
-        return primary
-    sim._canonicalize = h_entry_plus_one
+        h[0][2] = add(h[0][2], one)
+        return h
+    sim._krylov_hermite = h_entry_plus_one
     try:
         sim.minimal_poly(two_primes)
         sys.exit("a corrupted entry -H_13 of Q was not caught")
     except CertificateFailed as exc:
         if "column 3 of (xI - A) Q is not divisible by x^3-3*x^2+4" not in str(exc):
             sys.exit(f"the divisibility of (xI - A) Q did not catch it: {exc}")
-    sim._canonicalize = orig_canonicalize
+    sim._krylov_hermite = orig_hermite
     print("caught")
 """)
 

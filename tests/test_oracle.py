@@ -17,12 +17,18 @@ from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices.normalforms import invariant_factors, smith_normal_form
 
 from canonform.determinant import det
-from canonform.domain import Ring, _rational_roots, factor, integer, polynomial
-from canonform.hermite import hermite_canonical
-from canonform.matrix import Matrix, mat_q
+from canonform.domain import (Ring, _rational_roots, factor, integer, polynomial, rational,
+                              raw_clear_rows)
+from canonform.hermite import _canonicalize, hermite_canonical
+from canonform.matrix import Matrix, mat_q, raw_multiply
 from canonform.similarity import (
     SimilarityCertificate,
+    _char_product,
+    _krylov_hermite,
+    char_matrix,
     char_poly,
+    companion,
+    hypercompanion,
     jordan,
     minimal_poly,
     scalar_poly_eval,
@@ -252,6 +258,59 @@ def test_cayley_hamilton(seed, n):
     assert scalar_poly_eval(chi, a).is_zero()
     assert scalar_poly_eval(mu, a).is_zero()
     assert divmod(chi, mu)[1].is_zero()
+
+
+def krylov_input(kind, rng, n) -> Matrix:
+    """An n x n Q matrix: random with denominators, zero, scalar cI (no
+    pivot of xI - A is a unit), the nilpotent Jordan block, a companion
+    matrix or its transpose (one nonunit pivot), or a derogatory one."""
+    c = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+    if kind == "random":
+        return random_matrix(rng, Ring.Q, n, n, bound=rng.choice([3, 9, 97]))
+    if kind == "zero":
+        return Matrix.zeros(Ring.Q, n, n)
+    if kind == "scalar":
+        return Matrix.identity(Ring.Q, n).scale(rational(c.numerator, c.denominator))
+    if kind == "nilpotent":
+        return hypercompanion(0, n)
+    if kind in ("companion", "companion-transposed"):
+        q = polynomial([Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(n)]
+                       + [1])
+        return companion(q) if kind == "companion" else companion(q).transpose()
+    return derogatory(rng, n)
+
+
+KRYLOV_KINDS = ["random", "zero", "scalar", "nilpotent", "companion",
+                "companion-transposed", "derogatory"]
+
+
+@pytest.mark.parametrize("kind", KRYLOV_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+def test_krylov_hermite_is_the_hermite_form_of_char_matrix(kind, seed, n):
+    """The H that _char_smith reads off Krylov relations over Q is the one
+    the Q[x] elimination gives on xI - A, bit for bit."""
+    a = krylov_input(kind, random.Random(seed), n)
+    h = [list(row) for row in char_matrix(a).raw_rows()]
+    _canonicalize(Ring.QX, h, [[]] * n)
+    assert _krylov_hermite(*raw_clear_rows(a.raw_rows())) == h
+    nonunit = sum(h[t][t] != polynomial([1]).raw for t in range(n))
+    expected = {"zero": n, "scalar": n, "companion-transposed": 1}.get(kind)
+    assert expected is None or nonunit == expected
+
+
+@pytest.mark.parametrize("kind", KRYLOV_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), w=st.integers(1, 4))
+def test_char_product_is_the_q_x_product(kind, seed, n, w):
+    """(xI - A) C by coefficient layers on A's integer rows equals the
+    generic Q[x] product with xI - A, bit for bit."""
+    rng = random.Random(seed)
+    a = krylov_input(kind, rng, n)
+    c = [[(e * polynomial([Fraction(1, rng.randint(1, 6))])).raw for e in row]
+         for row in random_matrix(rng, Ring.QX, n, w, max_deg=3).rows()]
+    assert (_char_product(*raw_clear_rows(a.raw_rows()), c)
+            == raw_multiply(Ring.QX, char_matrix(a).raw_rows(), c))
 
 
 # (2^61 - 1)(2^89 - 1): a semiprime beyond the Z factorizer.

@@ -454,6 +454,34 @@ class TestSmithReuse:
             monkeypatch.setattr(module, "smith", forbidden, raising=False)
         fn(self.A)
 
+    @pytest.mark.parametrize("a", [
+        A, random_matrix(random.Random(1), Ring.Q, 8, 8), mat_q([[2, 0], [0, 2]]),
+        mat_q([[0, 1, 0], [0, 0, 1], [-2, 3, 0]]),
+    ], ids=["derogatory", "random-8x8", "scalar", "cyclic"])
+    def test_q_x_elimination_acts_on_the_nonunit_block_alone(self, monkeypatch, a):
+        # H is read off Krylov relations over Q, so the only Q[x]
+        # elimination minimal_poly runs is on Y, k x k for the k nonunit
+        # pivots of H, and xI - A is never built
+        import importlib
+        herm, sim, sm = (importlib.import_module(f"canonform.{name}")
+                         for name in ("hermite", "similarity", "smith"))
+        h = hermite_canonical(char_matrix(a)).h
+        k = sum(not h.entry(t, t).is_one() for t in range(1, a.m + 1))
+        sizes = []
+        for module in (herm, sm):
+            def watched(ring, work, q, orig=module._canonicalize):
+                if ring is Ring.QX:
+                    sizes.append(len(work))
+                return orig(ring, work, q)
+            monkeypatch.setattr(module, "_canonicalize", watched)
+
+        def forbidden(a):
+            raise AssertionError("char_matrix reached")
+
+        monkeypatch.setattr(sim, "char_matrix", forbidden)
+        assert minimal_poly(a) == sim._char_smith(a).diag[-1]
+        assert sizes and max(sizes) <= k
+
     def test_similar_never_reaches_adjugate(self, monkeypatch):
         import canonform.determinant as det_mod
 
@@ -680,7 +708,7 @@ def _split_input(kind, rng):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_smith_rows_reduces_only_the_nonunit_pivots(kind, seed):
-    """The reduction after the first Hermite pass gets one row per
+    """The reduction after the Krylov Hermite form gets one row per
     nonunit pivot of the Hermite form of xI - A; the invariant factors
     are smith's, and jordan's S replays."""
     import canonform.similarity as sim
