@@ -101,7 +101,7 @@ def _cmd_hermite(args) -> int:
         primary_cols=list(res.primary_cols),
     )
     lines = [f"rank {res.rank}",
-             "primary_cols " + ",".join(map(str, res.primary_cols))]
+             "primary_cols " + (",".join(map(str, res.primary_cols)) or "(empty)")]
     lines += [" ".join(row) for row in h]
     return _emit_verified(report, args.json, lines)
 

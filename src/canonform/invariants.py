@@ -1,16 +1,19 @@
-"""Determinantal divisors, invariant factors, elementary divisors,
-reconstruction, and the matrix-equivalence decision.
+"""Determinantal divisors, invariant factors, elementary divisors (read by
+`_prime_powers`, for similarity's `rcf` and `jordan` too), reconstruction,
+and the matrix-equivalence decision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from typing import Iterable, Sequence
 
 from .determinant import _within_minor_budget, gcd_of_minors
-from .domain import Elem, Ring, brief, factor, prime_sort_key
+from .domain import RAW_EUCLID, RAW_OPS, Elem, Ring, brief, factor, prime_sort_key
 from .errors import (
     BadExponent,
+    CertificateFailed,
     RankTooSmall,
     RingMismatch,
     ShapeMismatch,
@@ -52,15 +55,42 @@ def invariant_report(a: Matrix) -> InvariantReport:
                            tuple(elementary_divisors(res.diag)))
 
 
-def elementary_divisors(invariants: Iterable[Elem]) -> list[tuple[Elem, int]]:
-    """The (prime, exponent) multiset of the invariant factors, sorted by
-    (prime key, exponent); units contribute nothing."""
-    out = []
-    for q in invariants:
-        if not q.is_one():
-            out.extend(factor(q)[1])
-    out.sort(key=lambda pe: (prime_sort_key(pe[0]), pe[1]))
+def elementary_divisors(invariants: Sequence[Elem]) -> list[tuple[Elem, int]]:
+    """The (prime, exponent) multiset of a divisibility chain, sorted by (prime
+    key, exponent): units add nothing; a non-chain may raise CertificateFailed."""
+    return [(p, e) for _, p, e in _prime_powers(invariants)]
+
+
+def _prime_powers(chain: Sequence[Elem]) -> list[tuple[int, Elem, int]]:
+    """(i, p, e) for each prime power p^e exactly dividing the nonunit q_i
+    of a divisibility chain q_1 | ... | q_r, sorted by (prime key, e).  Only
+    q_r is factored; `_multiplicity` reads the exponents of its primes in
+    each q_i, and their powers must multiply back to q_i's canonical
+    associate, so a q_i with a prime that q_r lacks raises CertificateFailed."""
+    if not chain:
+        return []
+    ring = chain[-1].ring
+    mul, associate, one = RAW_OPS[ring][1], RAW_EUCLID[ring][2], Elem.one(ring).raw
+    primes, out = [p for p, _ in factor(chain[-1])[1]], []
+    for i, q in enumerate(chain):
+        if q.is_unit():
+            continue
+        powers = [(p, e) for p in primes if (e := _multiplicity(p, q))]
+        if reduce(mul, [p.raw for p, e in powers for _ in range(e)], one) != associate(q.raw)[1]:
+            raise CertificateFailed(
+                f"the prime powers of the invariant factor {brief(q)} do not multiply back to it")
+        out.extend((i, p, e) for p, e in powers)
+    out.sort(key=lambda ipe: (prime_sort_key(ipe[1]), ipe[2]))
     return out
+
+
+def _multiplicity(p: Elem, d: Elem) -> int:
+    """The largest e with p^e | d, for p not a unit; 0 for d zero."""
+    divmod_, zero, e = RAW_EUCLID[d.ring][0], RAW_OPS[d.ring][2], 0
+    quot, rem = divmod_(d.raw, p.raw)
+    while rem == zero and quot != zero:
+        e, (quot, rem) = e + 1, divmod_(quot, p.raw)
+    return e
 
 
 def invariant_factors_from_elementary(

@@ -34,8 +34,8 @@ from math import gcd, lcm
 from typing import Optional
 
 from . import determinant
-from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, factor, prime_sort_key,
-                     raw_clear_rows, raw_layer, raw_layers, raw_poly, raw_ratio, valuation)
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, raw_clear_rows, raw_layer,
+                     raw_layers, raw_poly, raw_ratio, valuation)
 from .errors import (
     CertificateFailed,
     EmptyResult,
@@ -47,8 +47,9 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
+from .invariants import _prime_powers
 from .matrix import Matrix, direct_sum, lift, raw_multiply
-from .smith import _smith_rows
+from .smith import _check_chain, _smith_rows
 
 
 def _as_rational_square(a: Matrix) -> Matrix:
@@ -193,10 +194,7 @@ def _char_smith(a: Matrix) -> CharSmith:
     if total != n:
         raise CertificateFailed(
             f"xI - A: degrees of the invariant factors sum to {total}, not {n}")
-    for d, e in zip(diag, diag[1:]):
-        if divmod_(e.raw, d.raw)[1] != zero:
-            raise CertificateFailed(
-                f"xI - A: divisibility chain broken: {brief(d)} does not divide {brief(e)}")
+    _check_chain(diag)
     units = next(i for i, d in enumerate(diag) if not d.is_one())
     # the rows of V's columns on Y: -H_tK on a unit row t, e_t on a nonunit one
     vk = [[neg(h[t][s]) for s in ks] if h[t][t] == one.raw else
@@ -426,40 +424,12 @@ def _certified(a: Matrix, s: Matrix, target: Matrix) -> SimilarityCertificate:
     return cert
 
 
-def _primary_blocks(res: CharSmith) -> list[tuple[int, Elem, int]]:
-    """(i, p, e) for each prime power p^e exactly dividing the invariant
-    factor d_i, sorted as elementary_divisors sorts the pairs (p, e).
-    Only d_n is factored: its primes are those of every d_i, whose
-    exponents `_multiplicity` reads and whose powers must multiply back."""
-    primes, out = [p for p, _ in factor(res.diag[-1])[1]], []
-    mul, one = RAW_OPS[Ring.QX][1], Elem.one(Ring.QX).raw
-    for i, d in enumerate(res.diag):
-        if d.raw == one:
-            continue
-        powers = [(p, e) for p in primes if (e := _multiplicity(p, d))]
-        if reduce(mul, [p.raw for p, e in powers for _ in range(e)], one) != d.raw:
-            raise CertificateFailed(
-                f"the prime powers of the invariant factor {brief(d)} do not multiply back to it")
-        out.extend((i, p, e) for p, e in powers)
-    out.sort(key=lambda ipe: (prime_sort_key(ipe[1]), ipe[2]))
-    return out
-
-
-def _multiplicity(p: Elem, d: Elem) -> int:
-    """The largest e with p^e | d, for d nonzero and p not a unit."""
-    divmod_, zero, e = RAW_EUCLID[Ring.QX][0], RAW_OPS[Ring.QX][2], 0
-    quot, rem = divmod_(d.raw, p.raw)
-    while rem == zero:
-        e, (quot, rem) = e + 1, divmod_(quot, p.raw)
-    return e
-
-
 def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     """Frobenius (rational) canonical form: companion blocks of the
     elementary divisors in display order, with verified conjugator."""
     a = _as_rational_square(a)
     res = _char_smith(a)
-    powers = [(i, p ** e) for i, p, e in _primary_blocks(res)]
+    powers = [(i, p ** e) for i, p, e in _prime_powers(res.diag)]
     blocks = [(i, q, companion(q)) for i, q in powers]
     form = reduce(direct_sum, [t for _, _, t in blocks])
     return _certified(a, _basis(a, res, blocks), form), form
@@ -470,7 +440,7 @@ def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     divisors, which must all be powers of linear factors."""
     a = _as_rational_square(a)
     res = _char_smith(a)
-    eds = _primary_blocks(res)
+    eds = _prime_powers(res.diag)
     for _, p, _ in eds:
         if valuation(p) != 1:
             raise NonLinearElementaryDivisor(

@@ -156,10 +156,18 @@ def _smith_rows(ring, rows, p, qt) -> list[Elem]:
     return _chain(ring, _alternate(ring, rows, p, qt), p, qt)
 
 
+def _check_chain(diag) -> None:
+    """Raise CertificateFailed unless each Elem of diag divides the next."""
+    for d, e in zip(diag, diag[1:]):
+        if RAW_EUCLID[d.ring][0](e.raw, d.raw)[1] != RAW_OPS[d.ring][2]:
+            raise CertificateFailed(
+                f"divisibility chain broken: {brief(d)} does not divide {brief(e)}")
+
+
 def smith(a: Matrix) -> SmithResult:
     """Smith canonical form P A Q = D: a full divisibility chain of
     canonical associates; the witness product is replayed exactly."""
-    ring, zero, divmod_ = a.ring, RAW_OPS[a.ring][2], RAW_EUCLID[a.ring][0]
+    ring, zero = a.ring, RAW_OPS[a.ring][2]
     arows = a.raw_rows()
     pwork, qtwork = Matrix.identity(ring, a.m).raw_rows(), Matrix.identity(ring, a.n).raw_rows()
     diag = _smith_rows(ring, arows, pwork, qtwork)
@@ -169,10 +177,6 @@ def smith(a: Matrix) -> SmithResult:
              for i in range(a.m)]
     if raw_multiply(ring, raw_multiply(ring, pwork, arows), qwork) != dwork:
         raise CertificateFailed("Smith certificate P A Q = D failed")
-    for t in range(r - 1):
-        if divmod_(diag[t + 1].raw, diag[t].raw)[1] != zero:
-            raise CertificateFailed(
-                f"divisibility chain broken: {brief(diag[t])} does not divide "
-                f"{brief(diag[t + 1])}")
+    _check_chain(diag)
     return SmithResult(Matrix.from_raw(ring, pwork), Matrix.from_raw(ring, qwork),
                        Matrix.from_raw(ring, dwork), tuple(diag), r)

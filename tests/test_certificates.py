@@ -30,10 +30,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # block's annihilator, such as a multiple of the true one, still gives a
 # valid conjugator.  So the columns of P^-1 are zeroed, not scaled: the
 # generators are then zero, and S_B is singular.  rcf's prime powers,
-# each raised one degree, must be caught by `_basis`'s check that a
-# block's power divides its invariant factor; the exponents read off
-# each d_i, each raised by one, by `_primary_blocks`'s check that the
-# prime powers multiply back to d_i.  The xI - A corruptions run through
+# each raised one degree where similarity reads `_prime_powers`, must be
+# caught by `_basis`'s check that a block's power divides its invariant
+# factor; the exponents that invariants reads off each d_i, each raised
+# by one, by `_prime_powers`'s check that the prime powers multiply back
+# to d_i.  The xI - A corruptions run through
 # minimal_poly, which has no S replay behind it.  Four act on what
 # `_smith_rows` returns for the block Y of nonunit pivots, on the
 # nonsingular Jordan matrix whose Hermite form has no unit pivot, so Y is
@@ -57,6 +58,7 @@ CORRUPTED_STEPS = textwrap.dedent("""\
         sys.exit("expected to run under python -O")
     sm = importlib.import_module("canonform.smith")
     sim = importlib.import_module("canonform.similarity")
+    inv = importlib.import_module("canonform.invariants")
 
     orig_euclid = sm.RAW_EUCLID
     zdivmod, neg, assoc = orig_euclid[Ring.Z]
@@ -145,18 +147,18 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             sys.exit(f"the inverse of S_B did not catch it: {exc}")
     sim._char_smith = orig_char_smith
 
-    orig_blocks = sim._primary_blocks
-    sim._primary_blocks = lambda res: [(i, p, e + 1) for i, p, e in orig_blocks(res)]
+    orig_blocks = sim._prime_powers
+    sim._prime_powers = lambda chain: [(i, p, e + 1) for i, p, e in orig_blocks(chain)]
     try:
         sim.rcf(two_primes)
         sys.exit("a block power not dividing its invariant factor was not caught")
     except CertificateFailed as exc:
         if "x^3-6*x^2+12*x-8 does not divide the invariant factor x^3-3*x^2+4" not in str(exc):
             sys.exit(f"the divisibility of the invariant factor did not catch it: {exc}")
-    sim._primary_blocks = orig_blocks
+    sim._prime_powers = orig_blocks
 
-    orig_multiplicity = sim._multiplicity
-    sim._multiplicity = lambda p, d: (e := orig_multiplicity(p, d)) and e + 1
+    orig_multiplicity = inv._multiplicity
+    inv._multiplicity = lambda p, d: (e := orig_multiplicity(p, d)) and e + 1
     try:
         sim.rcf(two_primes)
         sys.exit("a wrong exponent of a prime in an invariant factor was not caught")
@@ -164,7 +166,7 @@ CORRUPTED_STEPS = textwrap.dedent("""\
         if ("the prime powers of the invariant factor x^3-3*x^2+4 do not multiply back"
                 not in str(exc)):
             sys.exit(f"the product of the prime powers did not catch it: {exc}")
-    sim._multiplicity = orig_multiplicity
+    inv._multiplicity = orig_multiplicity
 
     add, zero = sm.RAW_OPS[Ring.QX][0], sm.RAW_OPS[Ring.QX][2]
     def last_factor_times_x_plus_5(diag, q_columns):

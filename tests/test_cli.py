@@ -99,6 +99,15 @@ class TestHermite:
         assert q @ a == h
 
 
+    def test_zero_matrix_prints_empty_primary_cols(self, tmp_path, capsys):
+        path = write(tmp_path, "zero.mtx", mat_z([[0, 0], [0, 0]]))
+        assert main(["hermite", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "rank 0", "primary_cols (empty)", "0 0", "0 0"]
+        code, report = run_json(capsys, ["hermite", path, "--json"])
+        assert code == 0 and report["primary_cols"] == []
+
+
 class TestSmith:
     def test_zero_matrix(self, tmp_path, capsys):
         path = write(tmp_path, "zero.mtx", mat_z([[0, 0], [0, 0]]))
@@ -144,6 +153,14 @@ class TestInvariants:
         assert main(["invariants", str(path)]) == 0
         out = capsys.readouterr().out
         assert "elementary_divisors x^3-998244359987710471" in out
+
+    def test_chain_whose_first_factor_does_not_factor(self, tmp_path, capsys):
+        # (x^2 + 1)(x^2 + 2) | (x^2 + 1)(x^2 + 2)^2: only the last is factored
+        path = write(tmp_path, "chain.mtx", mat_qx([["x^4+3*x^2+2", "0"],
+                                                     ["0", "x^6+5*x^4+8*x^2+4"]]))
+        assert main(["invariants", path]) == 0
+        assert "elementary_divisors x^2+1 x^2+1 x^2+2 x^4+4*x^2+4" in (
+            capsys.readouterr().out.splitlines())
 
 
 class TestSimilarityVerbs:

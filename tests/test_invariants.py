@@ -1,13 +1,20 @@
 import random
+from fractions import Fraction
+from functools import reduce
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from canonform import determinant
+from canonform import determinant, invariants
 from canonform.determinant import gcd_of_minors
-from canonform.domain import Ring, canonical_associate, integer, polynomial
+from canonform.domain import (Elem, Ring, canonical, canonical_associate, factor, integer, polynomial,
+                              prime_sort_key)
 from canonform.errors import (
     BadIndexSet,
+    CertificateFailed,
     Error,
+    FactorizationIncomplete,
     RankTooSmall,
     RingMismatch,
     ShapeMismatch,
@@ -16,12 +23,13 @@ from canonform.errors import (
 from canonform.invariants import (
     det_divisors_by_minors,
     elementary_divisor_values,
+    elementary_divisors,
     equivalent,
     invariant_factors_from_elementary,
     invariant_report,
 )
-from canonform.matrix import Matrix, mat_z
-from canonform.similarity import char_matrix, companion
+from canonform.matrix import Matrix, direct_sum, mat_qx, mat_z
+from canonform.similarity import char_matrix, companion, rcf
 
 from conftest import random_matrix, random_unimodular
 
@@ -264,3 +272,87 @@ def test_report_entries_canonical():
 def test_from_elementary_validation(eds, error):
     with pytest.raises(error):
         invariant_factors_from_elementary(eds, 2, Ring.Z)
+
+
+# (x^2 + 1)(x^2 + 2) | (x^2 + 1)(x^2 + 2)^2: the first factor is a rootless
+# quartic that `factor` cannot split, the last one it can
+D1, D2 = polynomial([2, 0, 3, 0, 1]), polynomial([4, 0, 8, 0, 5, 0, 1])
+D_EDS = [(polynomial([1, 0, 1]), 1), (polynomial([1, 0, 1]), 1),
+         (polynomial([2, 0, 1]), 1), (polynomial([2, 0, 1]), 2)]
+
+
+class TestChainReadFromItsLastFactor:
+    def test_report_and_elementary_divisors(self):
+        rep = invariant_report(mat_qx([[str(D1), "0"], ["0", str(D2)]]))
+        assert rep.invariant_factors == (D1, D2)
+        assert rep.elementary_divisors == tuple(D_EDS)
+        assert elementary_divisors([D1, D2]) == D_EDS
+
+    def test_rcf_blocks_are_the_same_prime_powers(self):
+        _, form = rcf(direct_sum(companion(D1), companion(D2)))
+        assert form == reduce(direct_sum, [companion(p ** e) for p, e in D_EDS])
+
+
+def _factor_each(chain):
+    """The oracle: factor every entry that is not one, then sort the pairs."""
+    out = [pe for q in chain if not q.is_one() for pe in factor(q)[1]]
+    out.sort(key=lambda pe: (prime_sort_key(pe[0]), pe[1]))
+    return out
+
+
+def _draw_chain(data, primes, units):
+    """A divisibility chain of 1 to 4 entries over up to three of primes,
+    each entry times one of units."""
+    r = data.draw(st.integers(1, 4))
+    chain = [units[0]] * r
+    for p in data.draw(st.lists(st.sampled_from(primes), max_size=3, unique=True)):
+        exps = sorted(data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+        chain = [q * p ** e for q, e in zip(chain, exps)]
+    return [q * data.draw(st.sampled_from(units)) for q in chain]
+
+
+Z_PRIMES = [integer(p) for p in (2, 3, 5, 7)]
+LARGE_PRIMES = [integer(p) for p in (1000003, 1000033, 2147483647)]
+QX_PRIMES = [polynomial(c) for c in ([0, 1], [-1, 1], [2, 1], [1, 0, 1], [2, 0, 1],
+                                     [1, 1, 1], [-2, 0, 1])]
+QX_UNITS = [polynomial([c]) for c in (1, -1, 2, Fraction(-1, 2))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), ring=st.sampled_from([Ring.Z, Ring.QX]))
+def test_prime_powers_match_factoring_each_entry(data, ring):
+    if ring is Ring.Z:
+        chain = _draw_chain(data, Z_PRIMES, [integer(1), integer(-1)])
+        chain[-1] = chain[-1] * data.draw(st.sampled_from(LARGE_PRIMES))
+    else:
+        chain = _draw_chain(data, QX_PRIMES, QX_UNITS)
+    try:
+        want = _factor_each(chain)
+    except FactorizationIncomplete:
+        assume(False)
+    with mock.patch.object(invariants, "factor", wraps=invariants.factor) as spy:
+        got = invariants._prime_powers(chain)
+    assert spy.call_count == 1
+    assert [(p, e) for _, p, e in got] == want
+    one = Elem.one(ring)
+    for i, q in enumerate(chain):
+        assert reduce(lambda u, v: u * v, [p ** e for j, p, e in got if j == i], one) \
+            == canonical(q)
+
+
+@pytest.mark.parametrize("chain", [
+    [polynomial([0, 1]), polynomial([1])],
+    [integer(3), integer(2)],
+    [integer(0), integer(2)],
+], ids=["x-then-1", "3-then-2", "zero-then-2"])
+def test_elementary_divisors_reject_a_list_that_is_not_a_chain(chain):
+    with pytest.raises(CertificateFailed, match="do not multiply back"):
+        elementary_divisors(chain)
+
+
+@pytest.mark.parametrize("q,want", [
+    (integer(-6), [(integer(2), 1), (integer(3), 1)]),
+    (polynomial([0, 2]), [(polynomial([0, 1]), 1)]),
+], ids=["minus-6", "2x"])
+def test_elementary_divisors_of_a_non_canonical_entry(q, want):
+    assert elementary_divisors([q]) == want == _factor_each([q])
