@@ -4,26 +4,27 @@ rational (Frobenius) and Jordan canonical forms.
 
 Constant matrices live over Q (Z inputs are lifted); polynomial matrices
 over Q[x].  The Smith form P (xI - A) Q = D splits Q^n, with x acting as
-A, into cyclic summands Q[x]/(d_i), generated by the left evaluations at
-A of the columns of P^-1 = (xI - A) Q D^-1.  `_char_smith` reads the
-Hermite form H of xI - A off Krylov relations over Q (`_krylov_hermite`),
-so no elimination over Q[x] touches the n x n matrix, splits off its unit
-pivots, runs the reduction of `smith` on the k x k block Y of the others
-with Q_Y^T and no other transform, and certifies Q and the d_i by the
-product M = (xI - A) Q, of which it multiplies out only the trailing
-columns, those of the nonunit d_i, by coefficient layers on A's integer
-rows (`_char_product`): each of them divides by its d_i, the degrees of
-the d_i sum to n, they form a divisibility chain, and Q(0) is
-nonsingular.  `_basis` builds from the quotients, the trailing columns of
-P^-1, the S with A S = S T for a direct sum T of companion or Jordan
-blocks, reading each chain of columns off its own block of T, so `rcf`
-and `jordan` run one Smith form, of Y, and one Q[x] product (Q's
-columns), and `similar` those per matrix and S = S_A S_B^-1, one inverse
-of a constant matrix.  From A to S the path runs on raw rows (see
-domain); over Q the Krylov vectors, M, `matrix.raw_multiply`,
-`determinant.det` and `_basis`'s chain steps run on integer rows; the
-Matrices handed from step to step hold raw values, so no Elem of them is
-built unless a caller reads an entry.
+A, into cyclic summands Q[x]/(d_i), whose bases are the coefficient
+layers of the columns of Q reduced modulo the d_i.  `_char_smith` reads
+the Hermite form H of xI - A off Krylov relations over Q
+(`_krylov_hermite`), so no elimination over Q[x] touches the n x n
+matrix, splits off its unit pivots, runs the reduction of `smith` on the
+k x k block Y of the others with Q_Y^T and no other transform, and
+certifies Q and the d_i by the product M = (xI - A) Q, of which it
+multiplies out only the trailing columns, those of the nonunit d_i, by
+coefficient layers on A's integer rows (`_char_product`): each of them
+divides by its d_i, the degrees of the d_i sum to n, they form a
+divisibility chain, and Q(0) is nonsingular.  `_basis` reduces those
+trailing columns of Q modulo each block's polynomial q | d_i and reads
+the S with A S = S T, for a direct sum T of companion or Jordan blocks,
+off the coefficient layers of the remainders in powers of x - alpha, so
+`rcf` and `jordan` run one Smith form, of Y, and no product with A after
+M, and `similar` those per matrix and S = S_A S_B^-1, one inverse of a
+constant matrix.  The evaluation maps `left_eval` and `right_eval` are
+not on that path.  From A to S the path runs on raw rows (see domain);
+over Q the Krylov vectors, M, `matrix.raw_multiply` and `determinant.det`
+run on integer rows; the Matrices handed from step to step hold raw
+values, so no Elem of them is built unless a caller reads an entry.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from typing import Optional
 
 from . import determinant
 from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, raw_clear_rows, raw_layer,
-                     raw_layers, raw_poly, raw_ratio, valuation)
+                     raw_layers, raw_poly, valuation)
 from .errors import (
     CertificateFailed,
     EmptyResult,
@@ -142,11 +143,11 @@ def scalar_poly_eval(q: Elem, a: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class CharSmith:
-    """The Smith form P (xI - A) Q = D without P or Q: the invariant
-    factors d_i of D, and as pinv the trailing columns of
-    P^-1 = (xI - A) Q D^-1 that belong to the nonunit d_i."""
+    """The Smith form P (xI - A) Q = D without P: the invariant factors
+    d_i of D, and as q the trailing columns of Q, those of the nonunit
+    d_i, as raw Q[x] columns."""
 
-    pinv: Matrix
+    q: list
     diag: tuple[Elem, ...]
 
 
@@ -166,17 +167,17 @@ def _char_smith(a: Matrix) -> CharSmith:
     unimodular by construction (elementary operations only) and V whatever
     its entries, so det Q is a nonzero constant c; det Q(0) != 0 keeps a Q
     that went wrong from passing, since a zero column divides by anything.
-    Then N = M D^-1, whose trailing columns it returns, is a polynomial
-    matrix (a unit column of N is M's own column, computed or not) with
-    det N * prod d_i = det M = chi * c for chi = det(xI - A), monic of
-    degree n, so prod d_i, monic of degree n, is chi, det N = c, and
-    N = P^-1 is unimodular: P (xI - A) Q = D, with d_i | d_(i+1) its
-    Smith form.  No step trusts U or H, nor how H was found (from Krylov
-    relations over Q): the argument uses only that Q_Y is a product of
-    elementary operations and V unipotent, so a wrong H, in an entry of V
-    or in Y, fails the checks or still gives the Smith form.  The replay
-    P A Q = D of `smith` trusts the same premise for P and Q; this one for
-    Q_Y alone.
+    Then N = M D^-1 is a polynomial matrix (a unit column of N is M's own
+    column, computed or not) with det N * prod d_i = det M = chi * c for
+    chi = det(xI - A), monic of degree n, so prod d_i, monic of degree n,
+    is chi, det N = c, and N = P^-1 is unimodular: P (xI - A) Q = D, with
+    d_i | d_(i+1) its Smith form.  It returns the trailing columns of Q,
+    which `_basis` reads the bases off, and keeps no quotient of M by D.
+    No step trusts U or H, nor how H was found (from Krylov relations over
+    Q): the argument uses only that Q_Y is a product of elementary
+    operations and V unipotent, so a wrong H, in an entry of V or in Y,
+    fails the checks or still gives the Smith form.  The replay P A Q = D
+    of `smith` trusts the same premise for P and Q; this one for Q_Y alone.
     """
     a = _as_rational_square(a)
     n, one = a.m, Elem.one(Ring.QX)
@@ -201,16 +202,13 @@ def _char_smith(a: Matrix) -> CharSmith:
           [one.raw if s == t else zero for s in ks] for t in range(n)]
     qcols = raw_multiply(Ring.QX, vk, [list(col) for col in zip(*qyt[units - n + k:])])
     xq = _char_product(aints, adens, qcols)
-    pinv = []
     for i, d in enumerate(diag[units:], units):
-        quots, rems = zip(*(divmod_(row[i - units], d.raw) for row in xq))
-        if any(r != zero for r in rems):
+        if any(divmod_(row[i - units], d.raw)[1] != zero for row in xq):
             raise CertificateFailed(
                 f"column {i + 1} of (xI - A) Q is not divisible by {brief(d)}")
-        pinv.append(quots)
     if determinant.det(Matrix.from_raw(Ring.Q, raw_layer(qyt, 0))).is_zero():
         raise CertificateFailed(f"xI - A: Q(0) is singular, so the {n}x{n} Q is not unimodular")
-    return CharSmith(Matrix.from_raw(Ring.QX, list(zip(*pinv))), diag)
+    return CharSmith([list(col) for col in zip(*qcols)], diag)
 
 
 def _krylov_hermite(aints, adens) -> list:
@@ -369,8 +367,8 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     res_a, res_b = _char_smith(a), _char_smith(b)
     if res_a.diag != res_b.diag:
         return None
-    blocks = [(i, d, companion(d)) for i, d in enumerate(res_a.diag) if not d.is_one()]
-    s_a, s_b = _basis(a, res_a, blocks), _basis(b, res_b, blocks)
+    blocks = [(i, d, RAW_OPS[Ring.Q][2]) for i, d in enumerate(res_a.diag) if not d.is_one()]
+    s_a, s_b = _basis(res_a, blocks), _basis(res_b, blocks)
     try:
         s_b_inv = determinant.inverse(s_b)
     except NotAUnit:
@@ -378,41 +376,35 @@ def similar(a: Matrix, b: Matrix) -> Optional[SimilarityCertificate]:
     return _certified(a, s_a @ s_b_inv, b)
 
 
-def _basis(a: Matrix, res: CharSmith, blocks) -> Matrix:
-    """S with A S = S (T_1 + ... + T_m) for blocks (i, q, T): q of degree
-    k divides the invariant factor d_i of res, the Smith form of xI - A,
-    and T is a k x k block of characteristic polynomial q with ones on
-    the superdiagonal and zeros off it, the diagonal and the bottom row:
-    companion(q), or hypercompanion(alpha, k) for q = (x - alpha)^k.
-    Column i of (xI - A) Q over q, that is d_i / q (q | d_i is checked)
-    times column i - (n - w) of res.pinv, of width w, evaluates on the
-    left at A to a g with annihilator q (Giesbrecht 1995; Storjohann 2000).
-    Column j of A S = S T gives the chain c_0..c_(k-1) from T alone:
-    c_(k-1) = g and c_(j-1) = A c_j - T_jj c_j - T_(k-1)j g, the last term
-    for j < k - 1; A c_j is the integer dot product of each row of A, its
-    denominator cleared once, with c_j over one denominator.
+def _basis(res: CharSmith, blocks) -> Matrix:
+    """S with A S = S (T_1 + ... + T_m) for blocks (i, q, alpha): q of
+    degree k divides the invariant factor d_i of res, the Smith form of
+    xI - A (q | d_i is checked), alpha is a raw Q value, and
+    T = alpha I + companion(q(x + alpha)), so companion(q) for alpha = 0
+    and hypercompanion(alpha, k) for q = (x - alpha)^k.  Column i of Q, c,
+    has q | d_i | (xI - A) c.  With c = q w + r, deg r < k, (xI - A) r
+    then divides by q and has degree <= k, so (xI - A) r = q r_(k-1)
+    (Giesbrecht 1995; Storjohann 2000).  In powers of x - alpha, the k
+    coefficient layers L_0..L_(k-1) of r are the block's columns of S: the
+    layers of that identity read A L_j = alpha L_j + L_(j-1) - q'_j L_(k-1),
+    q'_j the coefficient of x^j in q(x + alpha).  One divmod of each entry
+    of c by q gives r, and a Taylor shift in place its layers in x - alpha;
+    no step multiplies by A.
     """
-    (_, qx_mul, qx_zero), divmod_ = RAW_OPS[Ring.QX], RAW_EUCLID[Ring.QX][0]
-    pinv, units, quotients = res.pinv.raw_rows(), len(res.diag) - res.pinv.n, []
-    for i, q, _ in blocks:
-        c, r = divmod_(res.diag[i].raw, q.raw)
-        if r != qx_zero:
+    (add, mul, _), zero = RAW_OPS[Ring.Q], RAW_OPS[Ring.QX][2]
+    divmod_, units, out = RAW_EUCLID[Ring.QX][0], len(res.diag) - len(res.q), []
+    for i, q, alpha in blocks:
+        if divmod_(res.diag[i].raw, q.raw)[1] != zero:
             raise CertificateFailed(f"{brief(q)} does not divide the invariant factor "
                                     f"{brief(res.diag[i])}")
-        quotients.append([qx_mul(row[i - units], c) for row in pinv])
-    gens = zip(*left_eval(Matrix.from_raw(Ring.QX, list(zip(*quotients))), a).raw_rows())
-    (add, mul, zero), neg, zmul = RAW_OPS[Ring.Q], RAW_EUCLID[Ring.Q][1], RAW_OPS[Ring.Z][1]
-    (aints, adens), out = raw_clear_rows(a.raw_rows()), []
-    for (_, _, t), g in zip(blocks, gens):
-        trows, chain = t.raw_rows(), [g]
-        for j in range(t.m - 1, 0, -1):
-            c, diag = chain[-1], neg(trows[j][j])
-            bottom = neg(trows[-1][j]) if j < t.m - 1 else zero
-            (cints,), (cden,) = raw_clear_rows([c])
-            chain.append([add(add(raw_ratio(sum(map(zmul, arow, cints)), da * cden),
-                                  mul(diag, ci)), mul(bottom, gi))
-                          for arow, da, ci, gi in zip(aints, adens, c, g)])
-        out.extend(reversed(chain))
+        rems = [divmod_(v, q.raw)[1] for v in res.q[i - units]]
+        k = q.degree()
+        layers = [raw_layer([rems], j)[0] for j in range(k)]
+        for t in range(k):
+            for j in range(k - 1, t, -1):
+                layers[j - 1] = [add(u, mul(alpha, v))
+                                 for u, v in zip(layers[j - 1], layers[j])]
+        out.extend(layers)
     return Matrix.from_raw(Ring.Q, [list(row) for row in zip(*out)])
 
 
@@ -429,10 +421,9 @@ def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     elementary divisors in display order, with verified conjugator."""
     a = _as_rational_square(a)
     res = _char_smith(a)
-    powers = [(i, p ** e) for i, p, e in _prime_powers(res.diag)]
-    blocks = [(i, q, companion(q)) for i, q in powers]
-    form = reduce(direct_sum, [t for _, _, t in blocks])
-    return _certified(a, _basis(a, res, blocks), form), form
+    blocks = [(i, p ** e, RAW_OPS[Ring.Q][2]) for i, p, e in _prime_powers(res.diag)]
+    form = reduce(direct_sum, [companion(q) for _, q, _ in blocks])
+    return _certified(a, _basis(res, blocks), form), form
 
 
 def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
@@ -446,6 +437,6 @@ def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
             raise NonLinearElementaryDivisor(
                 f"elementary divisor prime {brief(p)} is not linear over Q"
             )
-    blocks = [(i, p ** e, hypercompanion(-p.value[0], e)) for i, p, e in eds]
-    form = reduce(direct_sum, [t for _, _, t in blocks])
-    return _certified(a, _basis(a, res, blocks), form), form
+    blocks = [(i, p ** e, Elem(Ring.Q, -p.value[0]).raw) for i, p, e in eds]
+    form = reduce(direct_sum, [hypercompanion(-p.value[0], e) for _, p, e in eds])
+    return _certified(a, _basis(res, blocks), form), form

@@ -18,19 +18,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Corrupts smith_2x2's associate and its Euclid cofactor s, the rows of P
 # that the alternation leaves (P negated) and one term of the raw product
-# replaying P A Q = D in smith, two ways the left evaluation that gives
-# similar and rcf their generators, the columns of P^-1 that similar reads
-# its generators off, rcf's prime powers twice, and five parts of the
-# certificate of the Smith form of xI - A that `_char_smith` checks in
+# replaying P A Q = D in smith, the columns of Q that similar and jordan
+# read their bases off, twice, rcf's prime powers twice, and five parts of
+# the certificate of the Smith form of xI - A that `_char_smith` checks in
 # place of a P (xI - A) Q = D replay, in a process started with -O; exits
 # 0 only when every corruption raises CertificateFailed (a zero S_B must
-# not surface as NotAUnit), the smith_2x2, P, P A Q = D, P^-1, prime power
-# and xI - A corruptions from their own checks.  The generators are
-# swapped between blocks of unequal annihilators: any generator of a
-# block's annihilator, such as a multiple of the true one, still gives a
-# valid conjugator.  So the columns of P^-1 are zeroed, not scaled: the
-# generators are then zero, and S_B is singular.  rcf's prime powers,
-# each raised one degree where similarity reads `_prime_powers`, must be
+# not surface as NotAUnit), the smith_2x2, P, P A Q = D, zeroed Q, prime
+# power and xI - A corruptions from their own checks.  The columns of Q
+# are swapped between blocks of unequal invariant factors: any column c
+# with q | (xI - A) c that generates its summand, such as a nonzero
+# multiple of the true one, still gives a valid conjugator, so scaling is
+# no corruption.  Zeroed, the columns give a zero basis, and S_B is
+# singular.  rcf's prime powers, each raised one degree where similarity
+# reads `_prime_powers`, must be
 # caught by `_basis`'s check that a block's power divides its invariant
 # factor; the exponents that invariants reads off each d_i, each raised
 # by one, by `_prime_powers`'s check that the prime powers multiply back
@@ -115,33 +115,31 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             sys.exit(f"the P A Q replay did not catch the corrupted P: {exc}")
     sm._alternate = orig_alternate
 
+    add, zero = sm.RAW_OPS[Ring.QX][0], sm.RAW_OPS[Ring.QX][2]
     derogatory = mat_q([[3, 1, -1], [-1, 1, 1], [0, 0, 2]])  # x - 2, (x - 2)^2
     jordan_form = mat_q([[2, 1, 0], [0, 2, 0], [0, 0, 2]])
     two_primes = mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])  # (x - 2)^2 (x + 1)
 
-    def swapped_generators(p, a):
-        return Matrix.from_raw(Ring.Q, [row[::-1] for row in orig_eval(p, a).raw_rows()])
-
-    orig_eval = sim.left_eval
-    for corrupted in (swapped_generators, lambda p, a: orig_eval(p, a).scale(0)):
-        sim.left_eval = corrupted
-        for name, call in (("similar", lambda: sim.similar(derogatory, jordan_form)),
-                           ("rcf", lambda: sim.rcf(two_primes))):
-            try:
-                call()
-                sys.exit(f"corrupted {name} was not caught")
-            except CertificateFailed:
-                pass
-    sim.left_eval = orig_eval
-
     orig_char_smith = sim._char_smith
-    def pinv_zeroed(a):
+    def q_reversed(a):
         res = orig_char_smith(a)
-        return dataclasses.replace(res, pinv=Matrix.zeros(Ring.QX, res.pinv.m, res.pinv.n))
-    sim._char_smith = pinv_zeroed
+        return dataclasses.replace(res, q=res.q[::-1])
+    sim._char_smith = q_reversed
+    for name, call in (("similar", lambda: sim.similar(derogatory, jordan_form)),
+                       ("jordan", lambda: sim.jordan(derogatory))):
+        try:
+            call()
+            sys.exit(f"corrupted {name} was not caught")
+        except CertificateFailed:
+            pass
+
+    def q_zeroed(a):
+        res = orig_char_smith(a)
+        return dataclasses.replace(res, q=[[zero] * len(col) for col in res.q])
+    sim._char_smith = q_zeroed
     try:
         sim.similar(mat_q([[1, 1], [0, 1]]), mat_q([[1, 0], [1, 1]]))
-        sys.exit("a zeroed P^-1 of xI - B was not caught")
+        sys.exit("zeroed columns of Q were not caught")
     except CertificateFailed as exc:
         if "the Frobenius basis of B is singular" not in str(exc):
             sys.exit(f"the inverse of S_B did not catch it: {exc}")
@@ -168,7 +166,6 @@ CORRUPTED_STEPS = textwrap.dedent("""\
             sys.exit(f"the product of the prime powers did not catch it: {exc}")
     inv._multiplicity = orig_multiplicity
 
-    add, zero = sm.RAW_OPS[Ring.QX][0], sm.RAW_OPS[Ring.QX][2]
     def last_factor_times_x_plus_5(diag, q_columns):
         diag[-1] = diag[-1] * polynomial([5, 1])
     def last_two_factors_swapped(diag, q_columns):
@@ -376,15 +373,17 @@ def test_diagonalize_cap_names_passes_and_largest_entry(monkeypatch, a, after_on
 
 @pytest.mark.parametrize("call", ["similar", "rcf", "jordan"])
 def test_similarity_path_never_reaches_canonical_presentation(call, monkeypatch):
-    """Horner splits P into raw coefficient layers itself; the Elem-level
-    canonical_presentation stays public for callers and tests only."""
+    """`_basis` reads each basis off the coefficient layers of Q's columns
+    and evaluates nothing at A; canonical_presentation, left_eval and
+    right_eval stay public for callers and tests only."""
     import importlib
     sim = importlib.import_module("canonform.similarity")
 
-    def forbidden(p):
-        raise AssertionError("canonical_presentation reached")
+    for name in ("canonical_presentation", "left_eval", "right_eval"):
+        def forbidden(*args, name=name):
+            raise AssertionError(f"{name} reached")
 
-    monkeypatch.setattr(sim, "canonical_presentation", forbidden)
+        monkeypatch.setattr(sim, name, forbidden)
     a = mat_q([[-4, -1, -5], [3, 3, 2], [3, 1, 4]])
     out = sim.similar(a, a) if call == "similar" else getattr(sim, call)(a)
     cert = out if call == "similar" else out[0]

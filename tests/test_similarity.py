@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonform.determinant import cramer_solve, inverse
+from canonform.determinant import inverse
 from canonform.domain import (
     Elem,
     Ring,
@@ -660,23 +660,24 @@ def _differential_input(kind, rng, n):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_char_smith_matches_smith(kind, n, seed):
     """_char_smith's invariant factors are smith's on xI - A bit for bit;
-    each column of P^-1 it returns, one for each nonunit invariant factor
-    d_i, times d_i is (xI - A) v for a polynomial v, column i of its Q;
-    and the S that `_basis` reads off them replays against A."""
+    each column of Q it returns, one for each nonunit invariant factor
+    d_i, is a polynomial c with (xI - A) c divisible by d_i; and the S
+    that `_basis` reads off them replays against A."""
     from canonform.similarity import _basis, _char_smith
     a = _differential_input(kind, random.Random(seed), n)
     res = _char_smith(a)
     assert res.diag == smith(char_matrix(a)).diag
     k = sum(not d.is_one() for d in res.diag)
-    assert res.pinv.n == k and res.pinv.m == n
-    for col, d in enumerate(res.diag[n - k:], 1):
-        m_col = Matrix.from_rows(Ring.QX, [[e * d] for e in res.pinv.col(col)])
-        cramer_solve(char_matrix(a), m_col)  # ExactDivisionError unless v is polynomial
-    blocks = [(i, d, companion(d)) for i, d in enumerate(res.diag) if not d.is_one()]
-    form = blocks[0][2]
-    for _, _, t in blocks[1:]:
-        form = direct_sum(form, t)
-    assert SimilarityCertificate(_basis(a, res, blocks), form).verify(a)
+    assert len(res.q) == k and all(len(col) == n for col in res.q)
+    for col, d in zip(res.q, res.diag[n - k:]):
+        m_col = char_matrix(a) @ Matrix.from_raw(Ring.QX, [[v] for v in col])
+        for e in m_col.col(1):
+            e.exact_div(d)  # ExactDivisionError unless d divides (xI - A) c
+    blocks = [(i, d, rational(0).raw) for i, d in enumerate(res.diag) if not d.is_one()]
+    form = companion(blocks[0][1])
+    for _, d, _ in blocks[1:]:
+        form = direct_sum(form, companion(d))
+    assert SimilarityCertificate(_basis(res, blocks), form).verify(a)
 
 
 def _split_input(kind, rng):
