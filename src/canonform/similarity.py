@@ -225,45 +225,40 @@ def _krylov_hermite(aints, adens) -> list:
     d_t, and h_tj of degree < d_j for j > t.  A row of that shape is
     reduced, and the reduced Hermite form is unique, so H is the same.
     The vectors run on integers, D^i e_t A^i for D the lcm of the row
-    denominators; each is reduced fraction-free against the echelon rows,
-    carrying its integer coefficients on the Krylov vectors it combines,
-    and is kept divided by its content.  The coefficient of x^l in h_tj is
-    then that of e_j A^l times D^l over that of e_t A^(d_t) times D^(d_t).
+    denominators.  Each echelon row is one integer list, the vector's n
+    entries and then its relation: slot n + s holds the coefficient of the
+    s-th Krylov vector e_j A^l, seeded with D^l, so one fraction-free step
+    updates both and one gcd divides the row by its content.  When the
+    vector part vanishes, h_tj is the slice of e_j's slots over the slot
+    of e_t A^(d_t).
     """
     n, zero, zmul = len(aints), RAW_OPS[Ring.QX][2], RAW_OPS[Ring.Z][1]
     den = lcm(*adens)
     acols = list(zip(*[[v * (den // d) for v in row] for row, d in zip(aints, adens)]))
-    powers, h = [1], [[zero] * n for _ in range(n)]
-    # the echelon rows (pivot, vector, coefficients on the Krylov vectors
-    # so far), and where e_j's Krylov vectors start among those, and d_j
+    h = [[zero] * n for _ in range(n)]
+    # the echelon rows (pivot, row), the slot where e_j's vectors start, d_j
     echelon, start, degs = [], [0] * n, [0] * n
     for t in range(n - 1, -1, -1):
-        start[t], w = len(echelon), [0] * n
+        start[t], w, seed = len(echelon), [0] * n, 1
         w[t] = 1
         while True:
-            vec, coef = w, [0] * len(echelon) + [1]
-            for p, rvec, rcoef in echelon:
-                c = vec[p]
+            row = w + [0] * (n + 1)
+            row[n + len(echelon)] = seed
+            for p, prow in echelon:
+                c = row[p]
                 if c:
-                    r = rvec[p]
+                    r = prow[p]
                     g = gcd(r, c)
                     r, c = r // g, c // g
-                    vec = [r * u - c * v for u, v in zip(vec, rvec)]
-                    coef = [r * u - c * v for u, v in zip_longest(coef, rcoef, fillvalue=0)]
-            if not any(vec):  # coef is the relation that gives row t of H
+                    row = [r * u - c * v for u, v in zip(row, prow)]
+            if not any(row[:n]):  # row[n:] is the relation that gives row t of H
                 break
-            g = gcd(*vec, *coef)
-            echelon.append((next(j for j, v in enumerate(vec) if v),
-                            [v // g for v in vec], [u // g for u in coef]))
-            w = [sum(map(zmul, w, col)) for col in acols]
-        degs[t] = d = len(echelon) - start[t]
-        while len(powers) <= d:
-            powers.append(powers[-1] * den)
-        lead = coef[-1] * powers[d]
+            g = gcd(*row)
+            echelon.append((next(j for j, v in enumerate(row) if v), [v // g for v in row]))
+            w, seed = [sum(map(zmul, w, col)) for col in acols], seed * den
+        degs[t], coef = len(echelon) - start[t], row[n:]
         for j in range(t, n):
-            if degs[j] or j == t:
-                h[t][j] = raw_poly([coef[start[j] + l] * powers[l]
-                                    for l in range(degs[j] + (j == t))], lead)
+            h[t][j] = raw_poly(coef[start[j]:start[j] + degs[j] + (j == t)], coef[len(echelon)])
     return h
 
 
@@ -419,7 +414,6 @@ def _certified(a: Matrix, s: Matrix, target: Matrix) -> SimilarityCertificate:
 def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     """Frobenius (rational) canonical form: companion blocks of the
     elementary divisors in display order, with verified conjugator."""
-    a = _as_rational_square(a)
     res = _char_smith(a)
     blocks = [(i, p ** e, RAW_OPS[Ring.Q][2]) for i, p, e in _prime_powers(res.diag)]
     form = reduce(direct_sum, [companion(q) for _, q, _ in blocks])
@@ -429,7 +423,6 @@ def rcf(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
 def jordan(a: Matrix) -> tuple[SimilarityCertificate, Matrix]:
     """Jordan canonical form: hypercompanion blocks of the elementary
     divisors, which must all be powers of linear factors."""
-    a = _as_rational_square(a)
     res = _char_smith(a)
     eds = _prime_powers(res.diag)
     for _, p, _ in eds:
