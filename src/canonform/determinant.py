@@ -2,21 +2,23 @@
 restricted sums, adjugate, Cramer solving, Cauchy-Binet checks, rank by
 minors, and inversion over the ring.
 
-`det` runs Bareiss on raw values (domain.RAW_OPS), dividing by the raw
-divmod of domain.RAW_EUCLID; a nonzero remainder raises ExactDivisionError.
-Over Q it runs on the integer rows of domain.raw_clear_rows instead.
+`det` runs one Bareiss kernel on integer rows in every ring, each
+division an exact integer divmod whose nonzero remainder raises
+ExactDivisionError: Z rows as they are, the rows of domain.raw_clear_rows
+over Q, and over Q[x] the rows of domain.raw_clear_polys with each entry
+packed at x = 2^k (domain.raw_pack), the determinant unpacked once.
 A unit matrix is inverted through its Hermite canonical form, which is the
 identity, so the row transform is the inverse; no adjugate is formed.
 `similarity.similar` calls `inverse` once, on a constant matrix over Q.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb, prod
 from typing import Iterable
 
-from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, _mk, brief, gcd, raw_clear_rows,
-                     raw_ratio)
+from .domain import (Elem, Ring, _mk, brief, gcd, raw_clear_polys, raw_clear_rows, raw_pack,
+                     raw_pack_width, raw_poly, raw_ratio, raw_unpack)
 from .errors import (
     BadIndexSet,
     CertificateFailed,
@@ -69,43 +71,49 @@ def det_expansion(a: Matrix) -> Elem:
 
 
 def det(a: Matrix) -> Elem:
-    """Determinant by fraction-free (Bareiss) elimination; exact in every
-    ring, agrees with det_expansion.  Over Q row i of A is ints over d_i
-    (domain.raw_clear_rows), so det A is the integer Bareiss determinant
-    over prod d_i, normalized once."""
+    """Determinant by fraction-free (Bareiss) elimination on integers;
+    exact in every ring, agrees with det_expansion.  Over Q and Q[x] row i
+    of A is integers over d_i (domain.raw_clear_rows, raw_clear_polys), so
+    det A is an integer determinant over prod d_i, normalized once.  Over
+    Q[x] each entry is packed at x = 2^k (domain.raw_pack), 2^(k-1) above
+    B = prod_i sum_j |a_ij|_1, which bounds every coefficient of the
+    determinant, so its value at 2^k unpacks to it."""
     _require_square(a)
+    rows = a.raw_rows()
+    if a.ring is Ring.Z:
+        return _mk(Ring.Z, _bareiss(rows))
     if a.ring is Ring.Q:
-        ints, dens = raw_clear_rows(a.raw_rows())
-        return _mk(Ring.Q, raw_ratio(_bareiss(Ring.Z, ints), prod(dens)))
-    return _mk(a.ring, _bareiss(a.ring, a.raw_rows()))
+        ints, dens = raw_clear_rows(rows)
+        return _mk(Ring.Q, raw_ratio(_bareiss(ints), prod(dens)))
+    ints, dens = raw_clear_polys(rows)
+    bound = prod(sum(map(abs, chain.from_iterable(row))) for row in ints)
+    if not bound:  # a zero row
+        return Elem.zero(Ring.QX)
+    k = raw_pack_width(bound)
+    return _mk(Ring.QX, raw_poly(raw_unpack(_bareiss(raw_pack(ints, k)), k), prod(dens)))
 
 
-def _bareiss(ring: Ring, w: list):
-    """The raw determinant of the square raw rows w, which it overwrites."""
-    n = len(w)
-    (add, mul, zero), (divmod_, neg, _) = RAW_OPS[ring], RAW_EUCLID[ring]
-    sign_flip = False
-    prev = Elem.one(ring).raw
+def _bareiss(w: list) -> int:
+    """The determinant of the square integer rows w, which it overwrites."""
+    n, sign, prev = len(w), 1, 1
     for k in range(n - 1):
-        if w[k][k] == zero:
+        if not w[k][k]:
             for t in range(k + 1, n):
-                if w[t][k] != zero:
-                    w[k], w[t] = w[t], w[k]
-                    sign_flip = not sign_flip
+                if w[t][k]:
+                    w[k], w[t], sign = w[t], w[k], -sign
                     break
             else:
-                return zero
+                return 0
         pivot, wk = w[k][k], w[k]
         for i in range(k + 1, n):
-            wi, c = w[i], neg(w[i][k])
+            wi, c = w[i], -w[i][k]
             for j in range(k + 1, n):
-                wi[j], r = divmod_(add(mul(pivot, wi[j]), mul(c, wk[j])), prev)
-                if r != zero:
+                wi[j], r = divmod(pivot * wi[j] + c * wk[j], prev)
+                if r:
                     raise ExactDivisionError(
-                        f"Bareiss step {k + 1}: division by {brief(_mk(ring, prev))} "
-                        f"leaves {brief(_mk(ring, r))}")
+                        f"Bareiss step {k + 1}: division by {brief(prev)} leaves {brief(r)}")
         prev = pivot
-    return neg(w[n - 1][n - 1]) if sign_flip else w[n - 1][n - 1]
+    return sign * w[n - 1][n - 1]
 
 
 def _validate_subset(x: Iterable[int], n: int) -> tuple[int, ...]:

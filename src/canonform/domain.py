@@ -19,9 +19,11 @@ the Euclidean size by which hermite picks a pivot, and raw_egcd is the
 one extended Euclid loop, on either table; raw_layers splits raw Q[x]
 rows into raw Q coefficient rows (raw_layer takes one of them),
 raw_clear_rows clears each raw Q row's denominator so that a Q kernel
-can run on ints, raw_ratio and raw_poly normalize an integer result back
-to a Q or a Q[x] value, and
-largest_raw sizes raw rows for an error message by the same measure.
+can run on ints, raw_clear_polys does the same on Q[x] rows, raw_pack
+turns integer polynomials into ints at x = 2^k (Kronecker substitution)
+and raw_unpack reads one back, raw_ratio and raw_poly normalize an
+integer result back to a Q or a Q[x] value, and largest_raw sizes raw
+rows for an error message by the same measure.
 The matrix kernels in hermite, smith (its 2x2 chain step included),
 matrix, determinant and similarity work on raw entries through these,
 and Elem's + - *, division, egcd, gcd and canonical_associate wrap them,
@@ -286,6 +288,55 @@ def raw_poly(nums, den: int) -> tuple:
     """The raw Q[x] value sum(nums[i] x^i) / den of ints with den != 0,
     normalized once."""
     return _qnorm(nums, den)
+
+
+def raw_clear_polys(rows) -> tuple[list, list]:
+    """Raw Q[x] rows as rows of integer coefficient lists over one
+    denominator each, as raw_clear_rows does on Q: entry j of row i is
+    sum(ints[i][j][t] x^t) / dens[i]."""
+    ints, dens = [], []
+    for row in rows:
+        den = math.lcm(*[d for _, d in row])
+        ints.append([nums if d == den else [c * (den // d) for c in nums] for nums, d in row])
+        dens.append(den)
+    return ints, dens
+
+
+def raw_pack_width(bound: int) -> int:
+    """The least multiple k of 8 with 2^(k-1) > bound."""
+    return bound.bit_length() // 8 * 8 + 8
+
+
+def _halves(k: int, n: int) -> int:
+    """2^(k-1) in each of n k-bit fields, for k a multiple of 8."""
+    return int.from_bytes((bytes(k // 8 - 1) + b"\x80") * n, "little")
+
+
+def raw_pack(rows, k: int) -> list:
+    """Rows of integer coefficient lists c as rows of the ints c(2^k)
+    (Kronecker substitution), for k a multiple of 8 and every |c[t]| <
+    2^(k-1): c[t] + 2^(k-1) fills field t of one byte string, and the
+    2^(k-1) in each field are subtracted once."""
+    kb, half = k // 8, 1 << (k - 1)
+
+    def pack(c):
+        return int.from_bytes(b"".join([(t + half).to_bytes(kb, "little") for t in c]),
+                              "little") - _halves(k, len(c))
+
+    return [[pack(c) if len(c) > 1 else c[0] if c else 0 for c in row] for row in rows]
+
+
+def raw_unpack(v: int, k: int) -> list:
+    """The integer coefficients c, with no trailing zero, of the
+    polynomial with c(2^k) == v and every |c[t]| < 2^(k-1), for k a
+    multiple of 8: field t of v plus 2^(k-1) in each field holds
+    c[t] + 2^(k-1), with no carry between fields."""
+    if not v:
+        return []
+    kb, half = k // 8, 1 << (k - 1)
+    n = abs(v).bit_length() // k + 1  # the top field holds c[n-1] != 0
+    data = (v + _halves(k, n)).to_bytes(n * kb, "little")
+    return [int.from_bytes(data[i:i + kb], "little") - half for i in range(0, n * kb, kb)]
 
 
 Value = Union[int, Fraction, tuple]

@@ -22,9 +22,10 @@ off the coefficient layers of the remainders in powers of x - alpha, so
 M, and `similar` those per matrix and S = S_A S_B^-1, one inverse of a
 constant matrix.  The evaluation maps `left_eval` and `right_eval` are
 not on that path.  From A to S the path runs on raw rows (see domain);
-over Q the Krylov vectors, M, `matrix.raw_multiply` and `determinant.det`
-run on integer rows; the Matrices handed from step to step hold raw
-values, so no Elem of them is built unless a caller reads an entry.
+over Q the Krylov vectors, M and `matrix.raw_multiply` run on integer
+rows, and `determinant.det` does in every ring (`char_poly`'s det(xI - A)
+on entries packed at x = 2^k); the Matrices handed from step to step hold
+raw values, so no Elem of them is built unless a caller reads an entry.
 """
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ from math import gcd, lcm
 from typing import Optional
 
 from . import determinant
-from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, raw_clear_rows, raw_layer,
-                     raw_layers, raw_poly, valuation)
+from .domain import (RAW_EUCLID, RAW_OPS, Elem, Ring, X, brief, raw_clear_polys, raw_clear_rows,
+                     raw_layer, raw_layers, raw_poly, valuation)
 from .errors import (
     CertificateFailed,
     EmptyResult,
@@ -265,13 +266,12 @@ def _krylov_hermite(aints, adens) -> list:
 def _char_product(aints, adens, cols) -> list:
     """(xI - A) C as raw Q[x] rows for A = aints / adens, its rows cleared
     by raw_clear_rows, and C raw Q[x] rows.  With column c of C cleared to
-    integer polynomials q_mc over one denominator e_c, entry (i, c) is
-    (adens_i x q_ic - sum_m aints_im q_mc) / (adens_i e_c): one integer
-    dot product of a row of A per coefficient layer, normalized once."""
+    integer polynomials q_mc over one denominator e_c (raw_clear_polys),
+    entry (i, c) is (adens_i x q_ic - sum_m aints_im q_mc) / (adens_i e_c):
+    one integer dot product of a row of A per coefficient layer, normalized
+    once."""
     zmul, out = RAW_OPS[Ring.Z][1], [[] for _ in aints]
-    for col in zip(*cols):
-        e = lcm(*[d for _, d in col])
-        ints = [[c * (e // d) for c in nums] for nums, d in col]
+    for ints, e in zip(*raw_clear_polys(zip(*cols))):
         layers = list(zip_longest(*ints, fillvalue=0))
         for row, arow, da, q in zip(out, aints, adens, ints):
             nums = [-sum(map(zmul, arow, layer)) for layer in layers] + [0]

@@ -13,15 +13,20 @@ O(n) diagonal entries are Elems, tested for divisibility on their raw
 values.  `smith_2x2` computes on the raw values of its two entries
 through `domain.raw_egcd` and the raw tables, checks that both quotients
 by the gcd are exact and replays its four entries from P2's and Q2's.
-`smith` replays P A Q = D on raw rows by `matrix.raw_multiply` and
-returns P, Q and D as Matrices of raw values, whose Elems are built
-when a caller reads them.
+`smith` replays P A Q = D on raw rows by `matrix.raw_multiply` over Z
+and Q; over Q[x] `_replay_qx` clears P's rows, A and Q's columns to
+integer polynomials, packs each entry once at x = 2^k (domain.raw_pack)
+and compares integer products, never unpacking.  It returns P, Q and D
+as Matrices of raw values, whose Elems are built when a caller reads
+them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .domain import RAW_EUCLID, RAW_OPS, RAW_SIZE, Elem, _mk, brief, largest_raw, raw_egcd
+from .domain import (RAW_EUCLID, RAW_OPS, RAW_SIZE, Elem, Ring, _mk, brief, largest_raw,
+                     raw_clear_polys, raw_egcd, raw_pack, raw_pack_width)
 from .errors import CertificateFailed, RingMismatch, ZeroArgument
 from .matrix import Matrix, raw_multiply
 from .hermite import _apply_2x2_rows, _canonicalize
@@ -164,6 +169,38 @@ def _check_chain(diag) -> None:
                 f"divisibility chain broken: {brief(d)} does not divide {brief(e)}")
 
 
+def _norm(row) -> int:
+    """The sum of |c| over every coefficient c of a row of integer coefficient lists."""
+    return sum(map(abs, chain.from_iterable(row)))
+
+
+def _replay_qx(p, a, qt, d) -> bool:
+    """P A Q == D for the raw Q[x] rows p of P, a of A, qt of Q^T and d of
+    D, on integers.  P' = diag(p_i) P, A' = alpha A and Q' = Q diag(q_j)
+    clear every denominator, and P' A' Q' == D' = alpha diag(p_i) D
+    diag(q_j) is compared at x = 2^k, with 2^(k-1) above every
+    coefficient packed and of both sides, where integer polynomials are
+    equal exactly when their values are.  A non-integral D' is unequal."""
+    (pc, pd), (qc, qd) = raw_clear_polys(p), raw_clear_polys(qt)
+    (ac,), (alpha,) = raw_clear_polys([[v for row in a for v in row]])
+    dc = []
+    for row, pi in zip(d, pd):
+        dc.append([])
+        for (nums, den), qj in zip(row, qd):
+            if nums:
+                s, r = divmod(alpha * pi * qj, den)
+                if r:
+                    return False
+                nums = [c * s for c in nums]
+            dc[-1].append(nums)
+    pn, an, qn = max(map(_norm, pc)), max(_norm((c,)) for c in ac), max(map(_norm, qc))
+    bound = max(pn * an * qn, pn, an, qn, max(map(_norm, dc)))
+    k, n = raw_pack_width(bound), len(a[0])
+    (ap,) = raw_pack([ac], k)
+    pa = raw_multiply(Ring.Z, raw_pack(pc, k), [ap[i:i + n] for i in range(0, len(ap), n)])
+    return raw_multiply(Ring.Z, pa, list(zip(*raw_pack(qc, k)))) == raw_pack(dc, k)
+
+
 def smith(a: Matrix) -> SmithResult:
     """Smith canonical form P A Q = D: a full divisibility chain of
     canonical associates; the witness product is replayed exactly."""
@@ -175,7 +212,8 @@ def smith(a: Matrix) -> SmithResult:
     qwork = [list(col) for col in zip(*qtwork)]
     dwork = [[diag[i].raw if i == j and i < r else zero for j in range(a.n)]
              for i in range(a.m)]
-    if raw_multiply(ring, raw_multiply(ring, pwork, arows), qwork) != dwork:
+    if not (_replay_qx(pwork, arows, qtwork, dwork) if ring is Ring.QX else
+            raw_multiply(ring, raw_multiply(ring, pwork, arows), qwork) == dwork):
         raise CertificateFailed("Smith certificate P A Q = D failed")
     _check_chain(diag)
     return SmithResult(Matrix.from_raw(ring, pwork), Matrix.from_raw(ring, qwork),

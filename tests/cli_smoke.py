@@ -4,6 +4,9 @@ library only (pytest does not collect this file).
     python tests/cli_smoke.py lines VERB ARGS... -- LINES...
         runs the verb, prints its output, and fails unless it exits 0 and
         prints each of LINES as a whole line.
+    python tests/cli_smoke.py verified VERB ARGS...
+        runs the verb with --verify --json and fails unless the report
+        says "verified": true.
     python tests/cli_smoke.py replay VERB FILE [TARGET]
         runs the verb with --json, writes the report beside FILE with the
         suffix .json, and fails unless the report says "verified": true
@@ -43,6 +46,13 @@ def lines(args: list) -> None:
             sys.exit(f"canonform {' '.join(args[:cut])} did not print the line {line!r}")
 
 
+def verified(args: list) -> None:
+    report = json.loads(run_cli([*args, "--verify", "--json"]))
+    if report.get("verified") is not True:
+        sys.exit(f"canonform {' '.join(args)}: the report is not verified: {report}")
+    print(" ".join(args[:1]), "verified")
+
+
 def _fractions(rows) -> list:
     return [[Fraction(v) for v in row] for row in rows]
 
@@ -77,7 +87,9 @@ if __name__ == "__main__":
     mode, *rest = sys.argv[1:]
     if mode == "lines":
         lines(rest)
+    elif mode == "verified":
+        verified(rest)
     elif mode == "replay":
         replay(*rest)
     else:
-        sys.exit(f"unknown mode {mode!r}: expected lines or replay")
+        sys.exit(f"unknown mode {mode!r}: expected lines, verified or replay")

@@ -18,7 +18,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Corrupts smith_2x2's associate and its Euclid cofactor s, the rows of P
 # that the alternation leaves (P negated) and one term of the raw product
-# replaying P A Q = D in smith, the columns of Q that similar and jordan
+# replaying P A Q = D in smith on Z, one coefficient of P shifted (by x,
+# then by 1/7) after the reduction of a Q[x] smith, whose replay runs on
+# values packed at x = 2^k, the columns of Q that similar and jordan
 # read their bases off, twice, rcf's prime powers twice, and five parts of
 # the certificate of the Smith form of xI - A that `_char_smith` checks in
 # place of a P (xI - A) Q = D replay, in a process started with -O; exits
@@ -50,6 +52,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # catch it.
 CORRUPTED_STEPS = textwrap.dedent("""\
     import dataclasses, importlib, sys
+    from fractions import Fraction
     from canonform.domain import Ring, polynomial
     from canonform.errors import CertificateFailed
     from canonform.matrix import Matrix, mat_q, mat_z
@@ -100,6 +103,22 @@ CORRUPTED_STEPS = textwrap.dedent("""\
         if "P A Q = D" not in str(exc):
             sys.exit(f"the P A Q replay did not catch it: {exc}")
     sm.raw_multiply = orig_product
+
+    qx_add = sm.RAW_OPS[Ring.QX][0]
+    orig_smith_rows = sm._smith_rows
+    for shift in (polynomial([0, 1]).raw, polynomial([Fraction(1, 7)]).raw):
+        def shifted_p(ring, rows, p, qt, shift=shift):
+            diag = orig_smith_rows(ring, rows, p, qt)
+            p[0][0] = qx_add(p[0][0], shift)
+            return diag
+        sm._smith_rows = shifted_p
+        try:
+            sm.smith(Matrix.from_rows(Ring.QX, [[[0, 1], [1]], [[0, 0, 1], [2, 1]]]))
+            sys.exit("a shifted coefficient of P on Q[x] was not caught")
+        except CertificateFailed as exc:
+            if str(exc) != "Smith certificate P A Q = D failed":
+                sys.exit(f"the packed P A Q replay did not catch it: {exc}")
+    sm._smith_rows = orig_smith_rows
 
     orig_alternate = sm._alternate
     def negated_p(ring, d, p, qt):

@@ -4,8 +4,9 @@ Hermite forms over Z, Jordan block sizes, integer factorizations, and
 the rational roots of integer polynomials.
 sympy computes each answer independently of canonform.  Then derandomized
 hypothesis properties: the Smith diagonal and the Hermite form are
-invariant under unimodular multipliers, Cayley-Hamilton holds, and factor
-replays."""
+invariant under unimodular multipliers, Cayley-Hamilton holds, factor
+replays, and the Q[x] det and Smith replay on values packed at x = 2^k
+agree with the expansion and the generic product."""
 import random
 from fractions import Fraction
 
@@ -16,9 +17,9 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices.normalforms import invariant_factors, smith_normal_form
 
-from canonform.determinant import det
+from canonform.determinant import det, det_expansion
 from canonform.domain import (Ring, _rational_roots, factor, integer, polynomial, rational,
-                              raw_clear_rows)
+                              raw_clear_rows, raw_pack, raw_unpack)
 from canonform.hermite import _canonicalize, hermite_canonical
 from canonform.matrix import Matrix, mat_q, raw_multiply
 from canonform.similarity import (
@@ -34,7 +35,7 @@ from canonform.similarity import (
     scalar_poly_eval,
     similarity_invariants,
 )
-from canonform.smith import smith
+from canonform.smith import _replay_qx, smith
 
 from conftest import random_matrix, random_unimodular
 
@@ -315,6 +316,108 @@ def test_char_product_is_the_q_x_product(kind, seed, n, w):
          for row in random_matrix(rng, Ring.QX, n, w, max_deg=3).rows()]
     assert (_char_product(*raw_clear_rows(a.raw_rows()), c)
             == raw_multiply(Ring.QX, char_matrix(a).raw_rows(), c))
+
+
+# Q[x] entries of degree <= 4 with coefficients up to 2^80 over denominators
+# up to 2^20, each of a random bit size; one row is zeroed or repeated, or
+# every lead is negated.
+SHAPES = ["plain", "zero row", "repeated row", "negative lead"]
+
+
+def big_qx_square(rng, n, shape) -> Matrix:
+    def entry():
+        return [Fraction(rng.randint(-2**rng.randint(0, 80), 2**rng.randint(0, 80)),
+                         rng.randint(1, 2**rng.randint(0, 20)))
+                for _ in range(rng.randint(0, 5))]
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if shape == "zero row":
+        rows[rng.randrange(n)] = [[] for _ in range(n)]
+    elif shape == "repeated row" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[j] = list(rows[i])
+    elif shape == "negative lead":
+        rows = [[c[:-1] + [-abs(c[-1]) or -1] if c else c for c in row] for row in rows]
+    return Matrix.from_rows(Ring.QX, rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), shape=st.sampled_from(SHAPES))
+@example(seed=1, n=5, shape="plain")
+@example(seed=2, n=5, shape="negative lead")
+@example(seed=3, n=4, shape="plain")
+@example(seed=4, n=4, shape="negative lead")
+def test_packed_det_agrees_with_expansion_over_q_x(seed, n, shape):
+    a = big_qx_square(random.Random(seed), n, shape)
+    assert det(a) == det_expansion(a)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), shape=st.sampled_from(SHAPES),
+       shift=st.sampled_from([[0, 1], [Fraction(1, 3)], [0, 0, 0, 0, 0, -1]]))
+@example(seed=5, n=5, shape="plain", shift=[Fraction(1, 3)])
+@example(seed=6, n=4, shape="negative lead", shift=[0, 1])
+def test_packed_replay_agrees_with_the_q_x_product(seed, n, shape, shift):
+    """smith's replay of P A Q = D at x = 2^k accepts D = P A Q from the
+    generic Q[x] product and rejects D with one entry shifted, as the
+    product does."""
+    rng = random.Random(seed)
+    p, a, q = (big_qx_square(rng, n, shape).raw_rows() for _ in range(3))
+    d = raw_multiply(Ring.QX, raw_multiply(Ring.QX, p, a), q)
+    qt = [list(col) for col in zip(*q)]
+    assert _replay_qx(p, a, qt, d)
+    i, j = rng.randrange(n), rng.randrange(n)
+    d[i][j] = (polynomial(shift) + Matrix.from_raw(Ring.QX, d).entry(i + 1, j + 1)).raw
+    assert raw_multiply(Ring.QX, raw_multiply(Ring.QX, p, a), q) != d
+    assert not _replay_qx(p, a, qt, d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.integers(1, 2**40), a=st.integers(-2**40, 2**40), q=st.integers(1, 2**40))
+@example(p=127, a=127, q=127)
+def test_packed_replay_rejects_d_equal_to_p_a_q_at_a_smaller_power_of_two(p, a, q):
+    """For 1x1 constants, the polynomial of the base-2^j digits of paq
+    equals paq at x = 2^j and nowhere that k's bound allows."""
+    const = lambda v: [[polynomial([v]).raw]]
+    c = p * a * q
+    assert _replay_qx(const(p), const(a), const(q), const(c))
+    sign, mag = (-1 if c < 0 else 1), abs(c)
+    for j in range(8, mag.bit_length(), 8):
+        digits = [sign * (mag >> s & (2**j - 1)) for s in range(0, mag.bit_length(), j)]
+        assert not _replay_qx(const(p), const(a), const(q), [[polynomial(digits).raw]])
+
+
+def packable(k):
+    """(k, c) for lists c of ints below 2^(k-1) in absolute value."""
+    top = 2**(k - 1) - 1
+    return st.tuples(st.just(k), st.lists(
+        st.one_of(st.integers(-top, top), st.sampled_from([0, top, -top])), max_size=12))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kc=st.sampled_from([8, 16, 24, 64, 136]).flatmap(packable))
+@example(kc=(8, [-127, 0, 0, -127]))
+@example(kc=(8, [0, 0, 127]))
+@example(kc=(136, [2**135 - 1, -(2**135 - 1)]))
+@example(kc=(16, [0, -1, 0, 0]))
+@example(kc=(8, []))
+def test_unpack_inverts_pack(kc):
+    """The packed value of c is c(2^k), and unpacking it gives c less its
+    trailing zeros."""
+    k, c = kc
+    (v,), = raw_pack([[c]], k)
+    assert v == sum(t << (k * i) for i, t in enumerate(c))
+    while c and not c[-1]:
+        c = c[:-1]
+    assert raw_unpack(v, k) == c
+
+
+def test_packed_det_of_degree_2000_entries():
+    """A 2x2 Q[x] det whose entries pack into thousands of fields, against
+    ad - bc."""
+    rng = random.Random(2000)
+    a, b, c, d = (polynomial([Fraction(rng.randint(-2**80, 2**80), rng.choice((1, 2, 3, 6)))
+                              for _ in range(2001)]) for _ in range(4))
+    assert det(Matrix.from_rows(Ring.QX, [[a, b], [c, d]])) == a * d - b * c
 
 
 # (2^61 - 1)(2^89 - 1): a semiprime beyond the Z factorizer.
