@@ -87,7 +87,9 @@ def det(a: Matrix) -> Elem:
         return _mk(Ring.Q, raw_ratio(_bareiss(ints), prod(dens)))
     ints, dens = raw_clear_polys(rows)
     bound = prod(sum(map(abs, chain.from_iterable(row))) for row in ints)
-    if not bound:  # a zero row
+    # a zero row makes the bound 0 and k = 8, and raw_pack would overflow on
+    # any other row's coefficient outside -128..127
+    if not bound:
         return Elem.zero(Ring.QX)
     k = raw_pack_width(bound)
     return _mk(Ring.QX, raw_poly(raw_unpack(_bareiss(raw_pack(ints, k)), k), prod(dens)))
@@ -207,15 +209,11 @@ def cramer_solve(a: Matrix, y: Matrix) -> Matrix:
     for i in range(a.n):
         grid = [row[:i] + [v] + row[i + 1:] for row, v in zip(arows, ys)]
         di = det(Matrix.from_raw(a.ring, grid))
-        if a.ring is Ring.QX:
-            try:
-                sol.append([di.exact_div(d)])
-            except ExactDivisionError:
-                raise ExactDivisionError(
-                    "solution is not polynomial; solve over Q(x) is unsupported"
-                ) from None
-        else:
-            sol.append([di * d.unit_inverse()])
+        try:
+            sol.append([di.exact_div(d)])
+        except ExactDivisionError:
+            raise ExactDivisionError(
+                "solution is not polynomial; solve over Q(x) is unsupported") from None
     return Matrix.from_rows(a.ring, sol)
 
 

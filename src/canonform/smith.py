@@ -116,41 +116,35 @@ def smith_2x2(d1: Elem, d2: Elem) -> tuple[Matrix, Matrix, Elem, Elem]:
             _mk(ring, delta), _mk(ring, lam))
 
 
-def _chain_pass(pwork, qtwork, diag, start):
-    """Make diag[start] divide every later entry: each 2x2 step acts on
-    rows (start, other) of P and of Q transposed.  A unit lead divides
-    them all, so the pass ends there."""
-    ring = diag[start].ring
-    ops, divmod_, size = RAW_OPS[ring], RAW_EUCLID[ring][0], RAW_SIZE[ring]
-    for other in range(start + 1, len(diag)):
-        lead, cur = diag[start], diag[other]
-        if lead.is_unit():
-            return
-        if divmod_(cur.raw, lead.raw)[1] == ops[2]:
-            continue
-        p2, q2, delta, lam = smith_2x2(lead, cur)
-        # loop variant: the leading slot, by RAW_SIZE, strictly decreases
-        if not size(delta.raw) < size(lead.raw):
-            raise CertificateFailed(
-                f"chain pass variant broken: {brief(delta)} does not shrink "
-                f"{brief(lead)}")
-        (p11, p12), (p21, p22) = p2.raw_rows()
-        (q11, q12), (q21, q22) = q2.raw_rows()
-        _apply_2x2_rows(ops, start + 1, other + 1, p11, p12, p21, p22, pwork)
-        _apply_2x2_rows(ops, start + 1, other + 1, q11, q21, q12, q22, qtwork)
-        diag[start], diag[other] = delta, lam
-
-
 def _chain(ring, d, p, qt) -> list[Elem]:
     """The invariant factors of the diagonal rows d, by chain passes that
     update the rows p of P and qt of Q^T in place: P has one row per row
-    of d (empty when the caller needs no P), Q^T one per column."""
-    zero = RAW_OPS[ring][2]
+    of d (empty when the caller needs no P), Q^T one per column.  Pass
+    `start` makes diag[start] divide every later entry, each 2x2 step
+    acting on rows (start, other); a unit lead divides them all."""
+    ops, divmod_, size = RAW_OPS[ring], RAW_EUCLID[ring][0], RAW_SIZE[ring]
+    zero = ops[2]
     diag = [_mk(ring, d[i][i]) for i in range(min(len(p), len(qt))) if d[i][i] != zero]
     # diag starts canonical (the pivots of the alternation's last pass) and
     # stays so: each chain step writes smith_2x2's canonical delta and lam
     for start in range(len(diag) - 1):
-        _chain_pass(p, qt, diag, start)
+        for other in range(start + 1, len(diag)):
+            lead, cur = diag[start], diag[other]
+            if lead.is_unit():
+                break
+            if divmod_(cur.raw, lead.raw)[1] == zero:
+                continue
+            p2, q2, delta, lam = smith_2x2(lead, cur)
+            # loop variant: the leading slot, by RAW_SIZE, strictly decreases
+            if not size(delta.raw) < size(lead.raw):
+                raise CertificateFailed(
+                    f"chain pass variant broken: {brief(delta)} does not shrink "
+                    f"{brief(lead)}")
+            (p11, p12), (p21, p22) = p2.raw_rows()
+            (q11, q12), (q21, q22) = q2.raw_rows()
+            _apply_2x2_rows(ops, start + 1, other + 1, p11, p12, p21, p22, p)
+            _apply_2x2_rows(ops, start + 1, other + 1, q11, q21, q12, q22, qt)
+            diag[start], diag[other] = delta, lam
     return diag
 
 
@@ -187,12 +181,10 @@ def _replay_qx(p, a, qt, d) -> bool:
     for row, pi in zip(d, pd):
         dc.append([])
         for (nums, den), qj in zip(row, qd):
-            if nums:
-                s, r = divmod(alpha * pi * qj, den)
-                if r:
-                    return False
-                nums = [c * s for c in nums]
-            dc[-1].append(nums)
+            s, r = divmod(alpha * pi * qj, den)
+            if r:
+                return False
+            dc[-1].append([c * s for c in nums])
     pn, an, qn = max(map(_norm, pc)), max(_norm((c,)) for c in ac), max(map(_norm, qc))
     bound = max(pn * an * qn, pn, an, qn, max(map(_norm, dc)))
     k, n = raw_pack_width(bound), len(a[0])

@@ -7,6 +7,10 @@ library only (pytest does not collect this file).
     python tests/cli_smoke.py verified VERB ARGS...
         runs the verb with --verify --json and fails unless the report
         says "verified": true.
+    python tests/cli_smoke.py json VERB ARGS... -- KEY=JSON...
+        runs the verb with --json and fails unless, for each KEY=JSON, the
+        report's value at KEY (a dotted path, such as transforms.S) equals
+        the JSON value.
     python tests/cli_smoke.py replay VERB FILE [TARGET]
         runs the verb with --json, writes the report beside FILE with the
         suffix .json, and fails unless the report says "verified": true
@@ -53,6 +57,22 @@ def verified(args: list) -> None:
     print(" ".join(args[:1]), "verified")
 
 
+def keys(args: list) -> None:
+    cut = args.index("--")
+    report = json.loads(run_cli([*args[:cut], "--json"]))
+    for pair in args[cut + 1:]:
+        key, want = pair.split("=", 1)
+        got = report
+        for part in key.split("."):
+            if not isinstance(got, dict) or part not in got:
+                sys.exit(f"canonform {' '.join(args[:cut])}: the report has no {key}: {report}")
+            got = got[part]
+        # compared as JSON text, so that true is not 1
+        if json.dumps(got) != json.dumps(json.loads(want)):
+            sys.exit(f"canonform {' '.join(args[:cut])}: {key} is {json.dumps(got)}, not {want}")
+    print(" ".join(args[:cut]), "reports", *args[cut + 1:])
+
+
 def _fractions(rows) -> list:
     return [[Fraction(v) for v in row] for row in rows]
 
@@ -89,7 +109,9 @@ if __name__ == "__main__":
         lines(rest)
     elif mode == "verified":
         verified(rest)
+    elif mode == "json":
+        keys(rest)
     elif mode == "replay":
         replay(*rest)
     else:
-        sys.exit(f"unknown mode {mode!r}: expected lines, verified or replay")
+        sys.exit(f"unknown mode {mode!r}: expected lines, verified, json or replay")

@@ -371,6 +371,20 @@ def test_packed_replay_agrees_with_the_q_x_product(seed, n, shape, shift):
     assert not _replay_qx(p, a, qt, d)
 
 
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_packed_replay_accepts_smiths_own_transforms(seed, n):
+    """smith's own P and Q of an n x n Q[x] matrix reach degree 12-19, far
+    wider fields than the draws above: the replay accepts P A Q = D and
+    rejects D with x added to entry (1, 1)."""
+    a = random_matrix(random.Random(seed), Ring.QX, n, n)
+    res = smith(a)
+    p, qt, d = res.p.raw_rows(), res.q.transpose().raw_rows(), res.d.raw_rows()
+    assert _replay_qx(p, a.raw_rows(), qt, d)
+    d[0][0] = (polynomial([0, 1]) + res.d.entry(1, 1)).raw
+    assert not _replay_qx(p, a.raw_rows(), qt, d)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(p=st.integers(1, 2**40), a=st.integers(-2**40, 2**40), q=st.integers(1, 2**40))
 @example(p=127, a=127, q=127)
